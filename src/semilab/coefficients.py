@@ -111,18 +111,6 @@ def expr_matrix(entries) -> tuple:
     return tuple(out)
 
 
-def zero_matrix(m: int) -> tuple:
-    z = const(0.0)
-    return tuple(tuple(z for _ in range(m)) for _ in range(m))
-
-
-def identity_matrix(m: int, scale=1.0) -> tuple:
-    out = []
-    for i in range(m):
-        out.append(tuple(const(scale) if i == j else const(0.0) for j in range(m)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CoefficientSystem:
     """Coefficient blocks of the operator, as matrices of expressions.
@@ -160,7 +148,7 @@ def _eval_on_nodes(e: Expr, coords: np.ndarray) -> np.ndarray:
         if err.bad_mask is not None and np.shape(err.bad_mask) == (coords.shape[0],):
             idx = int(np.argmax(err.bad_mask))
             raise EvalDomainError(
-                f"{err} at node {tuple(coords[idx])}", err.bad_mask
+                f"{err} at node {tuple(map(float, coords[idx]))}", err.bad_mask
             ) from None
         raise
     return np.broadcast_to(np.asarray(vals, dtype=float), (coords.shape[0],))

@@ -10,10 +10,9 @@ nodal centered differences for the off-diagonal q_hk, the second-order
 coupling blocks, and both first-order terms; nodal potential.  Centered
 differences keep the real-part identity that the sign test relies on.
 
-Adjoint assembly (transposed coefficient blocks) produces, term by term,
-exactly the transposed triplets of the primal assembly, so the code builds
-both from one triplet stream and the discrete duality S* = S^T holds to the
-last bit.
+The discrete adjoint form is the transpose of S, so ``assemble_adjoint``
+transposes the assembled matrix instead of assembling the transposed
+coefficient blocks; the duality S* = S^T then holds to the last bit.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class DiscreteForm:
     m: int
     S: sp.csr_matrix
     mass: float  # uniform cell volume; M = mass * I
-    adjoint: bool = False
 
     @property
     def ndof(self) -> int:
@@ -43,11 +41,10 @@ class DiscreteForm:
 
 
 def _canonical_csr(rows, cols, vals, ndof) -> sp.csr_matrix:
-    """Sum duplicate triplets in a transpose-stable order.
+    """Sum duplicate triplets in a fixed order.
 
     Stable lexsort keeps duplicates in emission order within each (row, col)
-    group, so summing the swapped triplets gives exactly the transposed
-    matrix entry by entry.
+    group, so every entry is summed in the same order on every run.
     """
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -103,13 +100,8 @@ def _block_add(em, rnodes, cnodes, mats, m):
             em.add(rnodes * m + i, cnodes * m + j, mats[:, i, j])
 
 
-def _emit_triplets(system: CoefficientSystem, grid: BoxDomain, transposed: bool):
-    """Triplet stream of the form; ``transposed`` assembles the adjoint blocks.
-
-    The adjoint form swaps Q^{hk} -> (Q^{kh})^T and B <-> C^T, which maps
-    every emitted triplet (r, c, v) of the primal form to (c, r, v); the
-    caller exploits that to build S^T exactly.
-    """
+def _emit_triplets(system: CoefficientSystem, grid: BoxDomain):
+    """Triplet stream (rows, cols, values) of the form, in emission order."""
     fields = sample(system, grid)
     d, m = grid.d, system.m
     vol = grid.cell_volume
@@ -124,11 +116,6 @@ def _emit_triplets(system: CoefficientSystem, grid: BoxDomain, transposed: bool)
     B = fields["B"].values  # (N, d, m, m)
     C = fields["C"].values
     VW = fields["V"].values + fields["W"].values
-
-    if transposed:
-        A = np.swapaxes(np.transpose(A, (0, 2, 1, 3, 4)), -1, -2)
-        B, C = np.swapaxes(C, -1, -2), np.swapaxes(B, -1, -2)
-        VW = np.swapaxes(VW, -1, -2)
 
     # --- diagonal scalar diffusion q_hh by harmonic face averaging ---
     lin = np.arange(N).reshape(dims)
@@ -203,15 +190,15 @@ def _emit_triplets(system: CoefficientSystem, grid: BoxDomain, transposed: bool)
 
 
 def assemble(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
-    em, ndof = _emit_triplets(system, grid, transposed=False)
+    em, ndof = _emit_triplets(system, grid)
     S = _canonical_csr(em.rows, em.cols, em.vals, ndof)
     return DiscreteForm(grid, system.m, S, grid.cell_volume)
 
 
 def assemble_adjoint(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
-    em, ndof = _emit_triplets(system, grid, transposed=False)
-    S_adj = _canonical_csr(em.cols, em.rows, em.vals, ndof)
-    return DiscreteForm(grid, system.m, S_adj, grid.cell_volume, adjoint=True)
+    """The adjoint form, whose matrix is exactly S^T."""
+    F = assemble(system, grid)
+    return DiscreteForm(grid, system.m, F.S.T.tocsr(), F.mass)
 
 
 def form_value(F: DiscreteForm, u: np.ndarray, v: np.ndarray) -> complex:

@@ -226,7 +226,3 @@ def gallery_scenario(key: str) -> Scenario:
         raise KeyError(
             f"unknown gallery scenario {key!r}; choices: {', '.join(_BUILDERS)}"
         ) from None
-
-
-def gallery_scenarios() -> list:
-    return [build() for build in _BUILDERS.values()]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .coefficients import BoxDomain, CoefficientSystem, SampledField, sample
-from .pinterval import phi_power
+from .pinterval import k_combination, phi_power
 
 GAMMA_GRID = np.logspace(-4, 4, 200)
 
@@ -76,18 +76,41 @@ class HypothesisViolation(ValueError):
         self.witness = witness
 
 
-def _inv_sqrt_spd(mats: np.ndarray, what: str, coords: np.ndarray | None = None):
-    """Inverse square roots of a stack of symmetric matrices; rejects non-PD."""
-    w, U = np.linalg.eigh(mats)
+def _require_pd(w: np.ndarray, what: str, coords: np.ndarray | None):
+    """Reject the first node whose ascending eigenvalues ``w`` are not all positive."""
     if np.any(w[..., 0] <= 0):
         idx = int(np.argmax(w[..., 0] <= 0))
-        where = tuple(coords[idx]) if coords is not None else idx
+        where = tuple(map(float, coords[idx])) if coords is not None else idx
         raise HypothesisViolation(
             f"{what} not positive definite at node {where} "
             f"(min eigenvalue {w[idx, 0]:.3e})",
             node_coords=where,
         )
+
+
+def _inv_sqrt_eig(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U diag(w^{-1/2}) U^T per node."""
     return (U * w[..., None, :] ** -0.5) @ np.swapaxes(U, -1, -2)
+
+
+def _inv_sqrt_spd(mats: np.ndarray, what: str, coords: np.ndarray | None = None):
+    """Inverse square roots of a stack of symmetric matrices; rejects non-PD."""
+    w, U = np.linalg.eigh(mats)
+    _require_pd(w, what, coords)
+    return _inv_sqrt_eig(w, U)
+
+
+def _gamma_whiteners(Vvalues: np.ndarray, mode: EstimateMode, coords: np.ndarray):
+    """Yield (gamma V_S + R(gamma) I)^{-1/2} for each gamma of the mode.
+
+    V_S = U diag(lam) U^T is diagonalized once per node; every gamma then
+    only shifts its eigenvalues to gamma*lam + R.
+    """
+    lam, U = np.linalg.eigh(0.5 * (Vvalues + np.swapaxes(Vvalues, -1, -2)))
+    for gamma in mode.gamma_candidates():
+        w = gamma * lam + mode.weight(gamma)
+        _require_pd(w, f"gamma*V_S + R (gamma={gamma})", coords)
+        yield _inv_sqrt_eig(w, U)
 
 
 def _max_sv(mats: np.ndarray) -> np.ndarray:
@@ -146,21 +169,17 @@ def estimate_kappa_A(system_or_samples, grid: BoxDomain | None = None,
     scale = np.maximum(1.0, np.abs(evals).max())
     if np.any(evals[:, 0] < -1e-12 * scale):
         idx = int(np.argmin(evals[:, 0]))
+        where = tuple(map(float, coords[idx]))
         raise HypothesisViolation(
-            f"Re second-order coupling negative at node {tuple(coords[idx])} "
+            f"Re second-order coupling negative at node {where} "
             f"(eigenvalue {evals[idx, 0]:.3e})",
-            node_coords=tuple(coords[idx]),
+            node_coords=where,
             witness=evecs[idx, :, 0],
         )
     per_node = _max_sv(white)
     if return_per_node:
         return per_node
     return float(per_node.max())
-
-
-def _drift_sv(block_col: np.ndarray, W: np.ndarray, Gi: np.ndarray) -> np.ndarray:
-    """Largest singular value per node of W @ block_col @ Gi."""
-    return _max_sv(W @ block_col @ Gi)
 
 
 def estimate_drift_constants(system_or_samples, grid: BoxDomain | None = None,
@@ -184,19 +203,15 @@ def estimate_drift_constants(system_or_samples, grid: BoxDomain | None = None,
 
     Qis = _inv_sqrt_spd(fields["Q"].values, "Q", coords)
     W = _kron_whitener(Qis, m)
-    VS = 0.5 * (fields["V"].values + np.swapaxes(fields["V"].values, -1, -2))
     Bcol = B.reshape(N, d * m, m)
     Ccol = C.reshape(N, d * m, m)
 
     kB = kC = 0.0
-    eye = np.eye(m)
-    for gamma in mode.gamma_candidates():
-        R = mode.weight(gamma)
-        Gi = _inv_sqrt_spd(gamma * VS + R * eye, f"gamma*V_S + R (gamma={gamma})", coords)
+    for Gi in _gamma_whiteners(fields["V"].values, mode, coords):
         if np.any(Bcol):
-            kB = max(kB, float(_drift_sv(Bcol, W, Gi).max()))
+            kB = max(kB, float(_max_sv(W @ Bcol @ Gi).max()))
         if np.any(Ccol):
-            kC = max(kC, float(_drift_sv(Ccol, W, Gi).max()))
+            kC = max(kC, float(_max_sv(W @ Ccol @ Gi).max()))
     return kB, kC
 
 
@@ -209,15 +224,9 @@ def estimate_kappa_W(system_or_samples, grid: BoxDomain | None = None,
     Wmat = fields["W"].values
     if not np.any(Wmat):
         return 0.0
-    m = Wmat.shape[-1]
     coords = fields["W"].domain.node_coords()
-    VS = 0.5 * (fields["V"].values + np.swapaxes(fields["V"].values, -1, -2))
-
     out = 0.0
-    eye = np.eye(m)
-    for gamma in mode.gamma_candidates():
-        R = mode.weight(gamma)
-        Gi = _inv_sqrt_spd(gamma * VS + R * eye, f"gamma*V_S + R (gamma={gamma})", coords)
+    for Gi in _gamma_whiteners(fields["V"].values, mode, coords):
         out = max(out, float(_max_sv(Gi @ Wmat @ Gi).max()))
     return out
 
@@ -312,8 +321,11 @@ def check_all(system_or_samples, grid: BoxDomain | None = None,
 
     kappaB = kappaC = kappaW = float("nan")
     if passes["V_S_positive"] and passes["Q_positive"]:
-        kappaB, kappaC = estimate_drift_constants(fields, mode=mode)
-        kappaW = estimate_kappa_W(fields, mode=mode)
+        try:
+            kappaB, kappaC = estimate_drift_constants(fields, mode=mode)
+            kappaW = estimate_kappa_W(fields, mode=mode)
+        except HypothesisViolation as err:
+            notes.append(str(err))
     passes["drift_bounds_finite"] = all(
         np.isfinite(x) for x in (kappaB, kappaC, kappaW)
     )
@@ -321,7 +333,7 @@ def check_all(system_or_samples, grid: BoxDomain | None = None,
     gamma = mode.gamma if mode.kind == "fixed_gamma" else 1.0
     K = float("nan")
     if passes["drift_bounds_finite"] and gamma * kappaW < 1:
-        K = 4 * (1 / gamma - kappaW) - (kappaB + kappaC) ** 2
+        K = k_combination(kappaB, kappaC, kappaW, gamma)
     passes["K_positive"] = np.isfinite(K) and K > 0
 
     best_gamma = best_K = None
@@ -330,7 +342,7 @@ def check_all(system_or_samples, grid: BoxDomain | None = None,
         for g in GAMMA_GRID:
             if g * kappaW >= 1:
                 continue
-            Kg = 4 * (1 / g - kappaW) - (kappaB + kappaC) ** 2
+            Kg = k_combination(kappaB, kappaC, kappaW, g)
             if Kg > best_K:
                 best_K, best_gamma = float(Kg), float(g)
         if best_K == -np.inf:

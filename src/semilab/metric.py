@@ -118,6 +118,14 @@ def _edge_lists(field: MetricField, grid: BoxDomain, order: int):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(costs)
 
 
+def _graph(field: MetricField, grid: BoxDomain, order: int) -> sp.csr_matrix:
+    """Stencil graph over the interior nodes, weighted by the edge costs."""
+    rows, cols, costs = _edge_lists(field, grid, order)
+    return sp.coo_matrix(
+        (costs, (rows, cols)), shape=(grid.node_count, grid.node_count)
+    ).tocsr()
+
+
 def distance_map(field: MetricField, grid: BoxDomain, source: int,
                  order: int | None = None) -> DistanceMap:
     """Single-source metric distances to every interior node."""
@@ -125,11 +133,7 @@ def distance_map(field: MetricField, grid: BoxDomain, source: int,
         raise ValueError("source node out of range")
     if order is None:
         order = default_order(grid.d)
-    rows, cols, costs = _edge_lists(field, grid, order)
-    graph = sp.coo_matrix(
-        (costs, (rows, cols)), shape=(grid.node_count, grid.node_count)
-    ).tocsr()
-    dist = dijkstra(graph, directed=False, indices=source)
+    dist = dijkstra(_graph(field, grid, order), directed=False, indices=source)
     return DistanceMap(source, dist, order)
 
 
@@ -138,11 +142,8 @@ def distance_matrix(field: MetricField, grid: BoxDomain, sources,
     """Distances from several sources at once, shape (len(sources), N)."""
     if order is None:
         order = default_order(grid.d)
-    rows, cols, costs = _edge_lists(field, grid, order)
-    graph = sp.coo_matrix(
-        (costs, (rows, cols)), shape=(grid.node_count, grid.node_count)
-    ).tocsr()
-    return dijkstra(graph, directed=False, indices=np.asarray(sources))
+    return dijkstra(_graph(field, grid, order), directed=False,
+                    indices=np.asarray(sources))
 
 
 def euclid_equivalence_check(field: MetricField, grid: BoxDomain) -> tuple:

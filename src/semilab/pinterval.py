@@ -64,19 +64,22 @@ def holder_conjugate(p: float) -> float:
     return p / (p - 1)
 
 
-def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma, K=None) -> IntervalSpec:
+def k_combination(kappaB, kappaC, kappaW, gamma) -> float:
+    """K = 4(1/gamma - kappa_W) - (kappa_B + kappa_C)^2; Theorem 3.3 needs K > 0."""
+    return 4 * (1 / gamma - kappaW) - (kappaB + kappaC) ** 2
+
+
+def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
     """Admissible p-interval from the explicit four-case formula.
 
-    K is the combination 4(1/gamma - kappa_W) - (kappa_B + kappa_C)^2 and
-    must be positive; it is computed from the other arguments when omitted.
+    The combination K of ``k_combination`` must be positive.
     """
     for name, v in [("kappaA", kappaA), ("kappaB", kappaB), ("kappaC", kappaC), ("kappaW", kappaW)]:
         if v < 0:
             raise ValueError(f"{name} must be nonnegative")
     if gamma <= 0 or gamma * kappaW >= 1:
         raise ValueError("need gamma > 0 and gamma*kappaW < 1")
-    if K is None:
-        K = 4 * (1 / gamma - kappaW) - (kappaB + kappaC) ** 2
+    K = k_combination(kappaB, kappaC, kappaW, gamma)
     if K <= 0:
         raise ValueError(f"hypothesis violated: K = {K} <= 0")
 
@@ -92,13 +95,6 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma, K=None) -> IntervalSpe
     delta1 = K / ((kappaA**2 + 1) * K + (s + kappaB) ** 2)
     delta2 = K / (kappaA**2 * K + (s + kappaC) ** 2)
     return IntervalSpec(2 - delta1, 2 + delta2, True, True)
-
-
-def deltas_thm33(kappaA, kappaB, kappaC, K) -> tuple:
-    s = kappaA * (kappaB + kappaC)
-    delta1 = K / ((kappaA**2 + 1) * K + (s + kappaB) ** 2)
-    delta2 = K / (kappaA**2 * K + (s + kappaC) ** 2)
-    return delta1, delta2
 
 
 def _M_gamma(kappaA, kappaB, kappaC, kappaW, gamma, p):

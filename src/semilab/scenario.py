@@ -38,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .coefficients import BoxDomain, CoefficientSystem, zero_matrix
+from .coefficients import BoxDomain, CoefficientSystem
 from .expressions import ExprSyntaxError, const, parse_expr, print_expr
 from .hypotheses import EstimateMode
 

@@ -10,8 +10,11 @@ from semilab.coefficients import (
     expr_matrix,
     sample,
 )
+from semilab.gallery import gallery_names, gallery_scenario
 from semilab.hypotheses import (
     HypothesisViolation,
+    _inv_sqrt_spd,
+    _kron_whitener,
     check_all,
     estimate_c0,
     estimate_drift_constants,
@@ -183,6 +186,79 @@ class TestKappaW:
         assert 0.29 < est <= 0.3 + 1e-12
 
 
+def reference_sweep(fields, mode):
+    """(kappa_B, kappa_C, kappa_W) with each gamma's whitener
+    (gamma V_S + R I)^{-1/2} taken from its own eigendecomposition."""
+    B, C, Wmat = fields["B"].values, fields["C"].values, fields["W"].values
+    N, d, m, _ = B.shape
+    V = fields["V"].values
+    VS = 0.5 * (V + np.swapaxes(V, -1, -2))
+    Wq = _kron_whitener(_inv_sqrt_spd(fields["Q"].values, "Q"), m)
+    Bcol, Ccol = B.reshape(N, d * m, m), C.reshape(N, d * m, m)
+
+    def top_sv(mats):
+        return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
+
+    kB = kC = kW = 0.0
+    for gamma in mode.gamma_candidates():
+        Gi = _inv_sqrt_spd(gamma * VS + mode.weight(gamma) * np.eye(m), "G")
+        kB = max(kB, top_sv(Wq @ Bcol @ Gi))
+        kC = max(kC, top_sv(Wq @ Ccol @ Gi))
+        kW = max(kW, top_sv(Gi @ Wmat @ Gi))
+    return kB, kC, kW
+
+
+def swept_constants(fields, mode):
+    kB, kC = estimate_drift_constants(fields, mode=mode)
+    return kB, kC, estimate_kappa_W(fields, mode=mode)
+
+
+# m = 3 with a non-diagonal, x-dependent V_S and every first-order and
+# potential block present, so the shared eigenbasis is neither the identity
+# nor symmetric
+COUPLED = CoefficientSystem(
+    d=1, m=3, Q=expr_matrix([["1 + x1"]]),
+    V=expr_matrix([["2 + x1", "0.6 - 0.4 * x1", "0.1"],
+                   ["0.2 + x1^2", "1.5", "0.3 * x1"],
+                   ["0.4", "-0.2", "3 - x1"]]),
+    B=(expr_matrix([["x1", "1", "0"], ["-1", "0.5", "0.2"],
+                    ["0", "x1^2", "0.7"]]),),
+    C=(expr_matrix([["0.3", "0", "0.1"], ["x1^2", "-0.2", "0"],
+                    ["0.5", "0", "x1"]]),),
+    W=expr_matrix([["0.1", "0.2 * x1", "0"], ["0", "0.3", "0.1"],
+                   ["0.2", "0", "0.4"]]),
+)
+
+
+class TestSharedGammaSweep:
+    """The one-eigendecomposition sweep against per-gamma whitening."""
+
+    @pytest.mark.parametrize("key", gallery_names())
+    def test_gallery(self, key):
+        scn = gallery_scenario(key)
+        fields = sample(scn.system, scn.grid)
+        assert swept_constants(fields, scn.mode) == pytest.approx(
+            reference_sweep(fields, scn.mode), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [fixed_gamma(0.7, 1.5), refined(a=0.25),
+                                      kernel_mode(beta=1.0, c=2.0)],
+                             ids=["fixed_gamma", "refined", "kernel"])
+    def test_non_diagonal_potential(self, mode):
+        fields = sample(COUPLED, GRID)
+        got = swept_constants(fields, mode)
+        assert all(k > 0 for k in got)
+        assert got == pytest.approx(reference_sweep(fields, mode), rel=1e-12)
+
+    def test_not_positive_definite_names_node(self):
+        # gamma v + R = 4 - 10 < 0 at every node; the first one is reported
+        system = scalar_system(v="4", b="0.5")
+        with pytest.raises(HypothesisViolation,
+                           match=r"gamma\*V_S \+ R \(gamma=1\.0\) not positive "
+                                 r"definite at node \(0\.03125,\)"):
+            estimate_drift_constants(sample(system, GRID),
+                                     mode=fixed_gamma(1.0, -10.0))
+
+
 class TestCheckAll:
     def test_k_positive_example(self):
         # kappa_B = kappa_C = 1 at gamma = 1/2, kappa_W = 0: K = 8 - 4 = 4
@@ -209,6 +285,17 @@ class TestCheckAll:
         system = scalar_system(m=2, V=[["1", "0"], ["0", "-1"]])
         rep = check_all(sample(system, GRID), mode=fixed_gamma(1.0, 1.0))
         assert not rep.passes["V_S_positive"]
+        assert not rep.all_pass
+
+    def test_drift_whitener_failure_flagged_not_raised(self):
+        # Cgamma = -10 leaves gamma V_S + Cgamma indefinite although V_S > 0
+        system = scalar_system(v="4", b="0.5")
+        rep = check_all(sample(system, GRID), mode=fixed_gamma(1.0, -10.0))
+        assert rep.passes["V_S_positive"]
+        assert not rep.passes["drift_bounds_finite"]
+        assert not rep.passes["K_positive"]
+        assert any("not positive definite at node (0.03125,)" in note
+                   for note in rep.notes)
         assert not rep.all_pass
 
     def test_kernel_mode_flags(self):

@@ -15,6 +15,7 @@ from semilab.pinterval import (
     hhat_constant,
     holder_conjugate,
     interval_thm33,
+    k_combination,
     kernel_constants,
     moser_sums,
     phi_hat_power,
@@ -75,11 +76,15 @@ class TestIntervalCases:
         with pytest.raises(ValueError):
             interval_thm33(0, 0, 0, 1.0, 1.0)
 
-    def test_explicit_k_matches_computed(self):
-        iv1 = interval_thm33(0.3, 0.5, 0.4, 0.1, 1.0)
-        K = 4 * (1 / 1.0 - 0.1) - 0.9**2
-        iv2 = interval_thm33(0.3, 0.5, 0.4, 0.1, 1.0, K=K)
-        assert iv1 == iv2
+    def test_k_combination(self):
+        # K = 4(1/gamma - kappa_W) - (kappa_B + kappa_C)^2, and its sign is
+        # what interval_thm33 rejects on
+        assert k_combination(0.5, 0.4, 0.1, 1.0) == pytest.approx(
+            4 * 0.9 - 0.81, rel=1e-15)
+        assert k_combination(1.0, 1.0, 0.0, 0.5) == 4.0
+        assert k_combination(2.0, 2.0, 0.0, 1.0) == -12.0
+        with pytest.raises(ValueError, match=r"K = -12\.0"):
+            interval_thm33(0, 2, 2, 0, 1.0)
 
 
 class TestDualitySymmetry:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from semilab.cli import (
@@ -11,6 +12,8 @@ from semilab.cli import (
     EXIT_OK,
     main,
 )
+from semilab.discrete import assemble, nittka_shifted, node_norms
+from semilab.evolution import band_limited_random
 from semilab.gallery import gallery_names, gallery_scenario
 from semilab.scenario import ScenarioError, parse_scenario, scenario_to_text
 
@@ -183,3 +186,50 @@ class TestCli:
     def test_unknown_gallery_key(self, capsys):
         assert main(["check-hypotheses", "--scenario", "gallery:nope"]) \
             == EXIT_CONFIG_ERROR
+
+    def test_expression_undefined_at_node_is_config_error(self, tmp_path,
+                                                          capsys):
+        text = (MINIMAL.replace("lower = 0", "lower = -1")
+                .replace('v.11 = "2"', 'v.11 = "log(x1)"'))
+        assert main(["all", "--scenario", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: log of a non-positive argument at node "
+                       "(-0.9375,)"]
+
+    def test_indefinite_drift_whitener_is_failed_check(self, tmp_path, capsys):
+        # Cgamma = -10 makes gamma V_S + Cgamma indefinite: check_all flags
+        # it instead of raising, so this is a failed check, not exit 2
+        text = (MINIMAL.replace("Cgamma = 1", "Cgamma = -10")
+                .replace('v.11 = "2"', 'v.11 = "4"\nb.1.11 = "0.5"'))
+        out = tmp_path / "out"
+        assert main(["check-hypotheses", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CHECK_FAILED
+        rep = json.loads((out / "report.json").read_text())
+        hyp = rep["sections"]["hypotheses"]["report"]
+        assert hyp["passes"]["drift_bounds_finite"] is False
+        assert any("not positive definite" in n for n in hyp["notes"])
+
+    def test_nittka_finding_scale_from_worst_sample(self, tmp_path, capsys):
+        # a strongly negative potential makes the shifted sign test negative
+        # at p = 3; the finding's scale is ||u||_p^p of the minimizing sample
+        text = MINIMAL.replace('v.11 = "2"', 'v.11 = "-1000"').replace(
+            "p = 2\n", "p = 3\n")
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        main(["nittka", "--scenario", path, "--out", str(out)])
+        sec = json.loads((out / "report.json").read_text())["sections"]["nittka"]
+        [finding] = sec["findings"]
+
+        scn = parse_scenario(path)
+        F = assemble(scn.system, scn.grid)
+        u = band_limited_random(F.grid, F.m, np.random.default_rng(scn.seed + 1),
+                                scn.n_samples)
+        vals = [nittka_shifted(F, u[:, j], 3.0, 1.0, 1.0)
+                for j in range(u.shape[1])]
+        worst = int(np.argmin(vals))
+        assert worst != 0  # sample 0 would give a different scale
+        assert finding["min_shifted_value"] == vals[worst] < 0
+        assert finding["scale"] == pytest.approx(
+            F.mass * np.sum(node_norms(u[:, worst], F.m) ** 3), rel=1e-14)
+        assert sec["pass"] is True
