@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,12 +27,13 @@ from .evolution import (Stepper, band_limited_random,
                         contractivity_probe_multi, trace_to_csv)
 from .expressions import EvalDomainError
 from .gallery import gallery_names, gallery_scenario
-from .heatkernel import interior_mask, kernel_block, verify_gaussian
+from .heatkernel import (block_to_csv, interior_mask, kernel_block,
+                         verify_gaussian)
 from .hypotheses import check_all
 from .metric import (default_order, distance_map, euclid_equivalence_check,
                      weight_field, distance_to_csv)
-from .pinterval import (gamma_p, interval_thm33, kernel_constants,
-                        psd_sweep_Mgamma)
+from .pinterval import (gamma_p, gaussian_bound_rhs, interval_thm33,
+                        kernel_constants, psd_sweep_Mgamma)
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_to_text
 
 SCHEMA_VERSION = 1
@@ -59,20 +61,26 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+def _jsonable(obj):
+    """Plain JSON data for ``obj``; a non-finite float becomes None (null),
+    since strict JSON has no NaN or Infinity."""
     if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+        obj = dataclasses.asdict(obj)
+    elif isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_report(out_dir: str, report: dict) -> None:
     _atomic_write(os.path.join(out_dir, "report.json"),
-                  json.dumps(report, indent=2, sort_keys=True,
-                             default=_json_default) + "\n")
+                  json.dumps(_jsonable(report), indent=2, sort_keys=True,
+                             allow_nan=False) + "\n")
 
 
 def _scenario_hash(scn: Scenario) -> str:
@@ -241,6 +249,8 @@ def _kernel_section(scn: Scenario, F, fields, hyp: dict, out_dir: str) -> dict:
     block = kernel_block(F, int(center), t, stepper, dist=dmap)
     result = verify_gaussian(block, bundle, field, scn.grid,
                              interior_mask(scn.grid))
+    block_to_csv(block, scn.grid, os.path.join(out_dir, "kernel.csv"),
+                 rhs=gaussian_bound_rhs(bundle, t, dmap.dist))
     return {"bundle": dataclasses.asdict(bundle), "verification": result,
             "pass": bool(result["pass"])}
 
@@ -386,6 +396,10 @@ def main(argv=None) -> int:
             EvalDomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except FloatingPointError as err:
+        # the evolution blew up: the run itself is the failed check
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

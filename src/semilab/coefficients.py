@@ -12,7 +12,8 @@ nodes of a box grid.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,18 @@ class SampledField:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite entries in sampled field")
+
+    @cached_property
+    def spectrum(self):
+        """Per-node ``np.linalg.eigh`` of the symmetric part (M + M^T)/2 of
+        the trailing square matrices: ascending eigenvalues and orthonormal
+        eigenvectors as columns.  Computed once and shared, read-only, by
+        every reader."""
+        vals = self.values
+        spec = np.linalg.eigh(0.5 * (vals + np.swapaxes(vals, -1, -2)))
+        for arr in spec:
+            arr.flags.writeable = False
+        return spec
 
 
 def expr_matrix(entries) -> tuple:
@@ -208,28 +221,6 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
         "V": SampledField(grid, v),
         "W": SampledField(grid, w),
     }
-
-
-def symmetric_part(field: SampledField) -> SampledField:
-    vals = field.values
-    if vals.shape[-1] != vals.shape[-2]:
-        raise ValueError("symmetric_part needs square node matrices")
-    return SampledField(field.domain, 0.5 * (vals + np.swapaxes(vals, -1, -2)))
-
-
-def min_eigen_field(field: SampledField) -> np.ndarray:
-    """Per-node smallest eigenvalue of (symmetrized) node matrices."""
-    vals = 0.5 * (field.values + np.swapaxes(field.values, -1, -2))
-    m = vals.shape[-1]
-    if m == 1:
-        return vals[..., 0, 0].copy()
-    if m == 2:
-        # closed form for 2x2: mean of trace minus half the root gap
-        a, b_, c_ = vals[..., 0, 0], vals[..., 0, 1], vals[..., 1, 1]
-        half_tr = 0.5 * (a + c_)
-        gap = np.sqrt(0.25 * (a - c_) ** 2 + b_**2)
-        return half_tr - gap
-    return np.linalg.eigvalsh(vals)[..., 0]
 
 
 def load_field_csv(path, domain: BoxDomain, m: int) -> SampledField:

@@ -43,7 +43,11 @@ class Stepper:
         lhs = (F.mass * eye + theta * dt * F.S).tocsc()
         # the pattern is structurally symmetric; this ordering roughly halves
         # the fill of the default one on tensor grids
-        self._lu = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
+        try:
+            self._lu = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+            raise ValueError(f"{scheme} step matrix is singular at "
+                             f"dt = {dt!r} ({err})") from None
         if scheme == "crank_nicolson":
             self._rhs = (F.mass * eye - 0.5 * dt * F.S).tocsr()
         else:

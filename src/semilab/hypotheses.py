@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .coefficients import BoxDomain, CoefficientSystem, SampledField, sample
+from .coefficients import SampledField
 from .pinterval import k_combination, phi_power
 
 GAMMA_GRID = np.logspace(-4, 4, 200)
@@ -41,6 +41,10 @@ class EstimateMode:
     def __post_init__(self):
         if self.kind not in ("fixed_gamma", "refined", "kernel"):
             raise ValueError(f"unknown mode {self.kind!r}")
+        if self.kind == "fixed_gamma" and not self.gamma > 0:
+            raise ValueError("fixed_gamma mode requires gamma > 0")
+        if self.kind == "refined":
+            phi_power(self.a, self.b)  # rejects a outside ]0, 1/2[, b outside [0, 1[
         if self.kind == "kernel" and self.c < 1:
             raise ValueError("kernel mode requires c >= 1")
 
@@ -76,11 +80,11 @@ class HypothesisViolation(ValueError):
         self.witness = witness
 
 
-def _require_pd(w: np.ndarray, what: str, coords: np.ndarray | None):
+def _require_pd(w: np.ndarray, what: str, coords: np.ndarray):
     """Reject the first node whose ascending eigenvalues ``w`` are not all positive."""
     if np.any(w[..., 0] <= 0):
         idx = int(np.argmax(w[..., 0] <= 0))
-        where = tuple(map(float, coords[idx])) if coords is not None else idx
+        where = tuple(map(float, coords[idx]))
         raise HypothesisViolation(
             f"{what} not positive definite at node {where} "
             f"(min eigenvalue {w[idx, 0]:.3e})",
@@ -93,50 +97,27 @@ def _inv_sqrt_eig(w: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (U * w[..., None, :] ** -0.5) @ np.swapaxes(U, -1, -2)
 
 
-def _inv_sqrt_spd(mats: np.ndarray, what: str, coords: np.ndarray | None = None):
-    """Inverse square roots of a stack of symmetric matrices; rejects non-PD."""
-    w, U = np.linalg.eigh(mats)
-    _require_pd(w, what, coords)
+def _inv_sqrt(field: SampledField, what: str) -> np.ndarray:
+    """Per-node inverse square root of the field's symmetric part, from its
+    spectrum; rejects the first node where that part is not positive definite."""
+    w, U = field.spectrum
+    _require_pd(w, what, field.domain.node_coords())
     return _inv_sqrt_eig(w, U)
-
-
-def _gamma_whiteners(Vvalues: np.ndarray, mode: EstimateMode, coords: np.ndarray):
-    """Yield (gamma V_S + R(gamma) I)^{-1/2} for each gamma of the mode.
-
-    V_S = U diag(lam) U^T is diagonalized once per node; every gamma then
-    only shifts its eigenvalues to gamma*lam + R.
-    """
-    lam, U = np.linalg.eigh(0.5 * (Vvalues + np.swapaxes(Vvalues, -1, -2)))
-    for gamma in mode.gamma_candidates():
-        w = gamma * lam + mode.weight(gamma)
-        _require_pd(w, f"gamma*V_S + R (gamma={gamma})", coords)
-        yield _inv_sqrt_eig(w, U)
 
 
 def _max_sv(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def _resolve(system_or_samples, grid=None):
-    if isinstance(system_or_samples, CoefficientSystem):
-        return sample(system_or_samples, grid)
-    return system_or_samples
-
-
-def estimate_c0(Vfield: SampledField, return_per_node: bool = False):
-    """Smallest c0 with |Im(V xi, xi)| <= c0 Re(V xi, xi) for all complex xi.
-
-    Equals, nodewise, the largest singular value of the V_S-whitened
-    antisymmetric part of V.
+def estimate_c0(Vfield: SampledField) -> np.ndarray:
+    """Per-node smallest c0 with |Im(V xi, xi)| <= c0 Re(V xi, xi) for all
+    complex xi: the largest singular value of the V_S-whitened antisymmetric
+    part of V.
     """
     V = Vfield.values
-    VS = 0.5 * (V + np.swapaxes(V, -1, -2))
     VA = 0.5 * (V - np.swapaxes(V, -1, -2))
-    Wh = _inv_sqrt_spd(VS, "V_S", Vfield.domain.node_coords())
-    per_node = _max_sv(Wh @ VA @ Wh)
-    if return_per_node:
-        return per_node
-    return float(per_node.max())
+    Wh = _inv_sqrt(Vfield, "V_S")
+    return _max_sv(Wh @ VA @ Wh)
 
 
 def _kron_whitener(Qis: np.ndarray, m: int) -> np.ndarray:
@@ -146,11 +127,9 @@ def _kron_whitener(Qis: np.ndarray, m: int) -> np.ndarray:
     return np.einsum("nhk,ij->nhikj", Qis, eye).reshape(N, d * m, d * m)
 
 
-def estimate_kappa_A(system_or_samples, grid: BoxDomain | None = None,
-                     return_per_node: bool = False):
-    """Smallest kappa bounding the second-order coupling against the
+def estimate_kappa_A(fields: dict) -> np.ndarray:
+    """Per-node smallest kappa bounding the second-order coupling against the
     diffusion quadratic form, plus the nonnegativity check of its real part."""
-    fields = _resolve(system_or_samples, grid)
     A = fields["A"].values  # (N, d, d, m, m)
     N, d, _, m, _ = A.shape
     coords = fields["A"].domain.node_coords()
@@ -158,10 +137,9 @@ def estimate_kappa_A(system_or_samples, grid: BoxDomain | None = None,
     # block matrix over (h, k), acting on stacked theta = (theta^1..theta^d)
     Abig = np.transpose(A, (0, 1, 3, 2, 4)).reshape(N, d * m, d * m)
     if not np.any(Abig):
-        return np.zeros(N) if return_per_node else 0.0
+        return np.zeros(N)
 
-    Qis = _inv_sqrt_spd(fields["Q"].values, "Q", coords)
-    W = _kron_whitener(Qis, m)
+    W = _kron_whitener(_inv_sqrt(fields["Q"], "Q"), m)
     white = W @ Abig @ W
 
     sym = 0.5 * (white + np.swapaxes(white, -1, -2))
@@ -176,64 +154,43 @@ def estimate_kappa_A(system_or_samples, grid: BoxDomain | None = None,
             node_coords=where,
             witness=evecs[idx, :, 0],
         )
-    per_node = _max_sv(white)
-    if return_per_node:
-        return per_node
-    return float(per_node.max())
+    return _max_sv(white)
 
 
-def estimate_drift_constants(system_or_samples, grid: BoxDomain | None = None,
-                             mode: EstimateMode | None = None):
-    """(kappa_B, kappa_C): smallest constants in the mixed first-order bounds.
+def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
+    """(kappa_B, kappa_C, kappa_W) from one sweep over the mode's gammas.
 
-    Nodewise these are largest singular values of the doubly whitened block
-    columns of the B^h / C^h, maximized over nodes and, for the gamma-family
-    modes, over the gamma grid.
+    kappa_B and kappa_C are the largest singular values of the doubly whitened
+    block columns of the B^h / C^h, kappa_W that of W whitened on both sides
+    by G = (gamma V_S + R(gamma) I)^{-1/2}; each is maximized over nodes and
+    gammas.  V_S = U diag(lam) U^T comes from the field's spectrum, so every
+    gamma only shifts its eigenvalues to gamma*lam + R.
     """
-    if mode is None:
-        raise ValueError("mode is required")
-    fields = _resolve(system_or_samples, grid)
     B = fields["B"].values  # (N, d, m, m)
-    C = fields["C"].values
     N, d, m, _ = B.shape
-    coords = fields["B"].domain.node_coords()
-
-    if not np.any(B) and not np.any(C):
-        return 0.0, 0.0
-
-    Qis = _inv_sqrt_spd(fields["Q"].values, "Q", coords)
-    W = _kron_whitener(Qis, m)
     Bcol = B.reshape(N, d * m, m)
-    Ccol = C.reshape(N, d * m, m)
-
-    kB = kC = 0.0
-    for Gi in _gamma_whiteners(fields["V"].values, mode, coords):
-        if np.any(Bcol):
-            kB = max(kB, float(_max_sv(W @ Bcol @ Gi).max()))
-        if np.any(Ccol):
-            kC = max(kC, float(_max_sv(W @ Ccol @ Gi).max()))
-    return kB, kC
-
-
-def estimate_kappa_W(system_or_samples, grid: BoxDomain | None = None,
-                     mode: EstimateMode | None = None) -> float:
-    """Smallest kappa_W in the doubly weighted bound on the potential W."""
-    if mode is None:
-        raise ValueError("mode is required")
-    fields = _resolve(system_or_samples, grid)
+    Ccol = fields["C"].values.reshape(N, d * m, m)
     Wmat = fields["W"].values
-    if not np.any(Wmat):
-        return 0.0
-    coords = fields["W"].domain.node_coords()
-    out = 0.0
-    for Gi in _gamma_whiteners(fields["V"].values, mode, coords):
-        out = max(out, float(_max_sv(Gi @ Wmat @ Gi).max()))
-    return out
+    has_b, has_c, has_w = np.any(Bcol), np.any(Ccol), np.any(Wmat)
+    if not (has_b or has_c or has_w):
+        return 0.0, 0.0, 0.0
 
-
-def estimate_nu0(system_or_samples, grid: BoxDomain | None = None) -> float:
-    fields = _resolve(system_or_samples, grid)
-    return float(np.linalg.eigvalsh(fields["Q"].values)[:, 0].min())
+    if has_b or has_c:
+        Wq = _kron_whitener(_inv_sqrt(fields["Q"], "Q"), m)
+    lam, U = fields["V"].spectrum
+    coords = fields["V"].domain.node_coords()
+    kB = kC = kW = 0.0
+    for gamma in mode.gamma_candidates():
+        w = gamma * lam + mode.weight(gamma)
+        _require_pd(w, f"gamma*V_S + R (gamma={gamma})", coords)
+        Gi = _inv_sqrt_eig(w, U)
+        if has_b:
+            kB = max(kB, float(_max_sv(Wq @ Bcol @ Gi).max()))
+        if has_c:
+            kC = max(kC, float(_max_sv(Wq @ Ccol @ Gi).max()))
+        if has_w:
+            kW = max(kW, float(_max_sv(Gi @ Wmat @ Gi).max()))
+    return kB, kC, kW
 
 
 @dataclass
@@ -274,44 +231,38 @@ def _worst_point(per_node: np.ndarray, coords: np.ndarray, maximize: bool = True
     return {"node": list(map(float, coords[idx])), "value": float(per_node[idx])}
 
 
-def check_all(system_or_samples, grid: BoxDomain | None = None,
-              mode: EstimateMode | None = None) -> HypothesisReport:
+def check_all(fields: dict, mode: EstimateMode) -> HypothesisReport:
     """Assemble every constant, evaluate K, and flag each sub-hypothesis.
 
     Failures never raise; they appear as False flags with the worst node
     recorded.  All infima/suprema are over the sampled grid nodes (the report
     notes that, so refinement studies can bracket the continuum value).
     """
-    if mode is None:
-        raise ValueError("mode is required")
-    fields = _resolve(system_or_samples, grid)
     coords = fields["V"].domain.node_coords()
     passes: dict = {}
     worst: dict = {}
     notes = ["constants are grid-estimated (extrema over sampled nodes)"]
 
-    VS_min = np.linalg.eigvalsh(
-        0.5 * (fields["V"].values + np.swapaxes(fields["V"].values, -1, -2))
-    )[:, 0]
+    VS_min = fields["V"].spectrum.eigenvalues[:, 0]
     v0 = float(VS_min.min())
     passes["V_S_positive"] = v0 > 0
     worst["v0"] = _worst_point(VS_min, coords, maximize=False)
 
-    lamQ = np.linalg.eigvalsh(fields["Q"].values)[:, 0]
+    lamQ = fields["Q"].spectrum.eigenvalues[:, 0]
     nu0 = float(lamQ.min())
     passes["Q_positive"] = nu0 > 0
     worst["nu0"] = _worst_point(lamQ, coords, maximize=False)
 
     c0 = float("nan")
     if passes["V_S_positive"]:
-        per = estimate_c0(fields["V"], return_per_node=True)
+        per = estimate_c0(fields["V"])
         c0 = float(per.max())
         worst["c0"] = _worst_point(per, coords)
     passes["imaginary_domination"] = np.isfinite(c0)
 
     kappaA = float("nan")
     try:
-        per = estimate_kappa_A(fields, return_per_node=True)
+        per = estimate_kappa_A(fields)
         kappaA = float(per.max())
         worst["kappaA"] = _worst_point(per, coords)
         passes["coupling_nonnegative"] = True
@@ -322,8 +273,7 @@ def check_all(system_or_samples, grid: BoxDomain | None = None,
     kappaB = kappaC = kappaW = float("nan")
     if passes["V_S_positive"] and passes["Q_positive"]:
         try:
-            kappaB, kappaC = estimate_drift_constants(fields, mode=mode)
-            kappaW = estimate_kappa_W(fields, mode=mode)
+            kappaB, kappaC, kappaW = estimate_gamma_constants(fields, mode)
         except HypothesisViolation as err:
             notes.append(str(err))
     passes["drift_bounds_finite"] = all(
@@ -337,16 +287,11 @@ def check_all(system_or_samples, grid: BoxDomain | None = None,
     passes["K_positive"] = np.isfinite(K) and K > 0
 
     best_gamma = best_K = None
-    if passes["drift_bounds_finite"]:
-        best_K = -np.inf
-        for g in GAMMA_GRID:
-            if g * kappaW >= 1:
-                continue
-            Kg = k_combination(kappaB, kappaC, kappaW, g)
-            if Kg > best_K:
-                best_K, best_gamma = float(Kg), float(g)
-        if best_K == -np.inf:
-            best_K = best_gamma = None
+    gammas = GAMMA_GRID[GAMMA_GRID * kappaW < 1]
+    if passes["drift_bounds_finite"] and gammas.size:
+        Ks = k_combination(kappaB, kappaC, kappaW, gammas)
+        best = int(np.argmax(Ks))  # the first maximum
+        best_gamma, best_K = float(gammas[best]), float(Ks[best])
 
     report = HypothesisReport(
         mode=mode.kind,

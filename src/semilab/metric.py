@@ -16,16 +16,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .coefficients import BoxDomain, SampledField, min_eigen_field, symmetric_part
+from .coefficients import BoxDomain, SampledField
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Nodewise conformal weight and inverse diffusion matrix."""
+    """Nodewise conformal weight, diffusion eigenvalues and inverse diffusion matrix."""
 
     domain: BoxDomain
     w: np.ndarray  # (N,) positive
-    Q: np.ndarray  # (N, d, d) symmetric positive definite
+    Qeig: np.ndarray  # (N, d) ascending eigenvalues of Q, all positive
     Qinv: np.ndarray  # (N, d, d)
     beta: float
 
@@ -38,18 +38,19 @@ class DistanceMap:
 
 
 def weight_field(Vfield: SampledField, Qfield: SampledField, beta: float) -> MetricField:
-    """w = (lambda of the symmetrized V)^{beta/(beta+1)} per node."""
+    """w = (smallest eigenvalue of V_S)^{beta/(beta+1)} per node, with the
+    eigenvalues and the inverse of Q, all from the fields' spectra."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    lamV = min_eigen_field(symmetric_part(Vfield))
+    lamV = Vfield.spectrum.eigenvalues[:, 0]
     if np.any(lamV <= 0) and beta > 0:
         raise ValueError("lambda_V must be positive for beta > 0")
     w = np.ones_like(lamV) if beta == 0 else lamV ** (beta / (beta + 1))
-    Q = 0.5 * (Qfield.values + np.swapaxes(Qfield.values, -1, -2))
-    evals = np.linalg.eigvalsh(Q)
-    if np.any(evals[:, 0] <= 0):
+    lamQ, U = Qfield.spectrum
+    if np.any(lamQ[:, 0] <= 0):
         raise ValueError("Q must be positive definite at every node")
-    return MetricField(Vfield.domain, w, Q, np.linalg.inv(Q), beta)
+    Qinv = (U / lamQ[:, None, :]) @ np.swapaxes(U, -1, -2)
+    return MetricField(Vfield.domain, w, lamQ, Qinv, beta)
 
 
 def stencil_offsets(d: int, order: int) -> list:
@@ -148,9 +149,8 @@ def distance_matrix(field: MetricField, grid: BoxDomain, sources,
 
 def euclid_equivalence_check(field: MetricField, grid: BoxDomain) -> tuple:
     """(q0, q1, equivalent): two-sided comparison of Q against w * identity."""
-    evals = np.linalg.eigvalsh(field.Q)
-    q0 = float((evals[:, 0] / field.w).min())
-    q1 = float((evals[:, -1] / field.w).max())
+    q0 = float((field.Qeig[:, 0] / field.w).min())
+    q1 = float((field.Qeig[:, -1] / field.w).max())
     equivalent = bool(np.isfinite(q0) and np.isfinite(q1) and q0 > 0)
     return q0, q1, equivalent
 

