@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import sample
-from .discrete import assemble, nittka_shifted, node_norms
+from .discrete import assemble, lp_power, nittka_shifted, node_norms
 from .evolution import (Stepper, band_limited_random,
                         contractivity_probe_multi, trace_to_csv)
 from .expressions import EvalDomainError
@@ -32,8 +32,8 @@ from .heatkernel import (block_to_csv, interior_mask, kernel_block,
 from .hypotheses import check_all
 from .metric import (default_order, distance_map, euclid_equivalence_check,
                      weight_field, distance_to_csv)
-from .pinterval import (gamma_p, gaussian_bound_rhs, interval_thm33,
-                        kernel_constants, psd_sweep_Mgamma)
+from .pinterval import (gamma_p, gaussian_bound_rhs, growth_exponent_thm35,
+                        interval_thm33, kernel_constants, psd_sweep_Mgamma)
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_to_text
 
 SCHEMA_VERSION = 1
@@ -115,7 +115,7 @@ def _load_scenario(args) -> Scenario:
 def _hypotheses_section(scn: Scenario, fields) -> dict:
     rep = check_all(fields, mode=scn.mode)
     return {
-        "report": json.loads(rep.to_json()),
+        "report": dataclasses.asdict(rep),
         "pass": rep.all_pass,
     }
 
@@ -175,7 +175,7 @@ def _growth_bound(scn: Scenario, hyp: dict, p: float) -> float | None:
         return None
     if np.isinf(g):
         return 0.0
-    return scn.mode.weight(g) / g
+    return growth_exponent_thm35(scn.mode.weight, p, g)
 
 
 def _evolve_section(scn: Scenario, F, hyp: dict, out_dir: str) -> dict:
@@ -211,8 +211,7 @@ def _nittka_section(scn: Scenario, F, strict: bool) -> dict:
     for p in scn.p_list:
         if not np.isfinite(p):
             continue
-        vals = [nittka_shifted(F, u[:, j], p, Cgamma, gamma)
-                for j in range(u.shape[1])]
+        vals = nittka_shifted(F, u, p, Cgamma, gamma)
         worst = int(np.argmin(vals))
         vmin = float(vals[worst])
         values[repr(float(p))] = vmin
@@ -221,8 +220,8 @@ def _nittka_section(scn: Scenario, F, strict: bool) -> dict:
         elif vmin < 0:
             # ||u||_p^p of the sample attaining the minimum: the size of the
             # shifted quantity the defect is measured against
-            scale = max(float(F.mass * np.sum(
-                node_norms(u[:, worst], F.m) ** p)), 1e-30)
+            scale = max(float(lp_power(node_norms(u[:, worst], F.m), p,
+                                       F.mass)), 1e-30)
             findings.append(
                 {"p": p, "min_shifted_value": vmin, "scale": scale})
     if strict and findings:
@@ -234,11 +233,6 @@ def _nittka_section(scn: Scenario, F, strict: bool) -> dict:
 def _kernel_section(scn: Scenario, F, fields, hyp: dict, out_dir: str) -> dict:
     if scn.mode.kind != "kernel":
         return {"skipped": "scenario mode is not kernel", "pass": True}
-    r = hyp["report"]
-    # any positive constant is a valid drift bound when the drift vanishes
-    kappa = max(r["kappaB"], r["kappaC"], 1e-6)
-    bundle = kernel_constants(d=scn.grid.d, beta=scn.mode.beta,
-                              kappa=kappa, c=scn.mode.c, nu0=r["nu0"])
     field = weight_field(fields["V"], fields["Q"], scn.mode.beta)
     # source at the central interior node
     dims = scn.grid.interior_shape
@@ -247,9 +241,19 @@ def _kernel_section(scn: Scenario, F, fields, hyp: dict, out_dir: str) -> dict:
     stepper = Stepper(F, scn.dt, "implicit_euler")
     t = scn.t_final
     block = kernel_block(F, int(center), t, stepper, dist=dmap)
+    csv_path = os.path.join(out_dir, "kernel.csv")
+    r = hyp["report"]
+    if r["kappa"] is None:
+        block_to_csv(block, scn.grid, csv_path)
+        return {"reason": "kappa is undefined: the drift bounds are not finite",
+                "pass": False}
+    # any positive constant is a valid drift bound when the drift vanishes
+    kappa = max(r["kappa"], 1e-6)
+    bundle = kernel_constants(d=scn.grid.d, beta=scn.mode.beta,
+                              kappa=kappa, c=scn.mode.c, nu0=r["nu0"])
     result = verify_gaussian(block, bundle, field, scn.grid,
                              interior_mask(scn.grid))
-    block_to_csv(block, scn.grid, os.path.join(out_dir, "kernel.csv"),
+    block_to_csv(block, scn.grid, csv_path,
                  rhs=gaussian_bound_rhs(bundle, t, dmap.dist))
     return {"bundle": dataclasses.asdict(bundle), "verification": result,
             "pass": bool(result["pass"])}

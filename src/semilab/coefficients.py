@@ -11,7 +11,6 @@ nodes of a box grid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,7 +132,6 @@ class CoefficientSystem:
     B, C: optional length-d arrays of m x m expression matrices.
     V: m x m expression matrix (potential).
     W: optional m x m expression matrix (perturbing potential).
-    beta: declared growth exponent for kernel-mode analysis, if any.
     """
 
     d: int
@@ -144,7 +142,6 @@ class CoefficientSystem:
     B: tuple | None = None
     C: tuple | None = None
     W: tuple | None = None
-    beta: float | None = None
 
     def __post_init__(self):
         if len(self.Q) != self.d or any(len(row) != self.d for row in self.Q):
@@ -221,20 +218,3 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
         "V": SampledField(grid, v),
         "W": SampledField(grid, w),
     }
-
-
-def load_field_csv(path, domain: BoxDomain, m: int) -> SampledField:
-    """Raw-table fallback: one row per interior node (row-major node order),
-    columns = the m x m matrix entries, row-major."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
-            rows.append([float(x) for x in rec])
-    vals = np.asarray(rows, dtype=float)
-    if vals.shape != (domain.node_count, m * m):
-        raise ValueError(
-            f"CSV shape {vals.shape} does not match {domain.node_count} nodes x {m*m} entries"
-        )
-    return SampledField(domain, vals.reshape(domain.node_count, m, m))

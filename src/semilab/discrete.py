@@ -123,7 +123,9 @@ def _emit_triplets(system: CoefficientSystem, grid: BoxDomain):
         qh = q[:, ax, ax]
         left, right = nbr[ax][+1]  # interior faces: (node, node + e_ax)
         qa, qb = qh[left], qh[right]
-        qf = 2 * qa * qb / (qa + qb)
+        # harmonic mean; 0 (its limit) on faces where q vanishes at both ends
+        qf = np.divide(2 * qa * qb, qa + qb, out=np.zeros_like(qa),
+                       where=(qa != 0) | (qb != 0))
         w = vol * qf / h[ax] ** 2
         for i in range(m):
             em.add(left * m + i, left * m + i, w)
@@ -201,9 +203,10 @@ def assemble_adjoint(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm
     return DiscreteForm(grid, system.m, F.S.T.tocsr(), F.mass)
 
 
-def form_value(F: DiscreteForm, u: np.ndarray, v: np.ndarray) -> complex:
-    """The form a(u, v) = v^H S u (conjugate-linear in the second slot)."""
-    return complex(np.vdot(v, F.S @ u))
+def form_value(F: DiscreteForm, u: np.ndarray, v: np.ndarray):
+    """The form a(u, v) = v^H S u (conjugate-linear in the second slot); one
+    value per column for (ndof, S) blocks u and v."""
+    return np.sum(v.conj() * (F.S @ u), axis=0)
 
 
 def omega0(F: DiscreteForm) -> float:
@@ -228,48 +231,49 @@ def omega0(F: DiscreteForm) -> float:
 
 
 def node_norms(u: np.ndarray, m: int) -> np.ndarray:
-    return np.linalg.norm(u.reshape(-1, m), axis=1)
+    """Nodewise magnitude |u(x)|, the Euclidean norm across the m components;
+    (N,) for a vector, (N, S) for an (ndof, S) block."""
+    nodes = u.reshape(-1, m, *u.shape[1:])
+    # no full-size temporary: sum the squared components in place of norm()
+    return np.sqrt(np.einsum("nm...,nm...->n...", nodes.conj(), nodes).real)
+
+
+def lp_power(norms: np.ndarray, p: float, vol: float):
+    """||u||_p^p = vol * sum_x |u(x)|^p from the node magnitudes ``norms``;
+    one value per column."""
+    return vol * np.sum(norms**p, axis=0)
+
+
+def _scale_nodes(u: np.ndarray, m: int, f) -> np.ndarray:
+    """u with each node's components multiplied by f(|u(x)|); nodes where u
+    vanishes stay zero."""
+    norms = node_norms(u, m)
+    scale = np.zeros_like(norms)
+    nz = norms > 0
+    scale[nz] = f(norms[nz])
+    return u * np.repeat(scale, m, axis=0)
 
 
 def truncate_unit(u: np.ndarray, m: int) -> np.ndarray:
     """Nodewise (|u| /\\ 1) sign u, with sign u = 0 where u vanishes."""
-    mat = u.reshape(-1, m)
-    norms = np.linalg.norm(mat, axis=1)
-    scale = np.ones_like(norms)
-    nz = norms > 0
-    scale[nz] = np.minimum(norms[nz], 1.0) / norms[nz]
-    return (mat * scale[:, None]).ravel()
+    return _scale_nodes(u, m, lambda r: np.minimum(r, 1.0) / r)
 
 
 def p_sign_power(u: np.ndarray, m: int, p: float) -> np.ndarray:
     """Nodewise |u|^{p-1} sign u = |u|^{p-2} u (zero where u vanishes)."""
-    mat = u.reshape(-1, m)
-    norms = np.linalg.norm(mat, axis=1)
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = norms[nz] ** (p - 2)
-    return (mat * scale[:, None]).ravel()
+    return _scale_nodes(u, m, lambda r: r ** (p - 2))
 
 
-def nittka_value(F: DiscreteForm, u: np.ndarray, p: float) -> float:
-    """Re a(u, |u|^{p-1} sign u), the discrete contractivity sign test."""
+def nittka_value(F: DiscreteForm, u: np.ndarray, p: float):
+    """Re a(u, |u|^{p-1} sign u), the discrete contractivity sign test; one
+    value per column of an (ndof, S) block."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    w = p_sign_power(u, F.m, p)
-    return float(np.real(form_value(F, u, w)))
+    return np.real(form_value(F, u, p_sign_power(u, F.m, p)))
 
 
 def nittka_shifted(F: DiscreteForm, u: np.ndarray, p: float,
-                   Cgamma: float, gamma: float) -> float:
-    """The sign test shifted by (C_gamma/gamma) ||u||_p^p."""
-    norms = node_norms(u, F.m)
-    pnorm_p = float(F.mass * np.sum(norms**p))
-    return nittka_value(F, u, p) + (Cgamma / gamma) * pnorm_p
-
-
-def dump_form(F: DiscreteForm, path) -> None:
-    """Sparse triplet text dump: row col re im per line, 1-based indices."""
-    coo = F.S.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r + 1} {c + 1} {v!r} 0.0\n")
+                   Cgamma: float, gamma: float):
+    """The sign test shifted by (C_gamma/gamma) ||u||_p^p; one value per column."""
+    return (nittka_value(F, u, p)
+            + (Cgamma / gamma) * lp_power(node_norms(u, F.m), p, F.mass))

@@ -4,21 +4,22 @@ The evolution solves M du/dt = -S u with M = vol * I, by implicit Euler or
 Crank-Nicolson with a cached sparse LU factorization.  The adjoint semigroup
 is stepped through the transposed solves of the same factorization, which
 makes the discrete duality pairing exact to solver tolerance.  Forward and
-adjoint evolution share one stepping loop with the same time checks and
-blow-up guard.
+adjoint evolution and the growth probe share one stepping loop, with one
+time check and one blow-up guard; a state may be one vector or an (ndof, S)
+block of them as columns.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coefficients import BoxDomain
-from .discrete import DiscreteForm
+from .discrete import DiscreteForm, lp_power, node_norms
 
 SCHEMES = ("implicit_euler", "crank_nicolson")
 
@@ -26,7 +27,7 @@ SCHEMES = ("implicit_euler", "crank_nicolson")
 class Stepper:
     """One-step propagator for a fixed time step and scheme.
 
-    Accepts a single state vector or a block of trajectories as columns.
+    Accepts a single real state vector or a block of trajectories as columns.
     """
 
     def __init__(self, F: DiscreteForm, dt: float, scheme: str = "implicit_euler"):
@@ -36,10 +37,8 @@ class Stepper:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.F = F
         self.dt = dt
-        self.scheme = scheme
         theta = 1.0 if scheme == "implicit_euler" else 0.5
-        ndof = F.ndof
-        eye = sp.identity(ndof, format="csc")
+        eye = sp.identity(F.ndof, format="csc")
         lhs = (F.mass * eye + theta * dt * F.S).tocsc()
         # the pattern is structurally symmetric; this ordering roughly halves
         # the fill of the default one on tensor grids
@@ -55,63 +54,69 @@ class Stepper:
 
     def step(self, u: np.ndarray) -> np.ndarray:
         b = self.F.mass * u if self._rhs is None else self._rhs @ u
-        return self._solve(b, trans="N")
+        return self._lu.solve(b)
 
     def step_adjoint(self, g: np.ndarray) -> np.ndarray:
         if self._rhs is None:
-            return self._solve(self.F.mass * g, trans="T")
-        return self._rhs.T @ self._solve(g, trans="T")
-
-    def _solve(self, b, trans):
-        if np.iscomplexobj(b):
-            return self._lu.solve(np.real(b), trans=trans) + 1j * self._lu.solve(
-                np.imag(b), trans=trans
-            )
-        return self._lu.solve(np.asarray(b, dtype=float), trans=trans)
+            return self._lu.solve(self.F.mass * g, trans="T")
+        return self._rhs.T @ self._lu.solve(g, trans="T")
 
 
-def default_dt(grid: BoxDomain, v_scale: float = 1.0) -> float:
-    h = min(grid.h)
-    return h**2 / 4 / max(1.0, v_scale * h**2 / 4)
-
-
-def _march(step, x0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
-    """Apply ``step`` t_final/dt times; t_final must be a nonnegative
-    integer multiple of dt."""
+def _step_count(t_final: float, dt: float) -> int:
+    """Steps to t_final, which must be a nonnegative integer multiple of dt."""
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
         raise ValueError("t_final is not a multiple of dt")
-    x = np.array(x0)
-    limit = 1e12 * max(np.linalg.norm(x0), 1e-300)
-    for _ in range(n_steps):
-        x = step(x)
-        if np.linalg.norm(x) > limit:
+    return n_steps
+
+
+def _march(step, x: np.ndarray, counts):
+    """Advance x by ``step``, yielding the state after each step count of the
+    increasing sequence ``counts``.  A yielded state whose largest entry is not
+    finite or exceeds 1e12 times that of x raises FloatingPointError; the guard
+    runs only there, so overflow warnings between yields are silenced.
+    """
+    limit = 1e12 * max(np.abs(x).max(initial=0.0), 1e-300)
+    done = 0
+    for count in counts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(count - done):
+                x = step(x)
+        done = count
+        if not np.abs(x).max(initial=0.0) <= limit:
             raise FloatingPointError("blow-up detected during evolution")
-    return x
+        yield x
 
 
 def evolve(F: DiscreteForm, u0: np.ndarray, t_final: float, stepper: Stepper) -> np.ndarray:
-    """State at t_final; t_final must be an integer multiple of the step."""
-    return _march(stepper.step, u0, t_final, stepper.dt)
+    """State (or block of states) at t_final, an integer multiple of the step."""
+    [u] = _march(stepper.step, np.array(u0), [_step_count(t_final, stepper.dt)])
+    return u
 
 
 def evolve_adjoint(F: DiscreteForm, g0: np.ndarray, t_final: float, stepper: Stepper) -> np.ndarray:
     """Adjoint state at t_final, through the transposed solves."""
-    return _march(stepper.step_adjoint, g0, t_final, stepper.dt)
+    [g] = _march(stepper.step_adjoint, np.array(g0), [_step_count(t_final, stepper.dt)])
+    return g
 
 
-def pnorm(u: np.ndarray, p: float, grid: BoxDomain, m: int) -> float:
-    """Cell-volume-weighted L^p norm of a grid vector field.
+def _norm_from_nodes(norms: np.ndarray, p: float, vol: float):
+    """L^p norm from the node magnitudes, one value per column."""
+    if np.isinf(p):
+        return norms.max(axis=0, initial=0.0)
+    return lp_power(norms, p, vol) ** (1 / p)
+
+
+def pnorm(u: np.ndarray, p: float, grid: BoxDomain, m: int):
+    """Cell-volume-weighted L^p norm of a grid vector field, one value per
+    column of an (ndof, S) block.
 
     The nodewise magnitude is the Euclidean norm across the m components;
     p = inf returns the max magnitude.
     """
-    norms = np.linalg.norm(np.reshape(u, (grid.node_count, m)), axis=1)
-    if np.isinf(p):
-        return float(norms.max(initial=0.0))
-    return float((grid.cell_volume * np.sum(norms**p)) ** (1 / p))
+    return _norm_from_nodes(node_norms(u, m), p, grid.cell_volume)
 
 
 def band_limited_random(grid: BoxDomain, m: int, rng: np.random.Generator,
@@ -146,14 +151,19 @@ def band_limited_random(grid: BoxDomain, m: int, rng: np.random.Generator,
 class GrowthTrace:
     """Measured p-norm growth of sampled trajectories against a bound."""
 
-    p: float
     times: np.ndarray
     norms0: np.ndarray  # initial norms, per sample
     norms: np.ndarray  # (n_checkpoints, n_samples)
-    slopes: np.ndarray  # per-sample worst log-slope
-    max_slope: float
-    worst_sample: int
+    slopes: np.ndarray  # log-slopes log(norms / norms0) / t, same shape
     bound: float | None = None
+
+    @property
+    def worst_sample(self) -> int:
+        return int(np.argmax(self.slopes.max(axis=0)))
+
+    @property
+    def max_slope(self) -> float:
+        return float(self.slopes.max())
 
     @property
     def within_bound(self) -> bool | None:
@@ -169,60 +179,39 @@ def contractivity_probe_multi(F: DiscreteForm, p_list, t_final: float,
     """Probe the p-norm growth rates for several p from one trajectory block.
 
     The evolution does not depend on p, so all trajectories advance together
-    as one block right-hand side and every requested norm is measured at the
-    checkpoints.  Returns {p: GrowthTrace}.
+    as one block right-hand side; at each checkpoint the node magnitudes are
+    taken once and every requested norm is read from them.
+    Returns {p: GrowthTrace}.
     """
     p_list = list(p_list)
     if bounds is None:
         bounds = [None] * len(p_list)
-    rng = np.random.default_rng(seed)
-    u = band_limited_random(F.grid, F.m, rng, n_samples)
-    norms0 = {p: np.array([pnorm(u[:, j], p, F.grid, F.m)
-                           for j in range(n_samples)]) for p in p_list}
+    vol = F.grid.cell_volume
 
-    total_steps = int(round(t_final / stepper.dt))
+    def norms_of(u):  # (len(p_list), n_samples)
+        mags = node_norms(u, F.m)
+        return np.array([_norm_from_nodes(mags, p, vol) for p in p_list])
+
+    total_steps = _step_count(t_final, stepper.dt)
     if total_steps < 1:
         raise ValueError("t_final shorter than one step")
     marks = np.unique(
         np.linspace(total_steps / n_checkpoints, total_steps, n_checkpoints).astype(int)
     )
     marks = marks[marks >= 1]
+    times = marks * stepper.dt
 
-    times, norm_rows = [], {p: [] for p in p_list}
-    done = 0
-    for mark in marks:
-        for _ in range(mark - done):
-            u = stepper.step(u)
-        done = mark
-        times.append(mark * stepper.dt)
-        for p in p_list:
-            norm_rows[p].append(
-                [pnorm(u[:, j], p, F.grid, F.m) for j in range(n_samples)])
-
-    times = np.array(times)
-    out = {}
-    for p, bound in zip(p_list, bounds):
-        norms = np.array(norm_rows[p])
-        with np.errstate(divide="ignore"):
-            slopes_ck = np.log(norms / norms0[p][None, :]) / times[:, None]
-        slopes = slopes_ck.max(axis=0)
-        worst = int(np.argmax(slopes))
-        out[p] = GrowthTrace(
-            p=p, times=times, norms0=norms0[p], norms=norms, slopes=slopes,
-            max_slope=float(slopes[worst]), worst_sample=worst, bound=bound,
-        )
-    return out
-
-
-def contractivity_probe(F: DiscreteForm, p: float, t_final: float,
-                        n_samples: int, stepper: Stepper,
-                        bound: float | None = None,
-                        seed: int = 0, n_checkpoints: int = 10) -> GrowthTrace:
-    """Single-p convenience wrapper around the block probe."""
-    return contractivity_probe_multi(
-        F, [p], t_final, n_samples, stepper, bounds=[bound], seed=seed,
-        n_checkpoints=n_checkpoints,
-    )[p]
+    # only the loop holds the sample block, and map drops each state once its
+    # norms are taken, so one block is in memory while stepping
+    rng = np.random.default_rng(seed)
+    norms0, *rows = map(norms_of, _march(
+        stepper.step, band_limited_random(F.grid, F.m, rng, n_samples), [0, *marks]))
+    norms = np.stack(rows, axis=1)
+    with np.errstate(divide="ignore"):
+        slopes = np.log(norms / norms0[:, None, :]) / times[:, None]
+    return {p: GrowthTrace(times=times, norms0=norms0[k], norms=norms[k],
+                           slopes=slopes[k], bound=bound)
+            for k, (p, bound) in enumerate(zip(p_list, bounds))}
 
 
 def adjoint_duality_check(F: DiscreteForm, t: float, f: np.ndarray,
@@ -239,7 +228,6 @@ def trace_to_csv(trace: GrowthTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t", "worst_norm", "worst_slope", "bound"])
-        for i, t in enumerate(trace.times):
-            worst = float(trace.norms[i].max())
-            slope = float(np.max(np.log(trace.norms[i] / trace.norms0) / t))
-            wr.writerow([t, worst, slope, "" if trace.bound is None else trace.bound])
+        for t, norms, slopes in zip(trace.times, trace.norms, trace.slopes):
+            wr.writerow([t, float(norms.max()), float(slopes.max()),
+                         "" if trace.bound is None else trace.bound])

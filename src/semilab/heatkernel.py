@@ -2,9 +2,10 @@
 
 A kernel column is the evolution of a discrete delta (mass 1/cell-volume at
 one node and component), so the column converges to the kernel itself under
-refinement.  Verification compares node magnitudes against the closed-form
-upper bound, restricted to nodes away from the boundary where the Dirichlet
-truncation only depresses the kernel.
+refinement; the m columns of one source node evolve together as one block.
+Verification compares node magnitudes against the closed-form upper bound,
+restricted to nodes away from the boundary where the Dirichlet truncation
+only depresses the kernel.
 """
 
 from __future__ import annotations
@@ -31,26 +32,18 @@ class KernelBlock:
     dist: DistanceMap | None = None
 
 
-def delta_data(F: DiscreteForm, y: int, j: int) -> np.ndarray:
-    u0 = np.zeros(F.ndof)
-    u0[y * F.m + j] = 1.0 / F.mass
-    return u0
-
-
-def kernel_column(F: DiscreteForm, y: int, j: int, t: float,
-                  stepper: Stepper) -> np.ndarray:
-    """Approximate column x -> k(t, x, y) e_j, shape (N, m)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    u = evolve(F, delta_data(F, y, j), t, stepper)
-    return u.reshape(F.grid.node_count, F.m)
+def _deltas(F: DiscreteForm, y: int) -> np.ndarray:
+    """The m discrete deltas at node y as an (ndof, m) block: column j has
+    mass 1 in component j."""
+    return np.eye(F.ndof, F.m, k=-y * F.m) / F.mass  # ones at (y*m + j, j)
 
 
 def kernel_block(F: DiscreteForm, y: int, t: float, stepper: Stepper,
                  dist: DistanceMap | None = None) -> KernelBlock:
-    m = F.m
-    cols = [kernel_column(F, y, j, t, stepper) for j in range(m)]
-    values = np.stack(cols, axis=-1)  # (N, m_i, m_j)
+    """k(t, x, y) at every node x, from the m deltas at y evolved as one block."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    values = evolve(F, _deltas(F, y), t, stepper).reshape(-1, F.m, F.m)  # (N, m_i, m_j)
     return KernelBlock(t=t, y=y, values=values, dist=dist)
 
 
@@ -100,14 +93,8 @@ def symmetry_check(F: DiscreteForm, t: float, y1: int, y2: int,
     The adjoint kernel is sampled by evolving deltas through the transposed
     solves, so the gap reflects only solver roundoff.
     """
-    m = F.m
-    K = np.empty((m, m))
-    Kadj = np.empty((m, m))
-    for j in range(m):
-        col = evolve(F, delta_data(F, y2, j), t, stepper)
-        K[:, j] = col.reshape(-1, m)[y1].real
-        colA = evolve_adjoint(F, delta_data(F, y1, j), t, stepper)
-        Kadj[:, j] = colA.reshape(-1, m)[y2].real
+    K = kernel_block(F, y2, t, stepper).values[y1]
+    Kadj = evolve_adjoint(F, _deltas(F, y1), t, stepper).reshape(-1, F.m, F.m)[y2]
     # adjoint kernel k*(t, y2, y1) equals k(t, y1, y2)^T
     return float(np.max(np.abs(K - Kadj.T)))
 
@@ -120,11 +107,7 @@ def block_to_csv(block: KernelBlock, grid: BoxDomain, path,
         wr = csv.writer(fh)
         wr.writerow([f"x{k + 1}" for k in range(grid.d)]
                     + ["source", "i", "j", "value", "distance", "bound", "margin"])
-        m = block.values.shape[-1]
-        for n in range(len(coords)):
-            for i in range(m):
-                for j in range(m):
-                    v = block.values[n, i, j]
-                    b = rhs[n] if rhs is not None else ""
-                    marg = (rhs[n] - abs(v)) if rhs is not None else ""
-                    wr.writerow(list(coords[n]) + [block.y, i, j, v, dist[n], b, marg])
+        for n, i, j in np.ndindex(block.values.shape):
+            v = block.values[n, i, j]
+            bound = ["", ""] if rhs is None else [rhs[n], rhs[n] - abs(v)]
+            wr.writerow(list(coords[n]) + [block.y, i, j, v, dist[n]] + bound)

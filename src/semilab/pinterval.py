@@ -328,8 +328,9 @@ class ConstantsBundle:
 
 def kernel_constants(d: int, beta: float, kappa: float, c: float, nu0: float) -> ConstantsBundle:
     """Assemble the kernel-bound constants (C0, C1, C2) and intermediates."""
-    if min(beta, kappa, nu0) < 0 or kappa <= 0 or nu0 <= 0:
-        raise ValueError("beta >= 0, kappa > 0, nu0 > 0 required")
+    # written so that NaN fails every comparison and is rejected
+    if not (beta >= 0 and 0 < kappa < math.inf and 0 < nu0 < math.inf):
+        raise ValueError("beta >= 0 and finite kappa > 0, nu0 > 0 required")
     if c < 1:
         raise ValueError("c must be at least 1")
     r = d if d >= 3 else 3

@@ -27,7 +27,7 @@ from semilab.evolution import (
     evolve,
 )
 from semilab.gallery import gallery_scenario
-from semilab.heatkernel import kernel_column
+from semilab.heatkernel import kernel_block
 from semilab.hypotheses import check_all
 from semilab.metric import distance_map, distance_matrix, weight_field
 from semilab.pinterval import (
@@ -198,7 +198,7 @@ def test_criterion_07_kernel_vs_closed_form():
     y = grid.node_count // 2
     ok = True
     for t in (0.05, 0.1, 0.2):
-        col = kernel_column(F, y, 0, t, Stepper(F, t / 4000))[:, 0]
+        col = kernel_block(F, y, t, Stepper(F, t / 4000)).values[:, 0, 0]
         r = np.abs(x - x[y])
         exact = np.exp(-(r**2) / (4 * t) - 4 * t) / np.sqrt(4 * np.pi * t)
         near = r <= 3 * np.sqrt(t)

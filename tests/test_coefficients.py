@@ -8,7 +8,6 @@ from semilab.coefficients import (
     CoefficientSystem,
     SampledField,
     expr_matrix,
-    load_field_csv,
     sample,
 )
 
@@ -120,22 +119,3 @@ class TestMatrixUtilities:
     def test_sampled_field_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SampledField(make_grid(2), np.array([[np.nan]]))
-
-
-class TestCsvFallback:
-    def test_roundtrip(self, tmp_path):
-        g = make_grid(4)
-        vals = np.arange(g.node_count * 4, dtype=float).reshape(-1, 2, 2)
-        path = tmp_path / "field.csv"
-        with open(path, "w") as fh:
-            fh.write("# entries row-major\n")
-            for row in vals.reshape(-1, 4):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        loaded = load_field_csv(path, g, 2)
-        np.testing.assert_array_equal(loaded.values, vals)
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n")
-        with pytest.raises(ValueError):
-            load_field_csv(path, make_grid(4), 2)

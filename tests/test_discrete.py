@@ -10,7 +10,6 @@ from semilab.discrete import (
     DiscreteForm,
     assemble,
     assemble_adjoint,
-    dump_form,
     form_value,
     nittka_shifted,
     nittka_value,
@@ -50,6 +49,13 @@ class TestAssembly:
         h = grid.h[0]
         np.testing.assert_allclose(S2 - S0, 2 * h * np.eye(grid.node_count),
                                    atol=1e-15)
+
+    def test_zero_diffusion_leaves_the_potential(self):
+        # q = 0 at both ends of every face: the harmonic face mean takes its
+        # limit 0 instead of 0/0, so S is the potential diagonal
+        system, grid = scalar_1d(v="1", q="0", n=8)
+        S = assemble(system, grid).S.toarray()
+        np.testing.assert_array_equal(S, grid.h[0] * np.eye(grid.node_count))
 
     def test_antisymmetric_potential_block(self):
         # V = diag(v1, v2) + T with T antisymmetric: the Hermitian part of the
@@ -233,8 +239,7 @@ class TestSignTest:
         rng = np.random.default_rng(13)
         u = band_limited_random(grid, 1, rng, 20)
         for p in (1.5, 2.0, 3.0, 7.0):
-            vals = [nittka_value(F, u[:, j], p) for j in range(20)]
-            assert min(vals) >= -1e-12
+            assert nittka_value(F, u, p).min() >= -1e-12
 
     def test_shifted_value_nonnegative_at_p2(self):
         scn = gallery_scenario("g3")
@@ -242,8 +247,7 @@ class TestSignTest:
         F = assemble(scn.system, grid)
         rng = np.random.default_rng(17)
         u = band_limited_random(grid, 2, rng, 100)
-        vals = [nittka_shifted(F, u[:, j], 2.0, 1.0, 1.0) for j in range(100)]
-        assert min(vals) >= -1e-10
+        assert nittka_shifted(F, u, 2.0, 1.0, 1.0).min() >= -1e-10
 
     def test_p_at_most_one_rejected(self):
         system, grid = scalar_1d(v="1", n=8)
@@ -299,15 +303,3 @@ class TestTruncation:
 
         e1, e2 = err_at(128), err_at(256)
         assert e1 / e2 >= 1.5
-
-
-class TestDump:
-    def test_triplet_text_format(self, tmp_path):
-        system, grid = scalar_1d(n=4)
-        F = assemble(system, grid)
-        path = tmp_path / "form.txt"
-        dump_form(F, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == F.S.nnz
-        r, c, re_, im_ = lines[0].split()
-        assert int(r) >= 1 and int(c) >= 1 and float(im_) == 0.0

@@ -9,9 +9,7 @@ from semilab.evolution import (
     Stepper,
     adjoint_duality_check,
     band_limited_random,
-    contractivity_probe,
     contractivity_probe_multi,
-    default_dt,
     evolve,
     evolve_adjoint,
     pnorm,
@@ -92,11 +90,6 @@ class TestStepper:
             return np.linalg.norm(ie - cn)
 
         assert gap(2e-4) / gap(1e-4) >= 1.8
-
-    def test_default_dt_scales_with_grid(self):
-        g1 = BoxDomain((0.0,), (1.0,), (32,))
-        g2 = g1.refine()
-        assert default_dt(g2) < default_dt(g1)
 
 
 class TestPNorm:
@@ -212,20 +205,21 @@ class TestContractivityProbe:
         scn = gallery_scenario("g4")
         F = assemble(scn.system, scn.grid)
         st = Stepper(F, 1e-3)
-        tr = contractivity_probe(F, 2.0, 0.05, 10, st, seed=12)
+        tr = contractivity_probe_multi(F, [2.0], 0.05, 10, st, seed=12)[2.0]
         assert tr.max_slope <= omega0(F) + 1e-8
 
     def test_max_norm_contraction_pure_diffusion(self):
         # no drift, no potential: implicit Euler inherits the max principle
         F = scalar_form(v="0", n=64)
         st = Stepper(F, 1e-3)
-        tr = contractivity_probe(F, np.inf, 0.05, 10, st, seed=13)
+        tr = contractivity_probe_multi(F, [np.inf], 0.05, 10, st,
+                                       seed=13)[np.inf]
         assert (tr.norms <= tr.norms0[None, :] * (1 + 1e-8)).all()
 
     def test_bound_recorded_in_trace(self):
         F = scalar_form(v="1", n=32)
-        tr = contractivity_probe(F, 2.0, 0.02, 3, Stepper(F, 1e-3), bound=0.0,
-                                 seed=14)
+        tr = contractivity_probe_multi(F, [2.0], 0.02, 3, Stepper(F, 1e-3),
+                                       bounds=[0.0], seed=14)[2.0]
         assert tr.bound == 0.0
         assert tr.within_bound is True
 
@@ -233,12 +227,20 @@ class TestContractivityProbe:
         F = scalar_form(v="1 + x1", n=32)
         st = Stepper(F, 1e-3)
         multi = contractivity_probe_multi(F, [2.0, 4.0], 0.02, 5, st, seed=15)
-        single = contractivity_probe(F, 2.0, 0.02, 5, st, seed=15)
+        single = contractivity_probe_multi(F, [2.0], 0.02, 5, st, seed=15)[2.0]
         np.testing.assert_array_equal(multi[2.0].norms, single.norms)
+
+    def test_blow_up_detected(self):
+        # 1 + dt*(lambda_1 + v) is about 0.71: the lowest mode grows 1.4-fold
+        # per step, past the 1e12 guard by the first checkpoint
+        F = scalar_form(v="-300", n=32)
+        with pytest.raises(FloatingPointError):
+            contractivity_probe_multi(F, [2.0, 4.0], 1.0, 5, Stepper(F, 1e-3))
 
     def test_trace_csv(self, tmp_path):
         F = scalar_form(v="1", n=16)
-        tr = contractivity_probe(F, 2.0, 0.01, 2, Stepper(F, 1e-3), seed=16)
+        tr = contractivity_probe_multi(F, [2.0], 0.01, 2, Stepper(F, 1e-3),
+                                       seed=16)[2.0]
         path = tmp_path / "trace.csv"
         trace_to_csv(tr, path)
         header = path.read_text().splitlines()[0]

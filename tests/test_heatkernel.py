@@ -8,11 +8,10 @@ from semilab.discrete import assemble
 from semilab.evolution import Stepper, evolve
 from semilab.heatkernel import (
     KernelBlock,
+    _deltas,
     block_to_csv,
-    delta_data,
     interior_mask,
     kernel_block,
-    kernel_column,
     symmetry_check,
     verify_gaussian,
 )
@@ -31,13 +30,13 @@ def scalar_line(v="4", n=512, half=8.0):
 class TestKernelColumns:
     def test_delta_has_unit_discrete_mass(self):
         _, grid, F = scalar_line(n=64)
-        u0 = delta_data(F, 10, 0)
-        assert F.mass * u0.sum() == pytest.approx(1.0, rel=1e-14)
+        u0 = _deltas(F, 10)
+        assert F.mass * u0.sum(axis=0) == pytest.approx([1.0], rel=1e-14)
 
     def test_requires_positive_time(self):
         _, grid, F = scalar_line(n=32)
         with pytest.raises(ValueError):
-            kernel_column(F, 0, 0, 0.0, Stepper(F, 1e-3))
+            kernel_block(F, 0, 0.0, Stepper(F, 1e-3))
 
     def test_flat_potential_matches_free_gaussian(self):
         # constant V shifts the free heat kernel by e^{-v0 t}; far from the
@@ -46,7 +45,7 @@ class TestKernelColumns:
         t = 0.1
         st = Stepper(F, t / 2000)
         y = grid.node_count // 2
-        col = kernel_column(F, y, 0, t, st)[:, 0]
+        col = kernel_block(F, y, t, st).values[:, 0, 0]
         x = grid.axis_nodes(0)
         r = np.abs(x - x[y])
         exact = np.exp(-(r**2) / (4 * t) - 4 * t) / np.sqrt(4 * np.pi * t)
@@ -59,28 +58,28 @@ class TestKernelColumns:
         # which converges to e^{-v0 t} from above
         _, grid, F = scalar_line(v="4", n=256)
         t, dt = 0.1, 1e-3
-        col = kernel_column(F, grid.node_count // 2, 0, t, Stepper(F, dt))
+        col = kernel_block(F, grid.node_count // 2, t, Stepper(F, dt)).values
         n_steps = round(t / dt)
         assert F.mass * col.sum() <= (1 + dt * 4) ** (-n_steps) + 1e-10
         assert (1 + dt * 4) ** (-n_steps) <= np.exp(-4 * t) * (1 + dt * 4)
 
     def test_scalar_kernel_nonnegative(self):
         _, grid, F = scalar_line(v="1 + 0.1 * x1^2", n=256)
-        col = kernel_column(F, grid.node_count // 3, 0, 0.05, Stepper(F, 1e-3))
+        col = kernel_block(F, grid.node_count // 3, 0.05, Stepper(F, 1e-3)).values
         assert col.min() >= -1e-12
 
     def test_chapman_kolmogorov(self):
         _, grid, F = scalar_line(n=128)
         st = Stepper(F, 1e-3)
         y = 40
-        direct = kernel_column(F, y, 0, 0.05, st).ravel()
-        via = evolve(F, kernel_column(F, y, 0, 0.03, st).ravel(), 0.02, st)
+        direct = kernel_block(F, y, 0.05, st).values.ravel()
+        via = evolve(F, kernel_block(F, y, 0.03, st).values.ravel(), 0.02, st)
         assert np.abs(direct - via).max() <= 1e-12 * np.abs(direct).max()
 
     def test_radial_decay_from_source(self):
         _, grid, F = scalar_line(v="4", n=512)
         y = grid.node_count // 2
-        col = kernel_column(F, y, 0, 0.1, Stepper(F, 1e-3))[:, 0]
+        col = kernel_block(F, y, 0.1, Stepper(F, 1e-3)).values[:, 0, 0]
         right = col[y:]
         left = col[: y + 1][::-1]
         for side in (right, left):

@@ -314,10 +314,6 @@ class TestCheckAll:
         assert rep.nu0 == pytest.approx(
             2 + GRID.axis_nodes(0)[0], rel=1e-14)
 
-    def test_report_json_serializes(self):
-        rep = check_all(sample(scalar_system(), GRID), mode=fixed_gamma(1.0, 1.0))
-        assert '"passes"' in rep.to_json()
-
 
 @pytest.mark.parametrize("make", [lambda: fixed_gamma(0.0, 1.0),
                                   lambda: refined(a=0.7),
@@ -393,4 +389,4 @@ def small_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_check_all_never_raises(system, mode):
     rep = check_all(sample(system, BoxDomain((0.0,), (1.0,), (4,))), mode=mode)
-    assert all(isinstance(v, (bool, np.bool_)) for v in rep.passes.values())
+    assert all(type(v) is bool for v in rep.passes.values())

@@ -316,6 +316,13 @@ class TestKernelConstants:
         with pytest.raises(ValueError):
             kernel_constants(d=1, beta=0.0, kappa=0.1, c=0.5, nu0=1.0)
 
+    @pytest.mark.parametrize("kappa, nu0", [(math.nan, 1.0), (math.inf, 1.0),
+                                            (0.1, math.nan), (0.1, math.inf)])
+    def test_rejects_nonfinite_constants(self, kappa, nu0):
+        # hhat_constant's max(1.0, nan) would drop a NaN kappa unnoticed
+        with pytest.raises(ValueError, match="finite"):
+            kernel_constants(d=1, beta=0.0, kappa=kappa, c=1.0, nu0=nu0)
+
 
 class TestGaussianRhs:
     def test_zero_distance(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,16 @@ class TestCli:
         hyp = json.loads(text, parse_constant=reject)["sections"]["hypotheses"]
         assert hyp["report"]["kappaB"] is None
 
+    @pytest.mark.parametrize("text", [MINIMAL, INDEFINITE],
+                             ids=["passing", "failing"])
+    def test_report_passes_are_json_booleans(self, text, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["check-hypotheses", "--scenario", write(tmp_path, text),
+              "--out", str(out)])
+        rep = json.loads((out / "report.json").read_text())
+        passes = rep["sections"]["hypotheses"]["report"]["passes"]
+        assert passes and all(type(v) is bool for v in passes.values())
+
     def test_report_bytes_are_reproducible(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
         for name in ("a", "b"):
@@ -232,8 +243,7 @@ class TestCli:
         F = assemble(scn.system, scn.grid)
         u = band_limited_random(F.grid, F.m, np.random.default_rng(scn.seed + 1),
                                 scn.n_samples)
-        vals = [nittka_shifted(F, u[:, j], 3.0, 1.0, 1.0)
-                for j in range(u.shape[1])]
+        vals = nittka_shifted(F, u, 3.0, 1.0, 1.0)
         worst = int(np.argmin(vals))
         assert worst != 0  # sample 0 would give a different scale
         assert finding["min_shifted_value"] == vals[worst] < 0
@@ -269,6 +279,49 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == EXIT_CHECK_FAILED
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: blow-up detected during evolution"]
+
+    def test_probe_blow_up_is_failed_check(self, tmp_path, capsys):
+        # the lowest mode grows about 1.4-fold per implicit Euler step
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "-300"')
+                .replace("p = 2\n", "p = 2, 4\n")
+                .replace("t_final = 0.01", "t_final = 1")
+                .replace("samples = 3", "samples = 5"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["evolve", "--scenario", write(tmp_path, text),
+                         "--out", str(tmp_path / "out")])
+        assert code == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: blow-up detected during evolution"]
+        assert "evolve: pass" not in captured.out
+
+    def test_zero_diffusion_is_failed_check(self, tmp_path, capsys):
+        text = MINIMAL.replace('q.11 = "1"', 'q.11 = "0"').replace(
+            'v.11 = "2"', 'v.11 = "1"')
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["evolve", "--scenario", write(tmp_path, text),
+                         "--out", str(out)])
+        assert code == EXIT_CHECK_FAILED
+        assert "singular" not in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["sections"]["hypotheses"]["report"]["passes"][
+            "Q_positive"] is False
+
+    def test_kernel_section_fails_on_undefined_kappa(self, tmp_path, capsys):
+        # V_S is not positive, so the drift bounds and kappa are undefined
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "-1"')
+                .replace("mode = fixed_gamma\ngamma = 1\nCgamma = 1",
+                         "mode = kernel\nbeta = 0\nc = 1"))
+        out = tmp_path / "out"
+        assert main(["kernel", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CHECK_FAILED
+        sec = json.loads((out / "report.json").read_text())["sections"]["kernel"]
+        assert sec["pass"] is False
+        assert "kappa is undefined" in sec["reason"]
+        assert "bundle" not in sec
 
     def test_kernel_section_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
