@@ -34,7 +34,8 @@ from .metric import (default_order, distance_map, euclid_equivalence_check,
                      weight_field, distance_to_csv)
 from .pinterval import (gamma_p, gaussian_bound_rhs, growth_exponent_thm35,
                         interval_thm33, kernel_constants, psd_sweep_Mgamma)
-from .scenario import Scenario, ScenarioError, parse_scenario, scenario_to_text
+from .scenario import (Scenario, ScenarioError, parse_p_list, parse_scenario,
+                       scenario_to_text)
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -104,9 +105,7 @@ def _load_scenario(args) -> Scenario:
     if args.dt is not None:
         scn = dataclasses.replace(scn, dt=args.dt)
     if args.p is not None:
-        ps = [float("inf") if x.strip() == "inf" else float(x)
-              for x in args.p.split(",")]
-        scn = dataclasses.replace(scn, p_list=ps)
+        scn = dataclasses.replace(scn, p_list=parse_p_list(args.p))
     if args.seed is not None:
         scn = dataclasses.replace(scn, seed=args.seed)
     return scn
@@ -230,17 +229,23 @@ def _nittka_section(scn: Scenario, F, strict: bool) -> dict:
             "findings": findings, "pass": ok}
 
 
-def _kernel_section(scn: Scenario, F, fields, hyp: dict, out_dir: str) -> dict:
+def _central_distances(scn: Scenario, fields):
+    """The central interior node, the weight field (beta of the kernel
+    mode, else 0) and the distance map from that node."""
+    beta = scn.mode.beta if scn.mode.kind == "kernel" else 0.0
+    field = weight_field(fields["V"], fields["Q"], beta)
+    dims = scn.grid.interior_shape
+    center = int(np.ravel_multi_index(tuple(nk // 2 for nk in dims), dims))
+    return center, field, distance_map(field, scn.grid, center)
+
+
+def _kernel_section(scn: Scenario, F, geometry, hyp: dict, out_dir: str) -> dict:
     if scn.mode.kind != "kernel":
         return {"skipped": "scenario mode is not kernel", "pass": True}
-    field = weight_field(fields["V"], fields["Q"], scn.mode.beta)
-    # source at the central interior node
-    dims = scn.grid.interior_shape
-    center = np.ravel_multi_index(tuple(nk // 2 for nk in dims), dims)
-    dmap = distance_map(field, scn.grid, int(center))
+    center, field, dmap = geometry
     stepper = Stepper(F, scn.dt, "implicit_euler")
     t = scn.t_final
-    block = kernel_block(F, int(center), t, stepper, dist=dmap)
+    block = kernel_block(F, center, t, stepper, dist=dmap)
     csv_path = os.path.join(out_dir, "kernel.csv")
     r = hyp["report"]
     if r["kappa"] is None:
@@ -259,12 +264,8 @@ def _kernel_section(scn: Scenario, F, fields, hyp: dict, out_dir: str) -> dict:
             "pass": bool(result["pass"])}
 
 
-def _distance_section(scn: Scenario, fields, out_dir: str) -> dict:
-    beta = scn.mode.beta if scn.mode.kind == "kernel" else 0.0
-    field = weight_field(fields["V"], fields["Q"], beta)
-    dims = scn.grid.interior_shape
-    center = int(np.ravel_multi_index(tuple(nk // 2 for nk in dims), dims))
-    dmap = distance_map(field, scn.grid, center)
+def _distance_section(scn: Scenario, geometry, out_dir: str) -> dict:
+    center, field, dmap = geometry
     distance_to_csv(dmap, scn.grid, os.path.join(out_dir, "distance.csv"))
     q0, q1, equivalent = euclid_equivalence_check(field, scn.grid)
     finite = bool(np.all(np.isfinite(dmap.dist)))
@@ -308,7 +309,7 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
             "all": ["hypotheses", "pinterval", "evolve", "nittka",
                     "kernel", "distance"]}[sub]
 
-    F = None
+    F = geometry = None
     if any(s in need for s in ("evolve", "nittka", "kernel")):
         F = assemble(scn.system, scn.grid)
 
@@ -320,11 +321,15 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
         timed("evolve", _evolve_section, scn, F, sections["hypotheses"], out_dir)
     if "nittka" in need:
         timed("nittka", _nittka_section, scn, F, strict)
+    if "distance" in need or ("kernel" in need and scn.mode.kind == "kernel"):
+        t0 = time.perf_counter()
+        geometry = _central_distances(scn, fields)
+        timings["central_distances"] = time.perf_counter() - t0
     if "kernel" in need:
-        timed("kernel", _kernel_section, scn, F, fields,
+        timed("kernel", _kernel_section, scn, F, geometry,
               sections["hypotheses"], out_dir)
     if "distance" in need:
-        timed("distance", _distance_section, scn, fields, out_dir)
+        timed("distance", _distance_section, scn, geometry, out_dir)
 
     report = {
         "schema_version": SCHEMA_VERSION,

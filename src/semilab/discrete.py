@@ -5,10 +5,21 @@ the boundary value is zero.  Degrees of freedom are node-major: dof(n, i) =
 n*m + i for node n and component i.  The quadrature weight is the constant
 cell volume, so the mass operator is vol * identity.
 
-Scheme: harmonic face averaging for the diagonal scalar diffusion q_hh,
-nodal centered differences for the off-diagonal q_hk, the second-order
-coupling blocks, and both first-order terms; nodal potential.  Centered
-differences keep the real-part identity that the sign test relies on.
+The form is a sum of sparse operator products.  Per axis h, G_h is the
+unit forward difference over every face (boundary faces included) and D_h
+the unit centered difference with zero boundary, both Kronecker products
+with I_m on the dofs; nodal blocks enter as block-diagonal matrices:
+
+    S = sum_h G_h^T W_h G_h  +  sum_{h,k} D_h^T blk_hk D_k
+        + sum_h (B_h D_h + D_h^T C_h)  +  vol (V + W)
+
+W_h holds vol/h_h^2 times the harmonic face means of q_hh; blk_hk is
+vol/(4 h_h h_k) times A^{hk} + q_hk I for h != k and times A^{hh} for
+h = k; B_h and C_h carry vol/(2 h_h).  All-zero blocks are skipped.
+Centered differences keep the real-part identity that the sign test relies
+on.  The terms are summed in the order written, and the output is canonical
+CSR (sorted indices, no duplicates, no explicit zeros), so products with S
+sum in a fixed order.
 
 The discrete adjoint form is the transpose of S, so ``assemble_adjoint``
 transposes the assembled matrix instead of assembling the transposed
@@ -40,161 +51,77 @@ class DiscreteForm:
         return self.grid.node_count * self.m
 
 
-def _canonical_csr(rows, cols, vals, ndof) -> sp.csr_matrix:
-    """Sum duplicate triplets in a fixed order.
+def _axis_operators(grid: BoxDomain, ax: int, m: int, qh: np.ndarray):
+    """G^T W G, the diffusion term of q_hh, and the unit centered difference
+    D along axis ``ax`` on the dofs: diagonal bands of the flat node index,
+    masked at the axis edges, times I_m.
 
-    Stable lexsort keeps duplicates in emission order within each (row, col)
-    group, so every entry is summed in the same order on every run.
+    G is the unit forward difference over every face, boundary faces
+    included.  W weighs a face by vol/h^2 times the harmonic mean of q_hh at
+    its ends (0 where q vanishes at both), or the node value on a boundary
+    face.  With one face above and one below each dof, G^T W G is their
+    weight sum on the diagonal and minus the weight of the face between two
+    neighbors off it.  D is u(i + e) - u(i - e) with zero boundary.
     """
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    boundary = np.ones(len(rows), dtype=bool)
-    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(boundary)
-    summed = np.add.reduceat(vals, starts)
-    out = sp.csr_matrix(
-        (summed, (rows[starts], cols[starts])), shape=(ndof, ndof)
-    )
-    return out
+    ndof, n = grid.node_count * m, grid.interior_shape[ax]
+    stride = m * int(np.prod(grid.interior_shape[ax + 1:]))
+    pos = np.arange(ndof) // stride % n
+    up = pos < n - 1  # the node has a neighbor above
+    qa = np.repeat(qh, m)
+    qb = np.concatenate([qa[stride:], np.zeros(stride)])  # q above the node
+    qf = np.divide(2 * qa * qb, qa + qb, out=np.zeros(ndof),
+                   where=up & ((qa != 0) | (qb != 0)))
+    above = grid.cell_volume * np.where(up, qf, qa) / grid.h[ax] ** 2
+    below = np.where(pos == 0, grid.cell_volume * qa / grid.h[ax] ** 2,
+                     np.concatenate([np.zeros(stride), above[:ndof - stride]]))
+    upper = up[:ndof - stride].astype(float)
+    inner = -above[:ndof - stride] * upper
+    return (sp.diags([above + below, inner, inner], [0, stride, -stride],
+                     format="csr"),
+            sp.diags([upper, -upper], [stride, -stride], shape=(ndof, ndof),
+                     format="csr"))
 
 
-class _Emitter:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, r, c, v):
-        r, c, v = np.broadcast_arrays(r, c, v)
-        self.rows.append(np.asarray(r, dtype=np.int64).ravel())
-        self.cols.append(np.asarray(c, dtype=np.int64).ravel())
-        self.vals.append(np.asarray(v, dtype=float).ravel())
+def _nodal(blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix of the per-node m x m blocks (N, m, m); its zero
+    entries are stored, and the sparse sums and products drop them."""
+    N, m, _ = blocks.shape
+    cols = np.broadcast_to(np.arange(N * m).reshape(N, 1, m), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), cols.ravel(),
+                          np.arange(0, N * m * m + 1, m)), shape=(N * m,) * 2)
 
 
-def _neighbor_tables(grid: BoxDomain):
-    """For each axis h and sign s: (nodes with a neighbor, their neighbor)."""
-    dims = grid.interior_shape
-    lin = np.arange(grid.node_count).reshape(dims)
-    tables = []
-    for h in range(grid.d):
-        per_sign = {}
-        for s in (+1, -1):
-            src = [slice(None)] * grid.d
-            dst = [slice(None)] * grid.d
-            if s == +1:
-                src[h] = slice(0, dims[h] - 1)
-                dst[h] = slice(1, dims[h])
-            else:
-                src[h] = slice(1, dims[h])
-                dst[h] = slice(0, dims[h] - 1)
-            per_sign[s] = (lin[tuple(src)].ravel(), lin[tuple(dst)].ravel())
-        tables.append(per_sign)
-    return tables
-
-
-def _block_add(em, rnodes, cnodes, mats, m):
-    """Emit dense m x m blocks mats[t] between node pairs (rnodes[t], cnodes[t])."""
-    for i in range(m):
-        for j in range(m):
-            em.add(rnodes * m + i, cnodes * m + j, mats[:, i, j])
-
-
-def _emit_triplets(system: CoefficientSystem, grid: BoxDomain):
-    """Triplet stream (rows, cols, values) of the form, in emission order."""
+def assemble(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
     fields = sample(system, grid)
     d, m = grid.d, system.m
-    vol = grid.cell_volume
-    h = grid.h
-    dims = grid.interior_shape
-    N = grid.node_count
-    em = _Emitter()
-    nbr = _neighbor_tables(grid)
-
+    vol, h = grid.cell_volume, grid.h
     q = fields["Q"].values  # (N, d, d) symmetric
     A = fields["A"].values  # (N, d, d, m, m)
     B = fields["B"].values  # (N, d, m, m)
     C = fields["C"].values
     VW = fields["V"].values + fields["W"].values
-
-    # --- diagonal scalar diffusion q_hh by harmonic face averaging ---
-    lin = np.arange(N).reshape(dims)
-    for ax in range(d):
-        qh = q[:, ax, ax]
-        left, right = nbr[ax][+1]  # interior faces: (node, node + e_ax)
-        qa, qb = qh[left], qh[right]
-        # harmonic mean; 0 (its limit) on faces where q vanishes at both ends
-        qf = np.divide(2 * qa * qb, qa + qb, out=np.zeros_like(qa),
-                       where=(qa != 0) | (qb != 0))
-        w = vol * qf / h[ax] ** 2
-        for i in range(m):
-            em.add(left * m + i, left * m + i, w)
-            em.add(right * m + i, right * m + i, w)
-            em.add(left * m + i, right * m + i, -w)
-            em.add(right * m + i, left * m + i, -w)
-        # boundary faces: one per side, weight from the interior node alone
-        for side, index in ((0, 0), (1, dims[ax] - 1)):
-            sel = [slice(None)] * d
-            sel[ax] = index
-            nodes = lin[tuple(sel)].ravel()
-            w = vol * qh[nodes] / h[ax] ** 2
-            for i in range(m):
-                em.add(nodes * m + i, nodes * m + i, w)
-
-    # --- centered-difference second-order blocks ---
+    GWG, D = zip(*(_axis_operators(grid, ax, m, q[:, ax, ax])
+                   for ax in range(d)))
+    S = sum(GWG)
     # effective block: A^{hk} plus q_hk I for h != k (diagonal q done above)
-    eye = np.eye(m)
     for ax_h in range(d):
         for ax_k in range(d):
             blk = A[:, ax_h, ax_k].copy()
             if ax_h != ax_k:
-                blk += q[:, ax_h, ax_k, None, None] * eye
-            if not np.any(blk):
-                continue
-            scale = vol / (4 * h[ax_h] * h[ax_k])
-            for sr in (+1, -1):
-                rnode, rpos = nbr[ax_h][sr]  # test-function leg at rpos
-                for sc in (+1, -1):
-                    # restrict to nodes having both neighbors
-                    cnode, cpos = nbr[ax_k][sc]
-                    mask_r = np.zeros(N, dtype=bool)
-                    mask_r[rnode] = True
-                    mask_c = np.zeros(N, dtype=bool)
-                    mask_c[cnode] = True
-                    both = np.flatnonzero(mask_r & mask_c)
-                    if both.size == 0:
-                        continue
-                    rmap = np.full(N, -1, dtype=np.int64)
-                    rmap[rnode] = rpos
-                    cmap = np.full(N, -1, dtype=np.int64)
-                    cmap[cnode] = cpos
-                    v = sr * sc * scale * blk[both]
-                    _block_add(em, rmap[both], cmap[both], v, m)
-
-    # --- first-order terms ---
+                blk += q[:, ax_h, ax_k, None, None] * np.eye(m)
+            if np.any(blk):
+                scale = vol / (4 * h[ax_h] * h[ax_k])
+                S = S + D[ax_h].T @ _nodal(scale * blk) @ D[ax_k]
     for ax in range(d):
         scale = vol / (2 * h[ax])
-        bblk = B[:, ax]
-        cblk = C[:, ax]
-        for s in (+1, -1):
-            node, pos = nbr[ax][s]
-            if np.any(bblk):
-                _block_add(em, node, pos, s * scale * bblk[node], m)
-            if np.any(cblk):
-                _block_add(em, pos, node, s * scale * cblk[node], m)
-
-    # --- potential ---
+        if np.any(B[:, ax]):
+            S = S + _nodal(scale * B[:, ax]) @ D[ax]
+        if np.any(C[:, ax]):
+            S = S + D[ax].T @ _nodal(scale * C[:, ax])
     if np.any(VW):
-        allnodes = np.arange(N)
-        _block_add(em, allnodes, allnodes, vol * VW, m)
-
-    return em, N * m
-
-
-def assemble(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
-    em, ndof = _emit_triplets(system, grid)
-    S = _canonical_csr(em.rows, em.cols, em.vals, ndof)
-    return DiscreteForm(grid, system.m, S, grid.cell_volume)
+        S = S + _nodal(vol * VW)
+    S.sum_duplicates()  # sorted indices: S @ u sums each row in column order
+    return DiscreteForm(grid, m, S, vol)
 
 
 def assemble_adjoint(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
@@ -212,8 +139,7 @@ def form_value(F: DiscreteForm, u: np.ndarray, v: np.ndarray):
 def omega0(F: DiscreteForm) -> float:
     """Ellipticity shift: minus the smallest eigenvalue of the symmetrized
     form against the mass weight, by shift-inverted Lanczos iteration."""
-    Ssym = 0.5 * (F.S + F.S.T).tocsr()
-    A = Ssym / F.mass
+    A = 0.5 * (F.S + F.S.T).tocsr() / F.mass
     diag = A.diagonal()
     offsum = np.abs(A).sum(axis=1).A1 - np.abs(diag)
     lower = float((diag - offsum).min())

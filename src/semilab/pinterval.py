@@ -158,7 +158,10 @@ def gamma_p(kappaA, kappaB, kappaC, kappaW, p) -> float:
 
 def growth_exponent_thm35(phi, p, gamma_p_value) -> float:
     """Exponential growth rate phi(gamma_p)/gamma_p of the p-norm bound."""
-    return phi(gamma_p_value) / gamma_p_value
+    try:
+        return phi(gamma_p_value) / gamma_p_value
+    except OverflowError:  # a power of gamma_p beyond the float range
+        return math.inf
 
 
 def phi_power(a: float, b: float | None = None):

@@ -66,6 +66,15 @@ def _floats(raw: str) -> list:
     return [float(x) for x in raw.replace(",", " ").split()]
 
 
+def parse_p_list(raw: str) -> list:
+    """Exponents from a comma list such as ``2, 4, inf``; each must exceed 1
+    (inf is allowed)."""
+    ps = [float(x) for x in raw.split(",")]
+    if not all(p > 1 for p in ps):
+        raise ScenarioError(f"p must exceed 1, got {raw!r}")
+    return ps
+
+
 def _get(cfg, section, key, where, cast=str, default=None, required=False):
     try:
         raw = cfg.get(section, key)
@@ -188,15 +197,11 @@ def parse_scenario(path, name: str | None = None) -> Scenario:
     except ValueError as err:
         raise ScenarioError(f"{where}: [hypotheses]: {err}") from None
 
-    def plist(raw):
-        return [math.inf if x.strip() in ("inf", "infinity") else float(x)
-                for x in raw.split(",")]
-
     seed = _get(cfg, "run", "seed", where, int, required=True)
     return Scenario(
         name=name or _get(cfg, "run", "name", where, str, str(path)),
         system=system, grid=grid, mode=mode,
-        p_list=_get(cfg, "run", "p", where, plist, [2.0]),
+        p_list=_get(cfg, "run", "p", where, parse_p_list, [2.0]),
         t_final=_get(cfg, "run", "t_final", where, float, 0.5),
         dt=_get(cfg, "run", "dt", where, float, 1e-4),
         n_samples=_get(cfg, "run", "samples", where, int, 20),

@@ -4,6 +4,8 @@ p-norm sign test."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semilab.coefficients import BoxDomain, CoefficientSystem, expr_matrix, sample
 from semilab.discrete import (
@@ -148,6 +150,113 @@ class TestAssembly:
         deep = np.zeros(dims, dtype=bool)
         deep[2:-2, 2:-2] = True
         assert np.abs(resid[deep.ravel()]).max() < 1e-12
+
+
+COEF = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def random_systems(draw):
+    """Systems in d = 1..3 with m in {1, 2} on a box with n_k in 3..6:
+    affine or constant coefficients, q_hh positive, A, B, C, W optional."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    upper = tuple(draw(st.floats(0.5, 1.5)) for _ in range(d))
+    affine = draw(st.booleans())
+
+    def expr(base, slope=1.0):
+        terms = [repr(base)]
+        if affine:
+            terms += [f"({slope * draw(COEF)!r}) * x{k + 1}" for k in range(d)]
+        return " + ".join(terms)
+
+    def block():
+        return expr_matrix([[expr(draw(COEF)) for _ in range(m)]
+                            for _ in range(m)])
+
+    def optional(make):
+        return make() if draw(st.booleans()) else None
+
+    # |slope| <= 0.1 on [0, 1.5]^3 keeps q_hh >= 1 - 0.45
+    Q = expr_matrix([[expr(draw(st.floats(1.0, 2.0)), 0.1) if h == k
+                      else expr(0.3 * draw(COEF)) for k in range(d)]
+                     for h in range(d)])
+    system = CoefficientSystem(
+        d=d, m=m, Q=Q, V=block(),
+        A=optional(lambda: tuple(tuple(block() for _ in range(d))
+                                 for _ in range(d))),
+        B=optional(lambda: tuple(block() for _ in range(d))),
+        C=optional(lambda: tuple(block() for _ in range(d))),
+        W=optional(block))
+    n = tuple(draw(st.integers(3, 6)) for _ in range(d))
+    return system, BoxDomain((0.0,) * d, upper, n)
+
+
+def form_terms(system, grid, u, v):
+    """The entrywise products whose sum is v . S u, written with array
+    shifts on the node grid: harmonic face sums of q_hh over every face,
+    centered differences with zero boundary, and the nodal potential."""
+    f = {k: fld.values for k, fld in sample(system, grid).items()}
+    d, m, dims = grid.d, system.m, grid.interior_shape
+    vol, h = grid.cell_volume, grid.h
+    U, V = u.reshape(*dims, m), v.reshape(*dims, m)
+    zero_pad = [(1, 1)] * d + [(0, 0)]
+
+    def nodal(key):
+        return f[key].reshape(*dims, *f[key].shape[1:])
+
+    def along(ax, s, rest=slice(1, -1)):
+        idx = [rest] * d
+        idx[ax] = s
+        return tuple(idx)
+
+    def centered(x, ax):
+        xp = np.pad(x, zero_pad)
+        return (xp[along(ax, slice(2, None))]
+                - xp[along(ax, slice(None, -2))]) / (2 * h[ax])
+
+    q = nodal("Q")
+    terms = []
+    for ax in range(d):
+        du = np.diff(np.pad(U, zero_pad)[along(ax, slice(None))], axis=ax)
+        dv = np.diff(np.pad(V, zero_pad)[along(ax, slice(None))], axis=ax)
+        # the edge copy makes a boundary face's mean the node value
+        qe = np.pad(q[..., ax, ax],
+                    [(1, 1) if k == ax else (0, 0) for k in range(d)],
+                    mode="edge")
+        qa = qe[along(ax, slice(None, -1), slice(None))]
+        qb = qe[along(ax, slice(1, None), slice(None))]
+        qf = 2 * qa * qb / (qa + qb)
+        terms.append(vol / h[ax] ** 2 * qf[..., None] * du * dv)
+    A, B, C = nodal("A"), nodal("B"), nodal("C")
+    VW = nodal("V") + nodal("W")
+    for hh in range(d):
+        for k in range(d):
+            blk = A[..., hh, k, :, :] + (hh != k) * q[..., hh, k, None, None] \
+                * np.eye(m)
+            terms.append(vol * np.einsum("...i,...ij,...j->...ij",
+                                         centered(V, hh), blk,
+                                         centered(U, k)))
+        terms.append(vol * np.einsum("...i,...ij,...j->...ij",
+                                     V, B[..., hh, :, :], centered(U, hh)))
+        terms.append(vol * np.einsum("...i,...ij,...j->...ij",
+                                     centered(V, hh), C[..., hh, :, :], U))
+    terms.append(vol * np.einsum("...i,...ij,...j->...ij", V, VW, U))
+    return terms
+
+
+@given(random_systems(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_form_matches_shifted_array_evaluation(case, seed):
+    system, grid = case
+    F = assemble(system, grid)
+    assert F.S.has_sorted_indices
+    assert (assemble_adjoint(system, grid).S != F.S.T).nnz == 0
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal((2, F.ndof))
+    terms = form_terms(system, grid, u, v)
+    scale = sum(np.abs(t).sum() for t in terms)
+    assert abs(v @ (F.S @ u) - sum(t.sum() for t in terms)) <= 1e-12 * scale
 
 
 class TestAdjoint:

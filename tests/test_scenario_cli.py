@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import semilab.cli as cli
 from semilab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -97,6 +98,12 @@ class TestParsing:
         scn = parse_scenario(write(tmp_path, text))
         assert scn.p_list[1] == float("inf")
 
+    @pytest.mark.parametrize("p", ["1", "0.5", "nan"])
+    def test_p_list_rejects_exponent_not_above_one(self, p, tmp_path):
+        text = MINIMAL.replace("p = 2", f"p = 2, {p}")
+        with pytest.raises(ScenarioError, match="p must exceed 1"):
+            parse_scenario(write(tmp_path, text))
+
 
 class TestRoundtrip:
     @pytest.mark.parametrize("key", gallery_names())
@@ -163,6 +170,21 @@ class TestCli:
         ra = (tmp_path / "a" / "report.json").read_bytes()
         rb = (tmp_path / "b" / "report.json").read_bytes()
         assert ra == rb
+
+    @pytest.mark.parametrize("p", ["-3", "0.5", "1", "nan"])
+    def test_p_not_above_one_is_config_error(self, p, tmp_path, capsys):
+        assert main(["evolve", "--scenario", "gallery:g1", "--p", p,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: p must exceed 1")
+
+    def test_p_list_accepts_infinity(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["evolve", "--scenario", "gallery:g1", "--p", "2,infinity",
+                     "--out", str(out)]) == EXIT_OK
+        traces = json.loads((out / "report.json").read_text())[
+            "sections"]["evolve"]["traces"]
+        assert sorted(traces) == ["2.0", "inf"]
 
     def test_gallery_list(self, capsys):
         assert main(["gallery", "--list"]) == EXIT_OK
@@ -333,3 +355,42 @@ class TestCli:
         assert len(rows) == 1 + scn.grid.node_count
         x1, _, _, _, value, _, bound, margin = map(float, rows[1].split(","))
         assert margin == pytest.approx(bound - abs(value), rel=1e-12, abs=1e-300)
+
+    def test_growth_rate_beyond_float_range_is_inf(self, tmp_path, capsys):
+        # at p = 1.01 gamma_p is about 1e-4, and the refined rate's power
+        # gamma^(b/(b-1)) = gamma^-82 lies beyond the float range
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nb.1.11 = "3"')
+                .replace("mode = fixed_gamma\ngamma = 1\nCgamma = 1",
+                         "mode = refined\na = 0.25\nb = 0.988")
+                .replace("p = 2\n", "p = 2, 1.01\n")
+                .replace("seed = 7", "seed = 1"))
+        out = tmp_path / "out"
+        code = main(["evolve", "--scenario", write(tmp_path, text),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        rep = json.loads((out / "report.json").read_text())
+        assert code == (EXIT_OK if rep["pass"] else EXIT_CHECK_FAILED)
+        assert sorted(captured.out.splitlines()) == [
+            f"{name}: {'pass' if sec['pass'] else 'FAIL'}"
+            for name, sec in sorted(rep["sections"].items())]
+        trace = rep["sections"]["evolve"]["traces"]["1.01"]
+        assert trace["bound"] is None and trace["within_bound"] is True
+
+    def test_kernel_and_distance_share_one_distance_map(self, tmp_path,
+                                                        capsys, monkeypatch):
+        calls = {"weight_field": 0, "distance_map": 0}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        assert main(["all", "--scenario", "gallery:g6-quadratic",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == {"weight_field": 1, "distance_map": 1}
