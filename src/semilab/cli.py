@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -177,8 +178,9 @@ def _growth_bound(scn: Scenario, hyp: dict, p: float) -> float | None:
     return growth_exponent_thm35(scn.mode.weight, p, g)
 
 
-def _evolve_section(scn: Scenario, F, hyp: dict, out_dir: str) -> dict:
-    stepper = Stepper(F, scn.dt, scn.scheme)
+def _evolve_section(scn: Scenario, F, stepper_for, hyp: dict,
+                    out_dir: str) -> dict:
+    stepper = stepper_for(scn.scheme)
     bounds = [_growth_bound(scn, hyp, p) for p in scn.p_list]
     results = contractivity_probe_multi(F, scn.p_list, scn.t_final,
                                         scn.n_samples, stepper,
@@ -239,13 +241,13 @@ def _central_distances(scn: Scenario, fields):
     return center, field, distance_map(field, scn.grid, center)
 
 
-def _kernel_section(scn: Scenario, F, geometry, hyp: dict, out_dir: str) -> dict:
+def _kernel_section(scn: Scenario, F, stepper_for, geometry, hyp: dict,
+                    out_dir: str) -> dict:
     if scn.mode.kind != "kernel":
         return {"skipped": "scenario mode is not kernel", "pass": True}
     center, field, dmap = geometry
-    stepper = Stepper(F, scn.dt, "implicit_euler")
     t = scn.t_final
-    block = kernel_block(F, center, t, stepper, dist=dmap)
+    block = kernel_block(F, center, t, stepper_for("implicit_euler"), dist=dmap)
     csv_path = os.path.join(out_dir, "kernel.csv")
     r = hyp["report"]
     if r["kappa"] is None:
@@ -312,13 +314,16 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
     F = geometry = None
     if any(s in need for s in ("evolve", "nittka", "kernel")):
         F = assemble(scn.system, scn.grid)
+    # one Stepper (one factorization) per scheme, built on first use
+    stepper_for = functools.cache(lambda scheme: Stepper(F, scn.dt, scheme))
 
     if "hypotheses" in need:
         timed("hypotheses", _hypotheses_section, scn, fields)
     if "pinterval" in need:
         timed("pinterval", _pinterval_section, scn, sections["hypotheses"])
     if "evolve" in need:
-        timed("evolve", _evolve_section, scn, F, sections["hypotheses"], out_dir)
+        timed("evolve", _evolve_section, scn, F, stepper_for,
+              sections["hypotheses"], out_dir)
     if "nittka" in need:
         timed("nittka", _nittka_section, scn, F, strict)
     if "distance" in need or ("kernel" in need and scn.mode.kind == "kernel"):
@@ -326,7 +331,7 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
         geometry = _central_distances(scn, fields)
         timings["central_distances"] = time.perf_counter() - t0
     if "kernel" in need:
-        timed("kernel", _kernel_section, scn, F, geometry,
+        timed("kernel", _kernel_section, scn, F, stepper_for, geometry,
               sections["hypotheses"], out_dir)
     if "distance" in need:
         timed("distance", _distance_section, scn, geometry, out_dir)

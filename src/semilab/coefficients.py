@@ -108,31 +108,51 @@ class SampledField:
         return spec
 
 
-def expr_matrix(entries) -> tuple:
-    """Normalize a nested list of Expr / numbers / strings into a tuple matrix."""
-    out = []
-    for row in entries:
-        new_row = []
-        for e in row:
-            if isinstance(e, str):
-                e = parse_expr(e)
-            elif isinstance(e, (int, float)):
-                e = const(e)
-            new_row.append(e)
-        out.append(tuple(new_row))
-    return tuple(out)
+# The layout of every coefficient block, in sampling order: its index groups,
+# outermost first.  "d" is a space index and "m" a component index; a doubled
+# letter is a (row, column) pair.  Q and V are required, A, B, C and W may be
+# absent (zero).
+BLOCKS = {
+    "Q": ("dd",),
+    "A": ("dd", "mm"),
+    "B": ("d", "mm"),
+    "C": ("d", "mm"),
+    "V": ("mm",),
+    "W": ("mm",),
+}
+
+
+def block_shape(name: str, d: int, m: int) -> tuple:
+    """Nested shape of block ``name``, e.g. (d, d, m, m) for A."""
+    size = {"d": d, "m": m}
+    return tuple(size[c] for group in BLOCKS[name] for c in group)
+
+
+def expr_matrix(entries):
+    """Normalize nested lists (any depth) of Expr / numbers / strings into
+    nested tuples of Expr."""
+    if isinstance(entries, (list, tuple)):
+        return tuple(expr_matrix(e) for e in entries)
+    if isinstance(entries, str):
+        return parse_expr(entries)
+    if isinstance(entries, (int, float)):
+        return const(entries)
+    return entries
+
+
+def _has_shape(block, shape: tuple) -> bool:
+    if not shape:
+        return isinstance(block, Expr)
+    return (isinstance(block, (list, tuple)) and len(block) == shape[0]
+            and all(_has_shape(b, shape[1:]) for b in block))
 
 
 @dataclass(frozen=True)
 class CoefficientSystem:
-    """Coefficient blocks of the operator, as matrices of expressions.
-
-    Q: d x d matrix of scalar expressions (the scalar diffusion q_hk).
-    A: optional d x d array of m x m expression matrices (None means zero).
-    B, C: optional length-d arrays of m x m expression matrices.
-    V: m x m expression matrix (potential).
-    W: optional m x m expression matrix (perturbing potential).
-    """
+    """Coefficient blocks of the operator, as nested tuples of expressions
+    laid out as ``BLOCKS`` says: the scalar diffusion Q, the coupling A, the
+    drifts B and C, the potential V and the perturbing potential W.  None
+    means an absent (zero) block."""
 
     d: int
     m: int
@@ -144,10 +164,24 @@ class CoefficientSystem:
     W: tuple | None = None
 
     def __post_init__(self):
-        if len(self.Q) != self.d or any(len(row) != self.d for row in self.Q):
-            raise ValueError("Q must be d x d")
-        if len(self.V) != self.m or any(len(row) != self.m for row in self.V):
-            raise ValueError("V must be m x m")
+        for name, groups in BLOCKS.items():
+            block = getattr(self, name)
+            if block is not None and not _has_shape(
+                    block, block_shape(name, self.d, self.m)):
+                raise ValueError(f"{name} must be "
+                                 + " x ".join("".join(groups)))
+
+    def entries(self, name: str):
+        """(index, expr) of every entry of block ``name``, row-major, with
+        0-based indices; nothing for an absent block."""
+        block = getattr(self, name)
+        if block is None:
+            return
+        for index in np.ndindex(block_shape(name, self.d, self.m)):
+            e = block
+            for i in index:
+                e = e[i]
+            yield index, e
 
 
 def _eval_on_nodes(e: Expr, coords: np.ndarray) -> np.ndarray:
@@ -164,16 +198,6 @@ def _eval_on_nodes(e: Expr, coords: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(vals, dtype=float), (coords.shape[0],))
 
 
-def _sample_matrix(entries, coords: np.ndarray) -> np.ndarray:
-    rows = len(entries)
-    cols = len(entries[0])
-    out = np.empty((coords.shape[0], rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            out[:, i, j] = _eval_on_nodes(entries[i][j], coords)
-    return out
-
-
 def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
     """Sample every coefficient block on the interior nodes of ``grid``.
 
@@ -183,38 +207,13 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
     if grid.d != system.d:
         raise ValueError(f"grid dimension {grid.d} != system dimension {system.d}")
     coords = grid.node_coords()
-    N, d, m = coords.shape[0], system.d, system.m
-
-    q = _sample_matrix(system.Q, coords)
-    q = 0.5 * (q + np.swapaxes(q, 1, 2))
-
-    a = np.zeros((N, d, d, m, m))
-    if system.A is not None:
-        for h in range(d):
-            for k in range(d):
-                a[:, h, k] = _sample_matrix(system.A[h][k], coords)
-
-    b = np.zeros((N, d, m, m))
-    c = np.zeros((N, d, m, m))
-    if system.B is not None:
-        for h in range(d):
-            b[:, h] = _sample_matrix(system.B[h], coords)
-    if system.C is not None:
-        for h in range(d):
-            c[:, h] = _sample_matrix(system.C[h], coords)
-
-    v = _sample_matrix(system.V, coords)
-    w = (
-        _sample_matrix(system.W, coords)
-        if system.W is not None
-        else np.zeros((N, m, m))
-    )
-
-    return {
-        "Q": SampledField(grid, q),
-        "A": SampledField(grid, a),
-        "B": SampledField(grid, b),
-        "C": SampledField(grid, c),
-        "V": SampledField(grid, v),
-        "W": SampledField(grid, w),
-    }
+    fields = {}
+    for name in BLOCKS:
+        vals = np.zeros((coords.shape[0],)
+                        + block_shape(name, system.d, system.m))
+        for index, e in system.entries(name):
+            vals[(slice(None),) + index] = _eval_on_nodes(e, coords)
+        if name == "Q":
+            vals = 0.5 * (vals + np.swapaxes(vals, 1, 2))
+        fields[name] = SampledField(grid, vals)
+    return fields

@@ -245,21 +245,6 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def variables(e: Expr) -> set[int]:
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, Neg):
-        return variables(e.arg)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Call):
-        out: set[int] = set()
-        for a in e.args:
-            out |= variables(a)
-        return out
-    return set()
-
-
 def evaluate(e: Expr, coords) -> np.ndarray:
     """Evaluate at points.
 

@@ -16,21 +16,9 @@ from .hypotheses import fixed_gamma, kernel_mode, refined
 from .scenario import Scenario
 
 
-def _system(d, m, Q, V, **blocks):
-    A = blocks.pop("A", None)
-    kw = {}
-    if A is not None:
-        kw["A"] = tuple(tuple(expr_matrix(blk) for blk in row) for row in A)
-    for key in ("B", "C"):
-        val = blocks.pop(key, None)
-        if val is not None:
-            kw[key] = tuple(expr_matrix(blk) for blk in val)
-    W = blocks.pop("W", None)
-    if W is not None:
-        kw["W"] = expr_matrix(W)
-    if blocks:
-        raise TypeError(f"unknown blocks {sorted(blocks)}")
-    return CoefficientSystem(d=d, m=m, Q=expr_matrix(Q), V=expr_matrix(V), **kw)
+def _system(d, m, **blocks):
+    return CoefficientSystem(d=d, m=m, **{
+        name: expr_matrix(block) for name, block in blocks.items()})
 
 
 def g1() -> Scenario:

@@ -32,8 +32,8 @@ class MetricField:
 
 @dataclass(frozen=True)
 class DistanceMap:
-    source: int
-    dist: np.ndarray
+    source: int | np.ndarray
+    dist: np.ndarray  # (N,) for one source, (len(source), N) for several
     stencil_order: int
 
 
@@ -127,24 +127,17 @@ def _graph(field: MetricField, grid: BoxDomain, order: int) -> sp.csr_matrix:
     ).tocsr()
 
 
-def distance_map(field: MetricField, grid: BoxDomain, source: int,
+def distance_map(field: MetricField, grid: BoxDomain, source,
                  order: int | None = None) -> DistanceMap:
-    """Single-source metric distances to every interior node."""
-    if not 0 <= source < grid.node_count:
+    """Metric distances from one source node to every interior node, or,
+    for an array of sources, one row of distances per source."""
+    src = np.asarray(source)
+    if np.any((src < 0) | (src >= grid.node_count)):
         raise ValueError("source node out of range")
     if order is None:
         order = default_order(grid.d)
     dist = dijkstra(_graph(field, grid, order), directed=False, indices=source)
     return DistanceMap(source, dist, order)
-
-
-def distance_matrix(field: MetricField, grid: BoxDomain, sources,
-                    order: int | None = None) -> np.ndarray:
-    """Distances from several sources at once, shape (len(sources), N)."""
-    if order is None:
-        order = default_order(grid.d)
-    return dijkstra(_graph(field, grid, order), directed=False,
-                    indices=np.asarray(sources))
 
 
 def euclid_equivalence_check(field: MetricField, grid: BoxDomain) -> tuple:

@@ -58,12 +58,6 @@ class IntervalSpec:
         return f"{left}{lo}, {hi}{right}"
 
 
-def holder_conjugate(p: float) -> float:
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    return p / (p - 1)
-
-
 def k_combination(kappaB, kappaC, kappaW, gamma) -> float:
     """K = 4(1/gamma - kappa_W) - (kappa_B + kappa_C)^2; Theorem 3.3 needs K > 0."""
     return 4 * (1 / gamma - kappaW) - (kappaB + kappaC) ** 2

@@ -29,16 +29,22 @@ Format (values holding expressions are double-quoted)::
     samples = 50
     scheme = implicit_euler
     seed = 1234
+
+The coefficient keys derive from ``coefficients.BLOCKS``: the lowercase block
+name, then one dot-separated group of 1-based digits per index group.
+``entry_key`` and ``parse_key`` are the two directions of that grammar.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import re
 from dataclasses import dataclass, field
 
-from .coefficients import BoxDomain, CoefficientSystem
+import numpy as np
+
+from .coefficients import (BLOCKS, BoxDomain, CoefficientSystem, block_shape,
+                           expr_matrix)
 from .expressions import ExprSyntaxError, const, parse_expr, print_expr
 from .hypotheses import EstimateMode
 
@@ -102,6 +108,28 @@ def _expr(raw: str, d: int, where: str):
         raise ScenarioError(f"{where}: {err}") from None
 
 
+def entry_key(block: str, index: tuple) -> str:
+    """Scenario key of entry ``index`` (0-based) of ``block``: the lowercase
+    block name, then one dot-separated group of 1-based digits per index
+    group of ``BLOCKS[block]``, e.g. a.12.21 for A[0][1][1][0]."""
+    digits = iter(index)
+    return ".".join([block.lower()] + [
+        "".join(str(next(digits) + 1) for _ in group)
+        for group in BLOCKS[block]])
+
+
+def parse_key(key: str):
+    """(block, 0-based index) named by a coefficient key, the inverse of
+    ``entry_key``; None if ``key`` is not one."""
+    head, *groups = key.split(".")
+    block = head.upper()
+    if (head != block.lower() or block not in BLOCKS
+            or [len(g) for g in groups] != [len(g) for g in BLOCKS[block]]
+            or not all(g.isdecimal() for g in groups)):
+        return None
+    return block, tuple(int(c) - 1 for g in groups for c in g)
+
+
 def parse_scenario(path, name: str | None = None) -> Scenario:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cfg.optionxform = str
@@ -122,66 +150,28 @@ def parse_scenario(path, name: str | None = None) -> Scenario:
         raise ScenarioError(f"{where}: [domain]: {err}") from None
     if grid.d != d:
         raise ScenarioError(f"{where}: [domain] dimension {grid.d} != operator d = {d}")
+    if m < 1:
+        raise ScenarioError(f"{where}: [operator] m must be at least 1, got {m}")
 
     zero = const(0.0)
-    Q = [[zero] * d for _ in range(d)]
-    V = [[zero] * m for _ in range(m)]
-    W = [[zero] * m for _ in range(m)]
-    A = [[[ [zero] * m for _ in range(m)] for _ in range(d)] for _ in range(d)]
-    B = [[[zero] * m for _ in range(m)] for _ in range(d)]
-    C = [[[zero] * m for _ in range(m)] for _ in range(d)]
-    seen_a = seen_b = seen_c = seen_w = False
-
+    blocks = {block: np.full(block_shape(block, d, m), zero, dtype=object)
+              for block in ("Q", "V")}
     for key, raw in cfg.items("operator"):
         if key in ("d", "m"):
             continue
         loc = f"{where}: [operator] {key}"
-        mq = re.fullmatch(r"q\.(\d)(\d)", key)
-        ma = re.fullmatch(r"a\.(\d)(\d)\.(\d)(\d)", key)
-        mbc = re.fullmatch(r"([bc])\.(\d)\.(\d)(\d)", key)
-        mvw = re.fullmatch(r"([vw])\.(\d)(\d)", key)
-        if mq:
-            h, k = (int(x) for x in mq.groups())
-            if not (1 <= h <= d and 1 <= k <= d):
-                raise ScenarioError(f"{loc}: index out of range")
-            Q[h - 1][k - 1] = _expr(raw, d, loc)
-        elif ma:
-            h, k, i, j = (int(x) for x in ma.groups())
-            if not (1 <= h <= d and 1 <= k <= d and 1 <= i <= m and 1 <= j <= m):
-                raise ScenarioError(f"{loc}: index out of range")
-            A[h - 1][k - 1][i - 1][j - 1] = _expr(raw, d, loc)
-            seen_a = True
-        elif mbc:
-            which, h, i, j = mbc.group(1), *(int(x) for x in mbc.groups()[1:])
-            if not (1 <= h <= d and 1 <= i <= m and 1 <= j <= m):
-                raise ScenarioError(f"{loc}: index out of range")
-            target = B if which == "b" else C
-            target[h - 1][i - 1][j - 1] = _expr(raw, d, loc)
-            if which == "b":
-                seen_b = True
-            else:
-                seen_c = True
-        elif mvw:
-            which, i, j = mvw.group(1), int(mvw.group(2)), int(mvw.group(3))
-            if not (1 <= i <= m and 1 <= j <= m):
-                raise ScenarioError(f"{loc}: index out of range")
-            (V if which == "v" else W)[i - 1][j - 1] = _expr(raw, d, loc)
-            if which == "w":
-                seen_w = True
-        else:
+        parsed = parse_key(key)
+        if parsed is None:
             raise ScenarioError(f"{loc}: unrecognized coefficient key")
-
-    def freeze2(mat):
-        return tuple(tuple(row) for row in mat)
-
-    system = CoefficientSystem(
-        d=d, m=m,
-        Q=freeze2(Q), V=freeze2(V),
-        A=tuple(tuple(freeze2(blk) for blk in row) for row in A) if seen_a else None,
-        B=tuple(freeze2(blk) for blk in B) if seen_b else None,
-        C=tuple(freeze2(blk) for blk in C) if seen_c else None,
-        W=freeze2(W) if seen_w else None,
-    )
+        block, index = parsed
+        shape = block_shape(block, d, m)
+        if not all(0 <= i < size for i, size in zip(index, shape)):
+            raise ScenarioError(f"{loc}: index out of range")
+        if block not in blocks:
+            blocks[block] = np.full(shape, zero, dtype=object)
+        blocks[block][index] = _expr(raw, d, loc)
+    system = CoefficientSystem(d=d, m=m, **{
+        block: expr_matrix(arr.tolist()) for block, arr in blocks.items()})
 
     kind = _get(cfg, "hypotheses", "mode", where, str, required=True)
     try:
@@ -198,13 +188,17 @@ def parse_scenario(path, name: str | None = None) -> Scenario:
         raise ScenarioError(f"{where}: [hypotheses]: {err}") from None
 
     seed = _get(cfg, "run", "seed", where, int, required=True)
+    n_samples = _get(cfg, "run", "samples", where, int, 20)
+    if n_samples < 1:
+        raise ScenarioError(
+            f"{where}: [run] samples must be at least 1, got {n_samples}")
     return Scenario(
         name=name or _get(cfg, "run", "name", where, str, str(path)),
         system=system, grid=grid, mode=mode,
         p_list=_get(cfg, "run", "p", where, parse_p_list, [2.0]),
         t_final=_get(cfg, "run", "t_final", where, float, 0.5),
         dt=_get(cfg, "run", "dt", where, float, 1e-4),
-        n_samples=_get(cfg, "run", "samples", where, int, 20),
+        n_samples=n_samples,
         scheme=_get(cfg, "run", "scheme", where, str, "implicit_euler"),
         seed=seed,
     )
@@ -218,35 +212,11 @@ def scenario_to_text(s: Scenario) -> str:
     lines.append("n = " + ", ".join(str(x) for x in s.grid.n))
     lines += ["", "[operator]", f"d = {s.system.d}", f"m = {s.system.m}"]
 
-    def emit(prefix, expr):
-        txt = print_expr(expr)
-        if txt != "0.0":
-            lines.append(f'{prefix} = "{txt}"')
-
-    d, m = s.system.d, s.system.m
-    for h in range(d):
-        for k in range(d):
-            emit(f"q.{h + 1}{k + 1}", s.system.Q[h][k])
-    if s.system.A is not None:
-        for h in range(d):
-            for k in range(d):
-                for i in range(m):
-                    for j in range(m):
-                        emit(f"a.{h + 1}{k + 1}.{i + 1}{j + 1}", s.system.A[h][k][i][j])
-    for nameB, blocks in (("b", s.system.B), ("c", s.system.C)):
-        if blocks is None:
-            continue
-        for h in range(d):
-            for i in range(m):
-                for j in range(m):
-                    emit(f"{nameB}.{h + 1}.{i + 1}{j + 1}", blocks[h][i][j])
-    for i in range(m):
-        for j in range(m):
-            emit(f"v.{i + 1}{j + 1}", s.system.V[i][j])
-    if s.system.W is not None:
-        for i in range(m):
-            for j in range(m):
-                emit(f"w.{i + 1}{j + 1}", s.system.W[i][j])
+    for block in BLOCKS:
+        for index, expr in s.system.entries(block):
+            txt = print_expr(expr)
+            if txt != "0.0":
+                lines.append(f'{entry_key(block, index)} = "{txt}"')
 
     lines += ["", "[hypotheses]", f"mode = {s.mode.kind}"]
     if s.mode.kind == "fixed_gamma":

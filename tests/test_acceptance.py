@@ -29,7 +29,7 @@ from semilab.evolution import (
 from semilab.gallery import gallery_scenario
 from semilab.heatkernel import kernel_block
 from semilab.hypotheses import check_all
-from semilab.metric import distance_map, distance_matrix, weight_field
+from semilab.metric import distance_map, weight_field
 from semilab.pinterval import (
     gamma_p,
     interval_thm33,
@@ -257,7 +257,7 @@ def test_criterion_09_distance_oracles():
     mf2 = weight_field(f2["V"], f2["Q"], 1.0)
     rng = np.random.default_rng(9)
     sources = rng.choice(g2d.node_count, size=10, replace=False)
-    D = distance_matrix(mf2, g2d, sources)
+    D = distance_map(mf2, g2d, sources).dist
     for i in range(len(sources)):
         for j in range(len(sources)):
             ok = ok and abs(D[i, sources[j]] - D[j, sources[i]]) <= 1e-12

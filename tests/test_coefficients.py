@@ -60,6 +60,24 @@ class TestSampling:
         assert not np.any(fields["B"].values)
         assert not np.any(fields["W"].values)
 
+    def test_misshaped_block_rejected_at_construction(self):
+        # a 1 x 1 B in an m = 2 system would otherwise broadcast to all ones
+        with pytest.raises(ValueError, match="B must be d x m x m"):
+            CoefficientSystem(d=1, m=2, Q=expr_matrix([["1"]]),
+                              V=expr_matrix([["1", "0"], ["0", "1"]]),
+                              B=expr_matrix([[["1"]]]))
+        with pytest.raises(ValueError, match="Q must be d x d"):
+            CoefficientSystem(d=2, m=1, Q=expr_matrix([["1", "0"]]),
+                              V=expr_matrix([["1"]]))
+
+    def test_entries_row_major_and_empty_when_absent(self):
+        system = CoefficientSystem(
+            d=1, m=2, Q=expr_matrix([["1"]]),
+            V=expr_matrix([["1", "2"], ["3", "4"]]))
+        assert [(i, e.value) for i, e in system.entries("V")] == [
+            ((0, 0), 1.0), ((0, 1), 2.0), ((1, 0), 3.0), ((1, 1), 4.0)]
+        assert list(system.entries("A")) == []
+
     def test_dimension_mismatch_rejected(self):
         system = CoefficientSystem(d=2, m=1,
                                    Q=expr_matrix([["1", "0"], ["0", "1"]]),

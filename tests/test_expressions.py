@@ -19,7 +19,6 @@ from semilab.expressions import (
     evaluate,
     parse_expr,
     print_expr,
-    variables,
 )
 
 
@@ -113,9 +112,6 @@ class TestParsing:
     def test_unexpected_character(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("1 + $")
-
-    def test_variables_collected(self):
-        assert variables(parse_expr("x1 * sin(x3) - 2")) == {1, 3}
 
 
 # random expression trees for the roundtrip property

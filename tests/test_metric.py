@@ -12,7 +12,6 @@ from semilab.metric import (
     MetricField,
     default_order,
     distance_map,
-    distance_matrix,
     distance_to_csv,
     euclid_equivalence_check,
     stencil_offsets,
@@ -129,7 +128,7 @@ class TestDistances:
         mf = weight_field(f["V"], f["Q"], 1.0)
         rng = np.random.default_rng(1)
         sources = rng.choice(grid.node_count, size=12, replace=False)
-        D = distance_matrix(mf, grid, sources)
+        D = distance_map(mf, grid, sources).dist
         for _ in range(1000):
             i, j = rng.integers(0, len(sources), 2)
             x = rng.integers(0, grid.node_count)
@@ -159,6 +158,16 @@ class TestDistances:
         mf, grid = self.constant_field(n=8)
         with pytest.raises(ValueError):
             distance_map(mf, grid, grid.node_count)
+        with pytest.raises(ValueError, match="out of range"):
+            distance_map(mf, grid, np.array([0, -1]))
+
+    def test_several_sources_stack_single_source_rows(self):
+        mf, grid = self.constant_field(n=12)
+        sources = np.array([3, 60, 97])
+        many = distance_map(mf, grid, sources)
+        assert many.dist.shape == (3, grid.node_count)
+        for row, s in zip(many.dist, sources):
+            np.testing.assert_array_equal(row, distance_map(mf, grid, s).dist)
 
     def test_csv_export(self, tmp_path):
         mf, grid = self.constant_field(n=8)

@@ -13,7 +13,6 @@ from semilab.pinterval import (
     gaussian_bound_rhs,
     growth_exponent_thm35,
     hhat_constant,
-    holder_conjugate,
     interval_thm33,
     k_combination,
     kernel_constants,
@@ -96,16 +95,16 @@ class TestDualitySymmetry:
                 continue
             iv = interval_thm33(kA, kB, kC, kW, gamma)
             swapped = interval_thm33(kA, kC, kB, kW, gamma)
-            assert iv.lo == pytest.approx(holder_conjugate(swapped.hi), rel=1e-13)
-            assert iv.hi == pytest.approx(holder_conjugate(swapped.lo), rel=1e-13)
+            assert iv.lo == pytest.approx(swapped.hi / (swapped.hi - 1), rel=1e-13)
+            assert iv.hi == pytest.approx(swapped.lo / (swapped.lo - 1), rel=1e-13)
 
     def test_symmetric_drift_symmetric_interval_membership(self):
         iv = interval_thm33(0.2, 0.6, 0.6, 0.1, 0.8)
         # strictly interior points: the endpoints only map onto each other up
         # to floating-point roundoff in the conjugation
         for p in np.linspace(iv.lo + 1e-6, iv.hi - 1e-6, 17):
-            assert iv.contains(p) == iv.contains(holder_conjugate(p))
-        assert holder_conjugate(iv.hi) == pytest.approx(iv.lo, rel=1e-13)
+            assert iv.contains(p) == iv.contains(p / (p - 1))
+        assert iv.hi / (iv.hi - 1) == pytest.approx(iv.lo, rel=1e-13)
 
 
 class TestPsdSweep:
@@ -375,7 +374,3 @@ class TestIntervalSpec:
         assert not iv.contains(1.0)
         assert iv.contains(5.0)
         assert not iv.contains(5.0001)
-
-    def test_holder_conjugate_involution(self):
-        for p in (1.2, 2.0, 3.7, 10.0):
-            assert holder_conjugate(holder_conjugate(p)) == pytest.approx(p, rel=1e-15)

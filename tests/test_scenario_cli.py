@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semilab.cli as cli
 from semilab.cli import (
@@ -14,10 +19,14 @@ from semilab.cli import (
     EXIT_OK,
     main,
 )
+from semilab.coefficients import (BoxDomain, CoefficientSystem, block_shape,
+                                  expr_matrix)
 from semilab.discrete import assemble, nittka_shifted, node_norms
-from semilab.evolution import band_limited_random
+from semilab.evolution import SCHEMES, band_limited_random
 from semilab.gallery import gallery_names, gallery_scenario
-from semilab.scenario import ScenarioError, parse_scenario, scenario_to_text
+from semilab.hypotheses import fixed_gamma, kernel_mode, refined
+from semilab.scenario import (Scenario, ScenarioError, parse_scenario,
+                              scenario_to_text)
 
 MINIMAL = """\
 [domain]
@@ -104,6 +113,31 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="p must exceed 1"):
             parse_scenario(write(tmp_path, text))
 
+    @pytest.mark.parametrize("key", ["q.1", "q.111", "a.11.1", "b.11.11",
+                                     "v.1x", "z.11", "Q.11"])
+    def test_malformed_key_unrecognized(self, key, tmp_path):
+        text = INDEFINITE.replace('v.11 = "2"', f'v.11 = "2"\n{key} = "1"')
+        with pytest.raises(ScenarioError, match="unrecognized coefficient key"):
+            parse_scenario(write(tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["q.10", "v.13"])
+    def test_key_index_out_of_range(self, key, tmp_path):
+        text = INDEFINITE.replace('v.11 = "2"', f'v.11 = "2"\n{key} = "1"')
+        with pytest.raises(ScenarioError, match="index out of range"):
+            parse_scenario(write(tmp_path, text))
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_no_components_rejected(self, m, tmp_path):
+        text = MINIMAL.replace("m = 1", f"m = {m}")
+        with pytest.raises(ScenarioError, match="m must be at least 1"):
+            parse_scenario(write(tmp_path, text))
+
+    def test_zero_samples_rejected(self, tmp_path):
+        path = write(tmp_path, MINIMAL.replace("samples = 3", "samples = 0"))
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"{path}: [run] samples must be at least 1")):
+            parse_scenario(path)
+
 
 class TestRoundtrip:
     @pytest.mark.parametrize("key", gallery_names())
@@ -118,6 +152,78 @@ class TestRoundtrip:
         text = scenario_to_text(scn)
         back = parse_scenario(write(tmp_path, text))
         assert scenario_to_text(back) == text
+
+
+EXPRS = ["0", "1", "-0.5", "2.5", "x{k}", "x{k}^2 + 1", "0.3 * sin(x{k})",
+         "max(x{k}, 0.5)", "exp(-x{k}) / 4"]
+FLOATS = st.floats(-5.0, 5.0, allow_nan=False)
+POSITIVE = st.floats(1e-3, 10.0, allow_nan=False)
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios with d, m in 1..3, random Q and V, a random subset of the
+    optional blocks (each with a nonzero entry), any mode and run settings."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def block(name):
+        arr = np.empty(block_shape(name, d, m), dtype=object)
+        for index in np.ndindex(arr.shape):
+            arr[index] = draw(st.sampled_from(EXPRS)).format(
+                k=draw(st.integers(1, d)))
+        return arr
+
+    blocks = {"Q": block("Q"), "V": block("V")}
+    for name in draw(st.sets(st.sampled_from("ABCW"))):
+        arr = blocks[name] = block(name)
+        arr[draw(st.sampled_from(list(np.ndindex(arr.shape))))] = "1 + x1"
+    system = CoefficientSystem(d=d, m=m, **{
+        name: expr_matrix(arr.tolist()) for name, arr in blocks.items()})
+    lower = draw(st.lists(FLOATS, min_size=d, max_size=d))
+    upper = [lo + draw(POSITIVE) for lo in lower]
+    n = draw(st.lists(st.integers(2, 9), min_size=d, max_size=d))
+    mode = draw(st.one_of(
+        st.builds(fixed_gamma, POSITIVE, FLOATS),
+        st.builds(refined, st.floats(0.01, 0.49),
+                  st.none() | st.floats(0.0, 0.99)),
+        st.builds(kernel_mode, st.floats(0.0, 4.0), st.floats(1.0, 10.0))))
+    return Scenario(
+        name=draw(st.from_regex(r"[a-z][a-z0-9-]{0,10}", fullmatch=True)),
+        system=system, grid=BoxDomain(lower, upper, n), mode=mode,
+        p_list=draw(st.lists(st.floats(1.01, 100.0) | st.just(float("inf")),
+                             min_size=1, max_size=4)),
+        t_final=draw(POSITIVE), dt=draw(POSITIVE),
+        n_samples=draw(st.integers(1, 100)),
+        scheme=draw(st.sampled_from(SCHEMES)),
+        seed=draw(st.integers(0, 2**31)))
+
+
+@given(scenarios())
+@settings(max_examples=100, deadline=None)
+def test_scenario_text_roundtrip(scn):
+    text = scenario_to_text(scn)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        back = parse_scenario(path)
+    assert back == scn
+    assert scenario_to_text(back) == text
+
+
+def test_gallery_scenario_hashes_are_pinned():
+    # the hash of each gallery scenario's text; a change here changes every
+    # report's scenario_hash
+    assert {key: cli._scenario_hash(gallery_scenario(key))
+            for key in gallery_names()} == {
+        "g1": "53aec2eed39a9f4e",
+        "g2": "d25615eef366048f",
+        "g3": "6eb1e7c2198b4ec7",
+        "g4": "8f100262096e478c",
+        "g5": "2caf062f3ef8a516",
+        "g6-flat": "7e89be511f39148f",
+        "g6-quadratic": "25ccc2f32092e04a",
+    }
 
 
 class TestCli:
@@ -394,3 +500,34 @@ class TestCli:
         assert main(["all", "--scenario", "gallery:g6-quadratic",
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert calls == {"weight_field": 1, "distance_map": 1}
+
+    def test_kernel_and_evolve_share_one_stepper(self, tmp_path, capsys,
+                                                 monkeypatch):
+        built = []
+
+        class CountingStepper(cli.Stepper):
+            def __init__(self, *args, **kwargs):
+                built.append(args[2:])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "Stepper", CountingStepper)
+        assert main(["all", "--scenario", "gallery:g6-quadratic",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert built == [("implicit_euler",)]
+
+    @pytest.mark.parametrize("sub", ["evolve", "nittka"])
+    def test_zero_samples_is_config_error(self, sub, tmp_path, capsys):
+        path = write(tmp_path, MINIMAL.replace("samples = 3", "samples = 0"))
+        assert main([sub, "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: [run] samples must be at least 1, got 0"]
+
+    def test_kernel_grid_without_checked_node_is_config_error(self, tmp_path,
+                                                              capsys):
+        assert main(["all", "--scenario", "gallery:g6-flat", "--grid", "3",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: no grid node lies 5 cells from "
+                                 "the boundary")
