@@ -1,17 +1,21 @@
 """Command-line driver: scenario loading, subcommand dispatch, report files.
 
 Reports are written as report.json plus CSV artifacts in the output
-directory.  Everything in report.json is deterministic for a fixed scenario
-(seeded probes included); wall-clock timings go to a separate timings.json
-so that report bytes are stable across runs.
+directory.  The numerical modules return arrays and this module writes
+every file, each one atomically.  Everything in report.json is
+deterministic for a fixed scenario (seeded probes included); wall-clock
+timings go to a separate timings.json so that report bytes are stable
+across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,15 +28,13 @@ import numpy as np
 from . import __version__
 from .coefficients import sample
 from .discrete import assemble, lp_power, nittka_shifted, node_norms
-from .evolution import (Stepper, band_limited_random,
-                        contractivity_probe_multi, trace_to_csv)
+from .evolution import Stepper, band_limited_random, contractivity_probe_multi
 from .expressions import EvalDomainError
 from .gallery import gallery_names, gallery_scenario
-from .heatkernel import (block_to_csv, interior_mask, kernel_block,
-                         verify_gaussian)
+from .heatkernel import kernel_block, verify_gaussian
 from .hypotheses import check_all
 from .metric import (default_order, distance_map, euclid_equivalence_check,
-                     weight_field, distance_to_csv)
+                     weight_field)
 from .pinterval import (gamma_p, gaussian_bound_rhs, growth_exponent_thm35,
                         interval_thm33, kernel_constants, psd_sweep_Mgamma)
 from .scenario import (Scenario, ScenarioError, parse_p_list, parse_scenario,
@@ -54,13 +56,26 @@ def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    wr.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
+def _axes(grid) -> list:
+    """CSV header names of the node coordinates."""
+    return [f"x{k + 1}" for k in range(grid.d)]
 
 
 def _jsonable(obj):
@@ -77,12 +92,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
-
-
-def _write_report(out_dir: str, report: dict) -> None:
-    _atomic_write(os.path.join(out_dir, "report.json"),
-                  json.dumps(_jsonable(report), indent=2, sort_keys=True,
-                             allow_nan=False) + "\n")
 
 
 def _scenario_hash(scn: Scenario) -> str:
@@ -196,7 +205,11 @@ def _evolve_section(scn: Scenario, F, stepper_for, hyp: dict,
             "worst_sample": tr.worst_sample,
         }
         tag = "inf" if np.isinf(p) else f"{p:g}"
-        trace_to_csv(tr, os.path.join(out_dir, f"growth_p{tag}.csv"))
+        _write_csv(os.path.join(out_dir, f"growth_p{tag}.csv"),
+                   ["t", "worst_norm", "worst_slope", "bound"],
+                   ([t, float(norms.max()), float(slopes.max()),
+                     "" if tr.bound is None else tr.bound]
+                    for t, norms, slopes in zip(tr.times, tr.norms, tr.slopes)))
         ok = ok and tr.within_bound is not False
     return {"traces": traces, "pass": ok}
 
@@ -233,7 +246,7 @@ def _nittka_section(scn: Scenario, F, strict: bool) -> dict:
 
 def _central_distances(scn: Scenario, fields):
     """The central interior node, the weight field (beta of the kernel
-    mode, else 0) and the distance map from that node."""
+    mode, else 0) and the distances from that node."""
     beta = scn.mode.beta if scn.mode.kind == "kernel" else 0.0
     field = weight_field(fields["V"], fields["Q"], beta)
     dims = scn.grid.interior_shape
@@ -245,40 +258,48 @@ def _kernel_section(scn: Scenario, F, stepper_for, geometry, hyp: dict,
                     out_dir: str) -> dict:
     if scn.mode.kind != "kernel":
         return {"skipped": "scenario mode is not kernel", "pass": True}
-    center, field, dmap = geometry
+    center, field, dist = geometry
     t = scn.t_final
-    block = kernel_block(F, center, t, stepper_for("implicit_euler"), dist=dmap)
-    csv_path = os.path.join(out_dir, "kernel.csv")
+    values = kernel_block(F, center, t, stepper_for("implicit_euler"))
     r = hyp["report"]
     if r["kappa"] is None:
-        block_to_csv(block, scn.grid, csv_path)
-        return {"reason": "kappa is undefined: the drift bounds are not finite",
-                "pass": False}
-    # any positive constant is a valid drift bound when the drift vanishes
-    kappa = max(r["kappa"], 1e-6)
-    bundle = kernel_constants(d=scn.grid.d, beta=scn.mode.beta,
-                              kappa=kappa, c=scn.mode.c, nu0=r["nu0"])
-    result = verify_gaussian(block, bundle, field, scn.grid,
-                             interior_mask(scn.grid))
-    block_to_csv(block, scn.grid, csv_path,
-                 rhs=gaussian_bound_rhs(bundle, t, dmap.dist))
-    return {"bundle": dataclasses.asdict(bundle), "verification": result,
-            "pass": bool(result["pass"])}
+        rhs = None
+        out = {"reason": "kappa is undefined: the drift bounds are not finite",
+               "pass": False}
+    else:
+        # any positive constant is a valid drift bound when the drift vanishes
+        kappa = max(r["kappa"], 1e-6)
+        bundle = kernel_constants(d=scn.grid.d, beta=scn.mode.beta,
+                                  kappa=kappa, c=scn.mode.c, nu0=r["nu0"])
+        rhs = gaussian_bound_rhs(bundle, t, dist)
+        result = verify_gaussian(values, rhs, scn.grid)
+        out = {"bundle": dataclasses.asdict(bundle),
+               "verification": {"t": t, "source": center, **result},
+               "pass": result["pass"]}
+    coords = scn.grid.node_coords()
+    _write_csv(os.path.join(out_dir, "kernel.csv"),
+               _axes(scn.grid) + ["source", "i", "j", "value", "distance",
+                                  "bound", "margin"],
+               (list(coords[n]) + [center, i, j, v, dist[n]]
+                + (["", ""] if rhs is None else [rhs[n], rhs[n] - abs(v)])
+                for (n, i, j), v in np.ndenumerate(values)))
+    return out
 
 
 def _distance_section(scn: Scenario, geometry, out_dir: str) -> dict:
-    center, field, dmap = geometry
-    distance_to_csv(dmap, scn.grid, os.path.join(out_dir, "distance.csv"))
+    center, field, dist = geometry
+    _write_csv(os.path.join(out_dir, "distance.csv"),
+               _axes(scn.grid) + ["distance"],
+               (list(xy) + [dv] for xy, dv in zip(scn.grid.node_coords(), dist)))
     q0, q1, equivalent = euclid_equivalence_check(field, scn.grid)
-    finite = bool(np.all(np.isfinite(dmap.dist)))
     return {
         "source": center,
         "stencil_order": default_order(scn.grid.d),
-        "max_distance": float(dmap.dist.max()),
+        "max_distance": float(dist.max()),
         "euclidean_ratio_lo": q0,
         "euclidean_ratio_hi": q1,
         "euclidean_equivalent": equivalent,
-        "pass": finite,
+        "pass": bool(np.all(np.isfinite(dist))),
     }
 
 
@@ -345,7 +366,9 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
         "sections": sections,
         "pass": all(sec.get("pass", True) for sec in sections.values()),
     }
-    _write_report(out_dir, report)
+    _atomic_write(os.path.join(out_dir, "report.json"),
+                  json.dumps(_jsonable(report), indent=2, sort_keys=True,
+                             allow_nan=False) + "\n")
     _atomic_write(os.path.join(out_dir, "timings.json"),
                   json.dumps(timings, indent=2, sort_keys=True) + "\n")
     return report

@@ -11,7 +11,6 @@ block of them as columns.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,12 +221,3 @@ def adjoint_duality_check(F: DiscreteForm, t: float, f: np.ndarray,
     lhs = F.mass * np.vdot(g, Tf)
     rhs = F.mass * np.vdot(Tg, f)
     return float(abs(lhs - rhs))
-
-
-def trace_to_csv(trace: GrowthTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "worst_norm", "worst_slope", "bound"])
-        for t, norms, slopes in zip(trace.times, trace.norms, trace.slopes):
-            wr.writerow([t, float(norms.max()), float(slopes.max()),
-                         "" if trace.bound is None else trace.bound])

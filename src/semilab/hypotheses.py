@@ -18,6 +18,10 @@ from .pinterval import k_combination, phi_power
 
 GAMMA_GRID = np.logspace(-4, 4, 200)
 
+# the parameters each mode reads
+MODE_PARAMS = {"fixed_gamma": ("gamma", "Cgamma"), "refined": ("a", "b"),
+               "kernel": ("beta", "c")}
+
 
 @dataclass(frozen=True)
 class EstimateMode:
@@ -38,7 +42,7 @@ class EstimateMode:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed_gamma", "refined", "kernel"):
+        if self.kind not in MODE_PARAMS:
             raise ValueError(f"unknown mode {self.kind!r}")
         if self.kind == "fixed_gamma" and not self.gamma > 0:
             raise ValueError("fixed_gamma mode requires gamma > 0")
@@ -73,10 +77,7 @@ def kernel_mode(beta: float, c: float) -> EstimateMode:
 
 
 class HypothesisViolation(ValueError):
-    def __init__(self, message, node_coords=None, witness=None):
-        super().__init__(message)
-        self.node_coords = node_coords
-        self.witness = witness
+    pass
 
 
 def _require_pd(w: np.ndarray, what: str, coords: np.ndarray):
@@ -86,9 +87,7 @@ def _require_pd(w: np.ndarray, what: str, coords: np.ndarray):
         where = tuple(map(float, coords[idx]))
         raise HypothesisViolation(
             f"{what} not positive definite at node {where} "
-            f"(min eigenvalue {w[idx, 0]:.3e})",
-            node_coords=where,
-        )
+            f"(min eigenvalue {w[idx, 0]:.3e})")
 
 
 def _inv_sqrt_eig(w: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -131,7 +130,6 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     diffusion quadratic form, plus the nonnegativity check of its real part."""
     A = fields["A"].values  # (N, d, d, m, m)
     N, d, _, m, _ = A.shape
-    coords = fields["A"].domain.node_coords()
 
     # block matrix over (h, k), acting on stacked theta = (theta^1..theta^d)
     Abig = np.transpose(A, (0, 1, 3, 2, 4)).reshape(N, d * m, d * m)
@@ -142,17 +140,14 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     white = W @ Abig @ W
 
     sym = 0.5 * (white + np.swapaxes(white, -1, -2))
-    evals, evecs = np.linalg.eigh(sym)
+    evals = np.linalg.eigvalsh(sym)
     scale = np.maximum(1.0, np.abs(evals).max())
     if np.any(evals[:, 0] < -1e-12 * scale):
         idx = int(np.argmin(evals[:, 0]))
-        where = tuple(map(float, coords[idx]))
+        where = tuple(map(float, fields["A"].domain.node_coords()[idx]))
         raise HypothesisViolation(
             f"Re second-order coupling negative at node {where} "
-            f"(eigenvalue {evals[idx, 0]:.3e})",
-            node_coords=where,
-            witness=evecs[idx, :, 0],
-        )
+            f"(eigenvalue {evals[idx, 0]:.3e})")
     return _max_sv(white)
 
 

@@ -9,7 +9,6 @@ on constant metrics), which the calling checks absorb in their tolerances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +22,9 @@ from .coefficients import BoxDomain, SampledField
 class MetricField:
     """Nodewise conformal weight, diffusion eigenvalues and inverse diffusion matrix."""
 
-    domain: BoxDomain
     w: np.ndarray  # (N,) positive
     Qeig: np.ndarray  # (N, d) ascending eigenvalues of Q, all positive
     Qinv: np.ndarray  # (N, d, d)
-    beta: float
-
-
-@dataclass(frozen=True)
-class DistanceMap:
-    source: int | np.ndarray
-    dist: np.ndarray  # (N,) for one source, (len(source), N) for several
-    stencil_order: int
 
 
 def weight_field(Vfield: SampledField, Qfield: SampledField, beta: float) -> MetricField:
@@ -50,7 +40,7 @@ def weight_field(Vfield: SampledField, Qfield: SampledField, beta: float) -> Met
     if np.any(lamQ[:, 0] <= 0):
         raise ValueError("Q must be positive definite at every node")
     Qinv = (U / lamQ[:, None, :]) @ np.swapaxes(U, -1, -2)
-    return MetricField(Vfield.domain, w, lamQ, Qinv, beta)
+    return MetricField(w, lamQ, Qinv)
 
 
 def stencil_offsets(d: int, order: int) -> list:
@@ -119,25 +109,21 @@ def _edge_lists(field: MetricField, grid: BoxDomain, order: int):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(costs)
 
 
-def _graph(field: MetricField, grid: BoxDomain, order: int) -> sp.csr_matrix:
-    """Stencil graph over the interior nodes, weighted by the edge costs."""
-    rows, cols, costs = _edge_lists(field, grid, order)
-    return sp.coo_matrix(
-        (costs, (rows, cols)), shape=(grid.node_count, grid.node_count)
-    ).tocsr()
-
-
 def distance_map(field: MetricField, grid: BoxDomain, source,
-                 order: int | None = None) -> DistanceMap:
-    """Metric distances from one source node to every interior node, or,
-    for an array of sources, one row of distances per source."""
+                 order: int | None = None) -> np.ndarray:
+    """Metric distances from one source node to every interior node, shape
+    (N,), or, for an array of sources, one row per source, shape
+    (len(source), N)."""
     src = np.asarray(source)
     if np.any((src < 0) | (src >= grid.node_count)):
         raise ValueError("source node out of range")
     if order is None:
         order = default_order(grid.d)
-    dist = dijkstra(_graph(field, grid, order), directed=False, indices=source)
-    return DistanceMap(source, dist, order)
+    # the stencil graph over the interior nodes, weighted by the edge costs
+    rows, cols, costs = _edge_lists(field, grid, order)
+    graph = sp.coo_matrix((costs, (rows, cols)),
+                          shape=(grid.node_count, grid.node_count)).tocsr()
+    return dijkstra(graph, directed=False, indices=source)
 
 
 def euclid_equivalence_check(field: MetricField, grid: BoxDomain) -> tuple:
@@ -146,12 +132,3 @@ def euclid_equivalence_check(field: MetricField, grid: BoxDomain) -> tuple:
     q1 = float((field.Qeig[:, -1] / field.w).max())
     equivalent = bool(np.isfinite(q0) and np.isfinite(q1) and q0 > 0)
     return q0, q1, equivalent
-
-
-def distance_to_csv(dmap: DistanceMap, grid: BoxDomain, path) -> None:
-    coords = grid.node_coords()
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"x{k + 1}" for k in range(grid.d)] + ["distance"])
-        for xy, dv in zip(coords, dmap.dist):
-            wr.writerow(list(xy) + [dv])

@@ -32,7 +32,10 @@ Format (values holding expressions are double-quoted)::
 
 The coefficient keys derive from ``coefficients.BLOCKS``: the lowercase block
 name, then one dot-separated group of 1-based digits per index group.
-``entry_key`` and ``parse_key`` are the two directions of that grammar.
+``entry_key`` and ``parse_key`` are the two directions of that grammar; one
+digit per index limits d and m to 9.  Keys that the parser does not read are
+rejected, and ``[hypotheses]`` holds only ``mode`` and that mode's parameters
+(``hypotheses.MODE_PARAMS``).
 """
 
 from __future__ import annotations
@@ -45,8 +48,12 @@ import numpy as np
 
 from .coefficients import (BLOCKS, BoxDomain, CoefficientSystem, block_shape,
                            expr_matrix)
+from .evolution import SCHEMES
 from .expressions import ExprSyntaxError, const, parse_expr, print_expr
-from .hypotheses import EstimateMode
+from .hypotheses import MODE_PARAMS, EstimateMode
+
+# the largest d and m: a key holds one digit per index
+MAX_INDEX = 9
 
 
 class ScenarioError(ValueError):
@@ -94,6 +101,14 @@ def _get(cfg, section, key, where, cast=str, default=None, required=False):
         raise ScenarioError(f"{where}: bad value for [{section}] {key}: {err}") from None
 
 
+def _check_keys(cfg, section, known, where):
+    """Reject a key of ``section`` that is not in ``known``."""
+    for key in cfg.options(section) if cfg.has_section(section) else ():
+        if key not in known:
+            raise ScenarioError(f"{where}: [{section}] {key}: unrecognized key "
+                                f"(expected one of {', '.join(known)})")
+
+
 def _unquote(raw: str, where: str) -> str:
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
@@ -112,6 +127,9 @@ def entry_key(block: str, index: tuple) -> str:
     """Scenario key of entry ``index`` (0-based) of ``block``: the lowercase
     block name, then one dot-separated group of 1-based digits per index
     group of ``BLOCKS[block]``, e.g. a.12.21 for A[0][1][1][0]."""
+    if any(i >= MAX_INDEX for i in index):
+        raise ValueError(f"{block} index {tuple(i + 1 for i in index)} has an "
+                         f"entry above {MAX_INDEX}, which a scenario key cannot hold")
     digits = iter(index)
     return ".".join([block.lower()] + [
         "".join(str(next(digits) + 1) for _ in group)
@@ -137,9 +155,16 @@ def parse_scenario(path, name: str | None = None) -> Scenario:
     if not read:
         raise ScenarioError(f"cannot read scenario file {path}")
     where = str(path)
+    _check_keys(cfg, "domain", ("lower", "upper", "n"), where)
+    _check_keys(cfg, "run", ("name", "p", "t_final", "dt", "samples",
+                             "scheme", "seed"), where)
 
     d = _get(cfg, "operator", "d", where, int, required=True)
     m = _get(cfg, "operator", "m", where, int, required=True)
+    for key, value in (("d", d), ("m", m)):
+        if value > MAX_INDEX:
+            raise ScenarioError(f"{where}: [operator] {key} must be at most "
+                                f"{MAX_INDEX}, got {value}")
     lower = _get(cfg, "domain", "lower", where, _floats, required=True)
     upper = _get(cfg, "domain", "upper", where, _floats, required=True)
     n = _get(cfg, "domain", "n", where, lambda s: [int(x) for x in _floats(s)],
@@ -174,24 +199,25 @@ def parse_scenario(path, name: str | None = None) -> Scenario:
         block: expr_matrix(arr.tolist()) for block, arr in blocks.items()})
 
     kind = _get(cfg, "hypotheses", "mode", where, str, required=True)
+    # a parameter absent from the file keeps its EstimateMode default
+    params = MODE_PARAMS.get(kind, ())
     try:
-        mode = EstimateMode(
-            kind=kind,
-            gamma=_get(cfg, "hypotheses", "gamma", where, float, 1.0),
-            Cgamma=_get(cfg, "hypotheses", "Cgamma", where, float, 1.0),
-            a=_get(cfg, "hypotheses", "a", where, float, 0.25),
-            b=_get(cfg, "hypotheses", "b", where, float, None),
-            beta=_get(cfg, "hypotheses", "beta", where, float, 0.0),
-            c=_get(cfg, "hypotheses", "c", where, float, 1.0),
-        )
+        mode = EstimateMode(kind=kind, **{
+            key: _get(cfg, "hypotheses", key, where, float)
+            for key in params if cfg.has_option("hypotheses", key)})
     except ValueError as err:
         raise ScenarioError(f"{where}: [hypotheses]: {err}") from None
+    _check_keys(cfg, "hypotheses", ("mode", *params), where)
 
     seed = _get(cfg, "run", "seed", where, int, required=True)
     n_samples = _get(cfg, "run", "samples", where, int, 20)
     if n_samples < 1:
         raise ScenarioError(
             f"{where}: [run] samples must be at least 1, got {n_samples}")
+    scheme = _get(cfg, "run", "scheme", where, str, "implicit_euler")
+    if scheme not in SCHEMES:
+        raise ScenarioError(f"{where}: [run] scheme must be one of "
+                            f"{', '.join(SCHEMES)}, got {scheme!r}")
     return Scenario(
         name=name or _get(cfg, "run", "name", where, str, str(path)),
         system=system, grid=grid, mode=mode,
@@ -199,7 +225,7 @@ def parse_scenario(path, name: str | None = None) -> Scenario:
         t_final=_get(cfg, "run", "t_final", where, float, 0.5),
         dt=_get(cfg, "run", "dt", where, float, 1e-4),
         n_samples=n_samples,
-        scheme=_get(cfg, "run", "scheme", where, str, "implicit_euler"),
+        scheme=scheme,
         seed=seed,
     )
 
@@ -219,14 +245,10 @@ def scenario_to_text(s: Scenario) -> str:
                 lines.append(f'{entry_key(block, index)} = "{txt}"')
 
     lines += ["", "[hypotheses]", f"mode = {s.mode.kind}"]
-    if s.mode.kind == "fixed_gamma":
-        lines += [f"gamma = {s.mode.gamma!r}", f"Cgamma = {s.mode.Cgamma!r}"]
-    elif s.mode.kind == "refined":
-        lines.append(f"a = {s.mode.a!r}")
-        if s.mode.b is not None:
-            lines.append(f"b = {s.mode.b!r}")
-    else:
-        lines += [f"beta = {s.mode.beta!r}", f"c = {s.mode.c!r}"]
+    for key in MODE_PARAMS[s.mode.kind]:
+        value = getattr(s.mode, key)
+        if value is not None:
+            lines.append(f"{key} = {value!r}")
 
     lines += [
         "", "[run]",

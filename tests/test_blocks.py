@@ -77,5 +77,5 @@ def test_kernel_block_equals_delta_columns(F, data):
         delta = np.zeros(F.ndof)
         delta[y * F.m + j] = 1.0 / F.mass
         col = evolve(F, delta, 0.004, stepper).reshape(-1, F.m)
-        close(block.values[:, :, j], col, np.abs(col).max())
+        close(block[:, :, j], col, np.abs(col).max())
 

@@ -13,7 +13,6 @@ from semilab.evolution import (
     evolve,
     evolve_adjoint,
     pnorm,
-    trace_to_csv,
 )
 from semilab.gallery import gallery_scenario
 
@@ -236,12 +235,3 @@ class TestContractivityProbe:
         F = scalar_form(v="-300", n=32)
         with pytest.raises(FloatingPointError):
             contractivity_probe_multi(F, [2.0, 4.0], 1.0, 5, Stepper(F, 1e-3))
-
-    def test_trace_csv(self, tmp_path):
-        F = scalar_form(v="1", n=16)
-        tr = contractivity_probe_multi(F, [2.0], 0.01, 2, Stepper(F, 1e-3),
-                                       seed=16)[2.0]
-        path = tmp_path / "trace.csv"
-        trace_to_csv(tr, path)
-        header = path.read_text().splitlines()[0]
-        assert header.split(",")[0] == "t"

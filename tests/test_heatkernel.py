@@ -6,14 +6,7 @@ import pytest
 from semilab.coefficients import BoxDomain, CoefficientSystem, expr_matrix, sample
 from semilab.discrete import assemble
 from semilab.evolution import Stepper, evolve, evolve_adjoint
-from semilab.heatkernel import (
-    KernelBlock,
-    _deltas,
-    block_to_csv,
-    interior_mask,
-    kernel_block,
-    verify_gaussian,
-)
+from semilab.heatkernel import _deltas, interior_mask, kernel_block, verify_gaussian
 from semilab.gallery import gallery_scenario
 from semilab.metric import distance_map, weight_field
 from semilab.pinterval import gaussian_bound_rhs, kernel_constants
@@ -44,7 +37,7 @@ class TestKernelColumns:
         t = 0.1
         st = Stepper(F, t / 2000)
         y = grid.node_count // 2
-        col = kernel_block(F, y, t, st).values[:, 0, 0]
+        col = kernel_block(F, y, t, st)[:, 0, 0]
         x = grid.axis_nodes(0)
         r = np.abs(x - x[y])
         exact = np.exp(-(r**2) / (4 * t) - 4 * t) / np.sqrt(4 * np.pi * t)
@@ -57,28 +50,28 @@ class TestKernelColumns:
         # which converges to e^{-v0 t} from above
         _, grid, F = scalar_line(v="4", n=256)
         t, dt = 0.1, 1e-3
-        col = kernel_block(F, grid.node_count // 2, t, Stepper(F, dt)).values
+        col = kernel_block(F, grid.node_count // 2, t, Stepper(F, dt))
         n_steps = round(t / dt)
         assert F.mass * col.sum() <= (1 + dt * 4) ** (-n_steps) + 1e-10
         assert (1 + dt * 4) ** (-n_steps) <= np.exp(-4 * t) * (1 + dt * 4)
 
     def test_scalar_kernel_nonnegative(self):
         _, grid, F = scalar_line(v="1 + 0.1 * x1^2", n=256)
-        col = kernel_block(F, grid.node_count // 3, 0.05, Stepper(F, 1e-3)).values
+        col = kernel_block(F, grid.node_count // 3, 0.05, Stepper(F, 1e-3))
         assert col.min() >= -1e-12
 
     def test_chapman_kolmogorov(self):
         _, grid, F = scalar_line(n=128)
         st = Stepper(F, 1e-3)
         y = 40
-        direct = kernel_block(F, y, 0.05, st).values.ravel()
-        via = evolve(F, kernel_block(F, y, 0.03, st).values.ravel(), 0.02, st)
+        direct = kernel_block(F, y, 0.05, st).ravel()
+        via = evolve(F, kernel_block(F, y, 0.03, st).ravel(), 0.02, st)
         assert np.abs(direct - via).max() <= 1e-12 * np.abs(direct).max()
 
     def test_radial_decay_from_source(self):
         _, grid, F = scalar_line(v="4", n=512)
         y = grid.node_count // 2
-        col = kernel_block(F, y, 0.1, Stepper(F, 1e-3)).values[:, 0, 0]
+        col = kernel_block(F, y, 0.1, Stepper(F, 1e-3))[:, 0, 0]
         right = col[y:]
         left = col[: y + 1][::-1]
         for side in (right, left):
@@ -92,8 +85,8 @@ class TestKernelColumns:
         grid = BoxDomain((0.0,), (1.0,), (64,))
         F = assemble(system, grid)
         block = kernel_block(F, 20, 0.02, Stepper(F, 1e-3))
-        assert np.abs(block.values[:, 0, 1]).max() <= 1e-14
-        assert np.abs(block.values[:, 1, 0]).max() <= 1e-14
+        assert np.abs(block[:, 0, 1]).max() <= 1e-14
+        assert np.abs(block[:, 1, 0]).max() <= 1e-14
 
 
 class TestInteriorMask:
@@ -117,7 +110,7 @@ def symmetry_check(F, t, y1, y2, stepper):
     The adjoint kernel is sampled by evolving deltas through the transposed
     solves, so the gap reflects only solver roundoff.
     """
-    K = kernel_block(F, y2, t, stepper).values[y1]
+    K = kernel_block(F, y2, t, stepper)[y1]
     Kadj = evolve_adjoint(F, _deltas(F, y1), t, stepper).reshape(-1, F.m, F.m)[y2]
     # adjoint kernel k*(t, y2, y1) equals k(t, y1, y2)^T
     return float(np.max(np.abs(K - Kadj.T)))
@@ -137,15 +130,20 @@ class TestSymmetry:
         assert gap <= 1e-8
 
 
+def bound_rhs(system, grid, y, t):
+    """The flat-potential kernel bound at every node for a source at y."""
+    fields = sample(system, grid)
+    mf = weight_field(fields["V"], fields["Q"], 0.0)
+    bundle = kernel_constants(d=1, beta=0.0, kappa=1e-6, c=1.0, nu0=1.0)
+    return gaussian_bound_rhs(bundle, t, distance_map(mf, grid, y))
+
+
 class TestGaussianBoundCheck:
     def test_flat_case_passes(self):
         system, grid, F = scalar_line(v="4", n=512)
-        t = 0.1
-        block = kernel_block(F, grid.node_count // 2, t, Stepper(F, t / 1000))
-        fields = sample(system, grid)
-        mf = weight_field(fields["V"], fields["Q"], 0.0)
-        bundle = kernel_constants(d=1, beta=0.0, kappa=1e-6, c=1.0, nu0=1.0)
-        report = verify_gaussian(block, bundle, mf, grid)
+        t, y = 0.1, grid.node_count // 2
+        values = kernel_block(F, y, t, Stepper(F, t / 1000))
+        report = verify_gaussian(values, bound_rhs(system, grid, y, t), grid)
         assert report["pass"]
         assert report["violations"] == 0
         assert report["min_margin"] >= 0.0
@@ -154,41 +152,10 @@ class TestGaussianBoundCheck:
     def test_margin_sign_detects_inflated_kernel(self):
         # scaling the kernel values up must eventually break the bound
         system, grid, F = scalar_line(v="4", n=256)
-        t = 0.1
-        block = kernel_block(F, grid.node_count // 2, t, Stepper(F, 1e-3))
-        fields = sample(system, grid)
-        mf = weight_field(fields["V"], fields["Q"], 0.0)
-        bundle = kernel_constants(d=1, beta=0.0, kappa=1e-6, c=1.0, nu0=1.0)
-        inflated = KernelBlock(t=block.t, y=block.y,
-                               values=block.values * 1e12, dist=block.dist)
-        report = verify_gaussian(inflated, bundle, mf, grid)
+        t, y = 0.1, grid.node_count // 2
+        values = kernel_block(F, y, t, Stepper(F, 1e-3))
+        rhs = bound_rhs(system, grid, y, t)
+        assert verify_gaussian(values, rhs, grid)["pass"]
+        report = verify_gaussian(values * 1e12, rhs, grid)
         assert not report["pass"]
         assert report["violations"] > 0
-
-    def test_precomputed_distance_reused(self):
-        system, grid, F = scalar_line(v="4", n=128)
-        fields = sample(system, grid)
-        mf = weight_field(fields["V"], fields["Q"], 0.0)
-        y = grid.node_count // 2
-        dmap = distance_map(mf, grid, y)
-        block = kernel_block(F, y, 0.05, Stepper(F, 1e-3), dist=dmap)
-        bundle = kernel_constants(d=1, beta=0.0, kappa=1e-6, c=1.0, nu0=1.0)
-        r1 = verify_gaussian(block, bundle, mf, grid)
-        r2 = verify_gaussian(
-            KernelBlock(block.t, block.y, block.values, None), bundle, mf, grid)
-        assert r1["min_margin"] == pytest.approx(r2["min_margin"], rel=1e-12)
-
-    def test_csv_export(self, tmp_path):
-        system, grid, F = scalar_line(v="4", n=64)
-        fields = sample(system, grid)
-        mf = weight_field(fields["V"], fields["Q"], 0.0)
-        y = 32
-        dmap = distance_map(mf, grid, y)
-        block = kernel_block(F, y, 0.02, Stepper(F, 1e-3), dist=dmap)
-        bundle = kernel_constants(d=1, beta=0.0, kappa=1e-6, c=1.0, nu0=1.0)
-        rhs = gaussian_bound_rhs(bundle, block.t, dmap.dist)
-        path = tmp_path / "kernel.csv"
-        block_to_csv(block, grid, path, rhs=rhs)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("x1,source,i,j,value")
-        assert len(lines) == grid.node_count + 1

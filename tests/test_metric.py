@@ -8,11 +8,8 @@ from scipy.integrate import quad
 
 from semilab.coefficients import BoxDomain, CoefficientSystem, expr_matrix, sample
 from semilab.metric import (
-    DistanceMap,
-    MetricField,
     default_order,
     distance_map,
-    distance_to_csv,
     euclid_equivalence_check,
     stencil_offsets,
     weight_field,
@@ -91,12 +88,12 @@ class TestDistances:
     def test_constant_metric_matches_scaled_euclidean(self):
         mf, grid = self.constant_field()
         source = grid.node_count // 2
-        dmap = distance_map(mf, grid, source)
+        dist = distance_map(mf, grid, source)
         coords = grid.node_coords()
         euclid = np.linalg.norm(coords - coords[source], axis=1)
         scale = 4.0 ** (1.0 / 4.0)  # v0^{beta/(2 beta + 2)}
         far = euclid > 0.1
-        rel = dmap.dist[far] / (scale * euclid[far]) - 1
+        rel = dist[far] / (scale * euclid[far]) - 1
         assert rel.min() >= -1e-12
         assert rel.max() <= 0.03
 
@@ -106,20 +103,20 @@ class TestDistances:
         mf = weight_field(f["V"], f["Q"], 1.0)
         x = grid.axis_nodes(0)
         source = int(np.argmin(np.abs(x)))
-        dmap = distance_map(mf, grid, source)
+        dist = distance_map(mf, grid, source)
         for j in range(0, grid.node_count, 17):
             if abs(x[j] - x[source]) < 0.1:
                 continue
             exact = abs(quad(lambda s: (1 + s**2) ** 0.25,
                              x[source], x[j])[0])
-            assert dmap.dist[j] == pytest.approx(exact, rel=1e-2)
+            assert dist[j] == pytest.approx(exact, rel=1e-2)
 
     def test_symmetry(self):
         mf, grid = self.constant_field(n=24)
         a, b = 30, 401
         da = distance_map(mf, grid, a)
         db = distance_map(mf, grid, b)
-        assert abs(da.dist[b] - db.dist[a]) <= 1e-12
+        assert abs(da[b] - db[a]) <= 1e-12
 
     def test_triangle_inequality(self):
         grid = BoxDomain((0.0, 0.0), (1.0, 1.0), (24,) * 2)
@@ -128,7 +125,7 @@ class TestDistances:
         mf = weight_field(f["V"], f["Q"], 1.0)
         rng = np.random.default_rng(1)
         sources = rng.choice(grid.node_count, size=12, replace=False)
-        D = distance_map(mf, grid, sources).dist
+        D = distance_map(mf, grid, sources)
         for _ in range(1000):
             i, j = rng.integers(0, len(sources), 2)
             x = rng.integers(0, grid.node_count)
@@ -139,16 +136,16 @@ class TestDistances:
         x = grid.node_coords()
         bigger = replace(mf, w=mf.w * (1.0 + x[:, 0] ** 2))
         source = 5
-        d0 = distance_map(mf, grid, source).dist
-        d1 = distance_map(bigger, grid, source).dist
+        d0 = distance_map(mf, grid, source)
+        d1 = distance_map(bigger, grid, source)
         assert (d1 >= d0 - 1e-12).all()
 
     def test_finer_stencil_never_longer(self):
         mf, grid = self.constant_field(n=32)
         source = grid.node_count // 2
-        d1 = distance_map(mf, grid, source, order=1).dist
-        d2 = distance_map(mf, grid, source, order=2).dist
-        d3 = distance_map(mf, grid, source, order=3).dist
+        d1 = distance_map(mf, grid, source, order=1)
+        d2 = distance_map(mf, grid, source, order=2)
+        d3 = distance_map(mf, grid, source, order=3)
         assert (d3 <= d2 + 1e-12).all() and (d2 <= d1 + 1e-12).all()
         coords = grid.node_coords()
         euclid = np.linalg.norm(coords - coords[source], axis=1)
@@ -165,18 +162,9 @@ class TestDistances:
         mf, grid = self.constant_field(n=12)
         sources = np.array([3, 60, 97])
         many = distance_map(mf, grid, sources)
-        assert many.dist.shape == (3, grid.node_count)
-        for row, s in zip(many.dist, sources):
-            np.testing.assert_array_equal(row, distance_map(mf, grid, s).dist)
-
-    def test_csv_export(self, tmp_path):
-        mf, grid = self.constant_field(n=8)
-        dmap = distance_map(mf, grid, 0)
-        path = tmp_path / "dist.csv"
-        distance_to_csv(dmap, grid, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2,distance"
-        assert len(lines) == grid.node_count + 1
+        assert many.shape == (3, grid.node_count)
+        for row, s in zip(many, sources):
+            np.testing.assert_array_equal(row, distance_map(mf, grid, s))
 
 
 class TestEuclidEquivalence:

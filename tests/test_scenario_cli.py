@@ -25,8 +25,8 @@ from semilab.discrete import assemble, nittka_shifted, node_norms
 from semilab.evolution import SCHEMES, band_limited_random
 from semilab.gallery import gallery_names, gallery_scenario
 from semilab.hypotheses import fixed_gamma, kernel_mode, refined
-from semilab.scenario import (Scenario, ScenarioError, parse_scenario,
-                              scenario_to_text)
+from semilab.scenario import (Scenario, ScenarioError, entry_key,
+                              parse_scenario, scenario_to_text)
 
 MINIMAL = """\
 [domain]
@@ -55,6 +55,16 @@ seed = 7
 
 INDEFINITE = MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nv.22 = "-1"').replace(
     "m = 1", "m = 2")
+
+
+FIXED_GAMMA = "mode = fixed_gamma\ngamma = 1\nCgamma = 1"
+# (mode lines, a key that mode does not read)
+FOREIGN_MODE_KEYS = [
+    ("mode = refined\na = 0.25", "gamma = 5"),
+    ("mode = refined\na = 0.25", "c = 1"),
+    (FIXED_GAMMA, "a = 0.3"),
+    ("mode = kernel\nbeta = 0\nc = 1", "Cgamma = 1"),
+]
 
 
 def write(tmp_path, text, name="case.ini"):
@@ -132,6 +142,38 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="m must be at least 1"):
             parse_scenario(write(tmp_path, text))
 
+    @pytest.mark.parametrize("key", ["d", "m"])
+    def test_operator_size_above_nine_rejected(self, key, tmp_path):
+        path = write(tmp_path, MINIMAL.replace(f"{key} = 1", f"{key} = 10"))
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{path}: [operator] {key} must be at most 9, got 10")):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize("section, line", [
+        ("domain", "nn = 3"), ("run", "sample = 3"), ("run", "Seed = 3")])
+    def test_unread_key_rejected(self, section, line, tmp_path):
+        text = MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        path = write(tmp_path, text)
+        key = line.split(" =")[0]
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{path}: [{section}] {key}: unrecognized key")):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize("mode, line", FOREIGN_MODE_KEYS)
+    def test_parameter_of_other_mode_rejected(self, mode, line, tmp_path):
+        path = write(tmp_path, MINIMAL.replace(FIXED_GAMMA, f"{mode}\n{line}"))
+        key = line.split(" =")[0]
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{path}: [hypotheses] {key}: unrecognized key")):
+            parse_scenario(path)
+
+    def test_unknown_scheme_rejected(self, tmp_path):
+        path = write(tmp_path, MINIMAL.replace("seed = 7", "seed = 7\nscheme = foo"))
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{path}: [run] scheme must be one of implicit_euler, "
+                "crank_nicolson, got 'foo'")):
+            parse_scenario(path)
+
     def test_zero_samples_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("samples = 3", "samples = 0"))
         with pytest.raises(ScenarioError,
@@ -140,6 +182,22 @@ class TestParsing:
 
 
 class TestRoundtrip:
+    def test_key_holds_one_digit_per_index(self):
+        assert entry_key("V", (8, 8)) == "v.99"
+        assert entry_key("A", (0, 1, 8, 0)) == "a.12.91"
+        for block, index in (("V", (9, 0)), ("A", (0, 1, 0, 10)),
+                             ("B", (9, 0, 0))):
+            with pytest.raises(ValueError, match="scenario key cannot hold"):
+                entry_key(block, index)
+
+    def test_system_above_nine_components_not_serialized(self):
+        scn = gallery_scenario("g1")
+        system = CoefficientSystem(
+            d=1, m=10, Q=expr_matrix([["1"]]),
+            V=expr_matrix(np.eye(10, dtype=int).astype(str).tolist()))
+        with pytest.raises(ValueError, match="scenario key cannot hold"):
+            scenario_to_text(dataclasses.replace(scn, system=system))
+
     @pytest.mark.parametrize("key", gallery_names())
     def test_gallery_scenarios_roundtrip(self, key, tmp_path):
         scn = gallery_scenario(key)
@@ -522,6 +580,78 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: [run] samples must be at least 1, got 0"]
+
+    @pytest.mark.parametrize("old, new", [
+        ("samples = 3", "sample = 3"),
+        ("seed = 7", "seed = 7\nscheme = foo"),
+        ("gamma = 1\nCgamma = 1", "gamma = 1\nCgamma = 1\na = 0.3"),
+        ("n = 32", "n = 32\nm = 4"),
+    ])
+    def test_unread_setting_is_config_error(self, old, new, tmp_path, capsys):
+        path = write(tmp_path, MINIMAL.replace(old, new))
+        assert main(["check-hypotheses", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: [")
+
+    def test_all_writes_growth_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["all", "--scenario", "gallery:g1",
+                     "--out", str(out)]) == EXIT_OK
+        traces = json.loads((out / "report.json").read_text())[
+            "sections"]["evolve"]["traces"]
+        for p in ("2", "4"):
+            rows = (out / f"growth_p{p}.csv").read_text().splitlines()
+            assert rows[0] == "t,worst_norm,worst_slope,bound"
+            # g1 takes 1000 steps, so each of the 10 checkpoints is its own row
+            assert len(rows) == 1 + 10
+            slopes = [float(r.split(",")[2]) for r in rows[1:]]
+            assert max(slopes) == traces[f"{p}.0"]["max_slope"]
+            assert {r.split(",")[3] for r in rows[1:]} == {
+                repr(traces[f"{p}.0"]["bound"])}
+
+    def test_all_writes_distance_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["all", "--scenario", "gallery:g1",
+                     "--out", str(out)]) == EXIT_OK
+        rows = (out / "distance.csv").read_text().splitlines()
+        assert rows[0] == "x1,distance"
+        assert len(rows) == 1 + gallery_scenario("g1").grid.node_count
+        section = json.loads((out / "report.json").read_text())[
+            "sections"]["distance"]
+        assert max(float(r.split(",")[1]) for r in rows[1:]) \
+            == section["max_distance"]
+
+    def test_all_leaves_no_temporary_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["all", "--scenario", "gallery:g6-flat",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == [
+            "distance.csv", "growth_p2.csv", "kernel.csv", "report.json",
+            "timings.json"]
+
+    def test_failed_csv_leaves_no_file(self, tmp_path):
+        def rows():
+            yield [1, 2]
+            raise RuntimeError("row source failed")
+
+        path = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError):
+            cli._write_csv(str(path), ["a", "b"], rows())
+        assert os.listdir(tmp_path) == []
+
+    def test_kernel_bound_computed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = cli.gaussian_bound_rhs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gaussian_bound_rhs", counting)
+        assert main(["all", "--scenario", "gallery:g6-quadratic",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_kernel_grid_without_checked_node_is_config_error(self, tmp_path,
                                                               capsys):
