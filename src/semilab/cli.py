@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .coefficients import sample
 from .discrete import assemble, lp_power, nittka_shifted, node_norms
-from .evolution import Stepper, band_limited_random, contractivity_probe_multi
+from .evolution import (Stepper, band_limited_random,
+                        contractivity_probe_multi, march_workers)
 from .expressions import EvalDomainError
 from .gallery import gallery_names, gallery_scenario
 from .heatkernel import kernel_block, verify_gaussian
@@ -187,30 +188,30 @@ def _growth_bound(scn: Scenario, hyp: dict, p: float) -> float | None:
     return growth_exponent_thm35(scn.mode.weight, p, g)
 
 
-def _evolve_section(scn: Scenario, F, stepper_for, hyp: dict,
+def _evolve_section(scn: Scenario, F, stepper, hyp: dict,
                     out_dir: str) -> dict:
-    stepper = stepper_for(scn.scheme)
-    bounds = [_growth_bound(scn, hyp, p) for p in scn.p_list]
+    bounds = {p: _growth_bound(scn, hyp, p) for p in scn.p_list}
     results = contractivity_probe_multi(F, scn.p_list, scn.t_final,
-                                        scn.n_samples, stepper,
-                                        bounds=bounds, seed=scn.seed)
+                                        scn.n_samples, stepper, seed=scn.seed)
     traces = {}
     ok = True
     for p, tr in results.items():
+        bound = bounds[p]
+        within = None if bound is None else bool(tr.max_slope <= bound)
         key = "inf" if np.isinf(p) else repr(float(p))
         traces[key] = {
             "max_slope": tr.max_slope,
-            "bound": tr.bound,
-            "within_bound": tr.within_bound,
+            "bound": bound,
+            "within_bound": within,
             "worst_sample": tr.worst_sample,
         }
         tag = "inf" if np.isinf(p) else f"{p:g}"
         _write_csv(os.path.join(out_dir, f"growth_p{tag}.csv"),
                    ["t", "worst_norm", "worst_slope", "bound"],
                    ([t, float(norms.max()), float(slopes.max()),
-                     "" if tr.bound is None else tr.bound]
+                     "" if bound is None else bound]
                     for t, norms, slopes in zip(tr.times, tr.norms, tr.slopes)))
-        ok = ok and tr.within_bound is not False
+        ok = ok and within is not False
     return {"traces": traces, "pass": ok}
 
 
@@ -254,13 +255,13 @@ def _central_distances(scn: Scenario, fields):
     return center, field, distance_map(field, scn.grid, center)
 
 
-def _kernel_section(scn: Scenario, F, stepper_for, geometry, hyp: dict,
+def _kernel_section(scn: Scenario, F, stepper, geometry, hyp: dict,
                     out_dir: str) -> dict:
     if scn.mode.kind != "kernel":
         return {"skipped": "scenario mode is not kernel", "pass": True}
     center, field, dist = geometry
     t = scn.t_final
-    values = kernel_block(F, center, t, stepper_for("implicit_euler"))
+    values = kernel_block(F, center, t, stepper)
     r = hyp["report"]
     if r["kappa"] is None:
         rhs = None
@@ -291,7 +292,7 @@ def _distance_section(scn: Scenario, geometry, out_dir: str) -> dict:
     _write_csv(os.path.join(out_dir, "distance.csv"),
                _axes(scn.grid) + ["distance"],
                (list(xy) + [dv] for xy, dv in zip(scn.grid.node_coords(), dist)))
-    q0, q1, equivalent = euclid_equivalence_check(field, scn.grid)
+    q0, q1, equivalent = euclid_equivalence_check(field)
     return {
         "source": center,
         "stencil_order": default_order(scn.grid.d),
@@ -314,14 +315,18 @@ def _gallery_listing() -> str:
 
 def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    fields = sample(scn.system, scn.grid)
     sections: dict = {}
     timings: dict = {}
 
     def timed(name, fn, *a, **kw):
+        """fn(*a, **kw), its wall time added to timings[name]."""
         t0 = time.perf_counter()
-        sections[name] = fn(*a, **kw)
-        timings[name] = time.perf_counter() - t0
+        try:
+            return fn(*a, **kw)
+        finally:
+            timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
+
+    fields = timed("sample", sample, scn.system, scn.grid)
 
     need = {"check-hypotheses": ["hypotheses"],
             "p-interval": ["hypotheses", "pinterval"],
@@ -334,28 +339,36 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
 
     F = geometry = None
     if any(s in need for s in ("evolve", "nittka", "kernel")):
-        F = assemble(scn.system, scn.grid)
+        F = timed("assemble", assemble, scn.system, scn.grid)
     # one Stepper (one factorization) per scheme, built on first use
-    stepper_for = functools.cache(lambda scheme: Stepper(F, scn.dt, scheme))
+    stepper_for = functools.cache(
+        lambda scheme: timed("factor", Stepper, F, scn.dt, scheme))
+    kernel_mode = scn.mode.kind == "kernel"
 
     if "hypotheses" in need:
-        timed("hypotheses", _hypotheses_section, scn, fields)
+        sections["hypotheses"] = timed("hypotheses", _hypotheses_section,
+                                       scn, fields)
     if "pinterval" in need:
-        timed("pinterval", _pinterval_section, scn, sections["hypotheses"])
+        sections["pinterval"] = timed("pinterval", _pinterval_section, scn,
+                                      sections["hypotheses"])
     if "evolve" in need:
-        timed("evolve", _evolve_section, scn, F, stepper_for,
-              sections["hypotheses"], out_dir)
+        stepper = stepper_for(scn.scheme)
+        sections["evolve"] = timed("evolve", _evolve_section, scn, F, stepper,
+                                   sections["hypotheses"], out_dir)
+        timings["probe_workers"] = march_workers(
+            stepper, scn.n_samples, round(scn.t_final / scn.dt))
     if "nittka" in need:
-        timed("nittka", _nittka_section, scn, F, strict)
-    if "distance" in need or ("kernel" in need and scn.mode.kind == "kernel"):
-        t0 = time.perf_counter()
-        geometry = _central_distances(scn, fields)
-        timings["central_distances"] = time.perf_counter() - t0
+        sections["nittka"] = timed("nittka", _nittka_section, scn, F, strict)
+    if "distance" in need or ("kernel" in need and kernel_mode):
+        geometry = timed("central_distances", _central_distances, scn, fields)
     if "kernel" in need:
-        timed("kernel", _kernel_section, scn, F, stepper_for, geometry,
-              sections["hypotheses"], out_dir)
+        sections["kernel"] = timed(
+            "kernel", _kernel_section, scn, F,
+            stepper_for("implicit_euler") if kernel_mode else None, geometry,
+            sections["hypotheses"], out_dir)
     if "distance" in need:
-        timed("distance", _distance_section, scn, geometry, out_dir)
+        sections["distance"] = timed("distance", _distance_section, scn,
+                                     geometry, out_dir)
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -6,11 +6,16 @@ is stepped through the transposed solves of the same factorization, which
 makes the discrete duality pairing exact to solver tolerance.  Forward and
 adjoint evolution and the growth probe share one stepping loop, with one
 time check and one blow-up guard; a state may be one vector or an (ndof, S)
-block of them as columns.
+block of them as columns.  A block with enough stepping work is marched in
+forked column groups, one process per usable CPU.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +76,55 @@ def _step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def _march(step, x: np.ndarray, counts):
+# Stepping work, as steps x columns x nonzeros stored in the LU factor, from
+# which a block is marched in forked column groups.  A fork costs tens of
+# milliseconds, and threads cannot overlap the steps because the SuperLU solve
+# holds the GIL; a g3 probe of 120 steps and 50 columns is 2.8e9, a fine-grid
+# g3 `all` 5e7 and a 1-D kernel scenario at most 1.7e8.
+PARALLEL_WORK = 1e9
+
+
+@functools.cache
+def _blas_one_thread():
+    """A function that limits SciPy's OpenBLAS (the BLAS behind the SuperLU
+    solve) to one thread in the calling process, or None if none resolves."""
+    try:
+        from scipy.sparse.linalg._dsolve import _superlu
+        lib = ctypes.CDLL(_superlu.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return lambda: setter(1)
+    return None
+
+
+def march_workers(stepper: Stepper, columns: int, steps: int) -> int:
+    """Processes that march ``columns`` states for ``steps`` steps.
+
+    One per usable CPU, at most one per column, when the stepping work reaches
+    PARALLEL_WORK and the children's BLAS can be held to one thread (at more,
+    their threads contend for the same cores); otherwise 1, the calling
+    process itself.  Where the usable CPUs cannot be read (no
+    ``os.sched_getaffinity``, as on macOS), it is 1.
+    """
+    if (steps * columns * stepper._lu.nnz < PARALLEL_WORK
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    workers = min(len(os.sched_getaffinity(0)), columns)
+    if workers < 2 or _blas_one_thread() is None:
+        return 1
+    return workers
+
+
+def _stepped(step, x: np.ndarray, counts, limit: float):
     """Advance x by ``step``, yielding the state after each step count of the
     increasing sequence ``counts``.  A yielded state whose largest entry is not
-    finite or exceeds 1e12 times that of x raises FloatingPointError; the guard
-    runs only there, so overflow warnings between yields are silenced.
+    finite or exceeds ``limit`` raises FloatingPointError; the guard runs only
+    there, so overflow warnings between yields are silenced.
     """
-    limit = 1e12 * max(np.abs(x).max(initial=0.0), 1e-300)
     done = 0
     for count in counts:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -89,15 +136,99 @@ def _march(step, x: np.ndarray, counts):
         yield x
 
 
+def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
+           adjoint: bool = False) -> list:
+    """``read`` (default: the state itself) of x after each step count of the
+    increasing sequence ``counts``, stepped forward or through the adjoint.
+
+    The blow-up limit is 1e12 times the largest entry of x.  The columns of
+    an (ndof, S) block evolve independently, and a solve of a column subset
+    gives the same bits as those columns of the full solve, so a block whose
+    work calls for ``march_workers`` > 1 is split into that many column
+    groups, each marched in a forked child that sends back only ``read`` of
+    its states; ``read`` must act column by column and keep the columns as
+    its last axis, along which the groups are joined.
+    """
+    step = stepper.step_adjoint if adjoint else stepper.step
+    read = read or (lambda u: u)
+    counts = list(counts)
+    limit = 1e12 * max(np.abs(x).max(initial=0.0), 1e-300)
+    columns = x.shape[1] if x.ndim == 2 else 1
+    workers = march_workers(stepper, columns, counts[-1] if counts else 0)
+    if workers == 1:
+        return [read(u) for u in _stepped(step, x, counts, limit)]
+    # the parent reads the unstepped block: a reduction over a column subset
+    # of a C-ordered block can differ from the full one in the last bit
+    n0 = counts.count(0)
+    head = [read(u) for u in _stepped(step, x, counts[:n0], limit)]
+    return head + _march_forked(step, x, counts[n0:], limit, read, workers)
+
+
+def _column_group(conn, step, x, counts, limit, read):
+    """Child side of a forked march: send ("ok", read(state)) at each count,
+    or ("error", exception) once something raises."""
+    try:
+        _blas_one_thread()()
+        for u in _stepped(step, x, counts, limit):
+            conn.send(("ok", read(u)))
+    except Exception as err:
+        conn.send(("error", err))
+    finally:
+        conn.close()
+
+
+def _march_forked(step, x, counts, limit, read, workers) -> list:
+    """The forked half of ``_march``: one child per column group, each
+    inheriting the factorization through fork; every child is joined before
+    this returns, and terminated first if anything raised."""
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for group in np.array_split(x, workers, axis=1):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=_column_group, daemon=True,
+                               args=(send, step, group, counts, limit, read))
+            proc.start()
+            procs.append(proc)
+            send.close()  # the child holds the only writing end
+        out = []
+        for _ in counts:
+            parts = []
+            for proc, conn in zip(procs, conns):
+                try:
+                    tag, value = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"a stepping process exited with code "
+                        f"{proc.exitcode} before it finished") from None
+                if tag == "error":
+                    raise value
+                parts.append(value)
+            out.append(np.concatenate(parts, axis=-1))
+        return out
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
 def evolve(F: DiscreteForm, u0: np.ndarray, t_final: float, stepper: Stepper) -> np.ndarray:
     """State (or block of states) at t_final, an integer multiple of the step."""
-    [u] = _march(stepper.step, np.array(u0), [_step_count(t_final, stepper.dt)])
+    [u] = _march(stepper, np.array(u0), [_step_count(t_final, stepper.dt)])
     return u
 
 
 def evolve_adjoint(F: DiscreteForm, g0: np.ndarray, t_final: float, stepper: Stepper) -> np.ndarray:
     """Adjoint state at t_final, through the transposed solves."""
-    [g] = _march(stepper.step_adjoint, np.array(g0), [_step_count(t_final, stepper.dt)])
+    [g] = _march(stepper, np.array(g0), [_step_count(t_final, stepper.dt)],
+                 adjoint=True)
     return g
 
 
@@ -148,13 +279,12 @@ def band_limited_random(grid: BoxDomain, m: int, rng: np.random.Generator,
 
 @dataclass
 class GrowthTrace:
-    """Measured p-norm growth of sampled trajectories against a bound."""
+    """Measured p-norm growth of sampled trajectories."""
 
     times: np.ndarray
     norms0: np.ndarray  # initial norms, per sample
     norms: np.ndarray  # (n_checkpoints, n_samples)
     slopes: np.ndarray  # log-slopes log(norms / norms0) / t, same shape
-    bound: float | None = None
 
     @property
     def worst_sample(self) -> int:
@@ -164,17 +294,10 @@ class GrowthTrace:
     def max_slope(self) -> float:
         return float(self.slopes.max())
 
-    @property
-    def within_bound(self) -> bool | None:
-        if self.bound is None:
-            return None
-        return bool(self.max_slope <= self.bound)
-
 
 def contractivity_probe_multi(F: DiscreteForm, p_list, t_final: float,
                               n_samples: int, stepper: Stepper,
-                              bounds=None, seed: int = 0,
-                              n_checkpoints: int = 10) -> dict:
+                              seed: int = 0, n_checkpoints: int = 10) -> dict:
     """Probe the p-norm growth rates for several p from one trajectory block.
 
     The evolution does not depend on p, so all trajectories advance together
@@ -183,8 +306,6 @@ def contractivity_probe_multi(F: DiscreteForm, p_list, t_final: float,
     Returns {p: GrowthTrace}.
     """
     p_list = list(p_list)
-    if bounds is None:
-        bounds = [None] * len(p_list)
     vol = F.grid.cell_volume
 
     def norms_of(u):  # (len(p_list), n_samples)
@@ -200,17 +321,18 @@ def contractivity_probe_multi(F: DiscreteForm, p_list, t_final: float,
     marks = marks[marks >= 1]
     times = marks * stepper.dt
 
-    # only the loop holds the sample block, and map drops each state once its
-    # norms are taken, so one block is in memory while stepping
+    # only the march holds the sample block, and it keeps each state's norms
+    # alone, so one block is in memory while stepping
     rng = np.random.default_rng(seed)
-    norms0, *rows = map(norms_of, _march(
-        stepper.step, band_limited_random(F.grid, F.m, rng, n_samples), [0, *marks]))
+    norms0, *rows = _march(
+        stepper, band_limited_random(F.grid, F.m, rng, n_samples),
+        [0, *marks], read=norms_of)
     norms = np.stack(rows, axis=1)
     with np.errstate(divide="ignore"):
         slopes = np.log(norms / norms0[:, None, :]) / times[:, None]
     return {p: GrowthTrace(times=times, norms0=norms0[k], norms=norms[k],
-                           slopes=slopes[k], bound=bound)
-            for k, (p, bound) in enumerate(zip(p_list, bounds))}
+                           slopes=slopes[k])
+            for k, p in enumerate(p_list)}
 
 
 def adjoint_duality_check(F: DiscreteForm, t: float, f: np.ndarray,

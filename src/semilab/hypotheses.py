@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import SampledField
+from .coefficients import BoxDomain, SampledField
 from .pinterval import k_combination, phi_power
 
 GAMMA_GRID = np.logspace(-4, 4, 200)
@@ -80,11 +80,12 @@ class HypothesisViolation(ValueError):
     pass
 
 
-def _require_pd(w: np.ndarray, what: str, coords: np.ndarray):
-    """Reject the first node whose ascending eigenvalues ``w`` are not all positive."""
+def _require_pd(w: np.ndarray, what: str, domain: BoxDomain):
+    """Reject the first node of ``domain`` whose ascending eigenvalues ``w``
+    are not all positive."""
     if np.any(w[..., 0] <= 0):
         idx = int(np.argmax(w[..., 0] <= 0))
-        where = tuple(map(float, coords[idx]))
+        where = tuple(map(float, domain.node_coords()[idx]))
         raise HypothesisViolation(
             f"{what} not positive definite at node {where} "
             f"(min eigenvalue {w[idx, 0]:.3e})")
@@ -99,7 +100,7 @@ def _inv_sqrt(field: SampledField, what: str) -> np.ndarray:
     """Per-node inverse square root of the field's symmetric part, from its
     spectrum; rejects the first node where that part is not positive definite."""
     w, U = field.spectrum
-    _require_pd(w, what, field.domain.node_coords())
+    _require_pd(w, what, field.domain)
     return _inv_sqrt_eig(w, U)
 
 
@@ -172,14 +173,13 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     if has_b or has_c:
         Wq = _kron_whitener(_inv_sqrt(fields["Q"], "Q"), m)
     lam, U = fields["V"].spectrum
-    coords = fields["V"].domain.node_coords()
     kB = kC = kW = 0.0
     for gamma in mode.gamma_candidates():
         # a refined R(gamma) overflows to inf at the grid's smallest gammas
         # when an exponent is near its bound; inf is its limit and whitens to 0
         with np.errstate(over="ignore"):
             w = gamma * lam + mode.weight(gamma)
-        _require_pd(w, f"gamma*V_S + R (gamma={gamma})", coords)
+        _require_pd(w, f"gamma*V_S + R (gamma={gamma})", fields["V"].domain)
         Gi = _inv_sqrt_eig(w, U)
         if has_b:
             kB = max(kB, float(_max_sv(Wq @ Bcol @ Gi).max()))

@@ -126,7 +126,7 @@ def distance_map(field: MetricField, grid: BoxDomain, source,
     return dijkstra(graph, directed=False, indices=source)
 
 
-def euclid_equivalence_check(field: MetricField, grid: BoxDomain) -> tuple:
+def euclid_equivalence_check(field: MetricField) -> tuple:
     """(q0, q1, equivalent): two-sided comparison of Q against w * identity."""
     q0 = float((field.Qeig[:, 0] / field.w).min())
     q1 = float((field.Qeig[:, -1] / field.w).max())

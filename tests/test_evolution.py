@@ -1,8 +1,11 @@
 """Time stepping, weighted p-norms, and the contractivity probe."""
 
+import os
+
 import numpy as np
 import pytest
 
+import semilab.evolution as evolution
 from semilab.coefficients import BoxDomain, CoefficientSystem, expr_matrix
 from semilab.discrete import assemble, assemble_adjoint, omega0
 from semilab.evolution import (
@@ -12,6 +15,7 @@ from semilab.evolution import (
     contractivity_probe_multi,
     evolve,
     evolve_adjoint,
+    march_workers,
     pnorm,
 )
 from semilab.gallery import gallery_scenario
@@ -215,13 +219,6 @@ class TestContractivityProbe:
                                        seed=13)[np.inf]
         assert (tr.norms <= tr.norms0[None, :] * (1 + 1e-8)).all()
 
-    def test_bound_recorded_in_trace(self):
-        F = scalar_form(v="1", n=32)
-        tr = contractivity_probe_multi(F, [2.0], 0.02, 3, Stepper(F, 1e-3),
-                                       bounds=[0.0], seed=14)[2.0]
-        assert tr.bound == 0.0
-        assert tr.within_bound is True
-
     def test_shared_block_matches_single_probe(self):
         F = scalar_form(v="1 + x1", n=32)
         st = Stepper(F, 1e-3)
@@ -235,3 +232,88 @@ class TestContractivityProbe:
         F = scalar_form(v="-300", n=32)
         with pytest.raises(FloatingPointError):
             contractivity_probe_multi(F, [2.0, 4.0], 1.0, 5, Stepper(F, 1e-3))
+
+
+@pytest.mark.skipif(evolution._blas_one_thread() is None,
+                    reason="SciPy's BLAS cannot be held to one thread here, "
+                           "so every march stays in-process")
+class TestForkedMarch:
+    def test_forked_march_is_bit_identical(self, march_on, process_starts):
+        # g3 is 2-D with m = 2
+        scn = gallery_scenario("g3")
+        F = assemble(scn.system,
+                     BoxDomain(scn.grid.lower, scn.grid.upper, (16, 16)))
+        st = Stepper(F, scn.dt)
+        rng = np.random.default_rng(16)
+        block = rng.standard_normal((F.ndof, 5))
+        results = {}
+        for cpus in (None, 2, 3):
+            march_on(cpus)
+            results[cpus] = (
+                contractivity_probe_multi(F, [2.0, 4.0, np.inf], 30 * st.dt,
+                                          7, st, seed=17),
+                evolve(F, block, 20 * st.dt, st),
+                evolve_adjoint(F, block, 20 * st.dt, st))
+        # two groups for each of the three forked marches, then three each
+        assert len(process_starts) == 3 * 2 + 3 * 3
+        (probe, fwd, adj) = results[None]
+        for cpus in (2, 3):
+            probe_f, fwd_f, adj_f = results[cpus]
+            for p, tr in probe.items():
+                for name in ("times", "norms0", "norms", "slopes"):
+                    np.testing.assert_array_equal(getattr(probe_f[p], name),
+                                                  getattr(tr, name))
+            np.testing.assert_array_equal(fwd_f, fwd)
+            np.testing.assert_array_equal(adj_f, adj)
+
+    def test_blow_up_in_a_child_raises_in_the_parent(self, march_on,
+                                                     process_starts):
+        march_on(2)
+        F = scalar_form(v="-300", n=32)
+        with pytest.raises(FloatingPointError, match="blow-up detected"):
+            contractivity_probe_multi(F, [2.0, 4.0], 1.0, 5, Stepper(F, 1e-3))
+        assert len(process_starts) == 2
+
+    def test_child_error_keeps_type_and_message(self, march_on,
+                                                process_starts):
+        march_on(2)
+        F = scalar_form(n=16)
+
+        def read(u):
+            raise ValueError(f"cannot read {u.shape[1]} columns")
+
+        # the parent reads the groups in order: columns 0-2 come first
+        with pytest.raises(ValueError, match=r"^cannot read 3 columns$"):
+            evolution._march(Stepper(F, 1e-3), np.ones((F.ndof, 5)), [1, 2],
+                             read=read)
+        assert len(process_starts) == 2
+
+    def test_child_that_dies_is_reported(self, march_on, process_starts):
+        march_on(2)
+        F = scalar_form(n=16)
+
+        def read(u):
+            os._exit(3)
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            evolution._march(Stepper(F, 1e-3), np.ones((F.ndof, 4)), [1],
+                             read=read)
+        assert len(process_starts) == 2
+
+    def test_one_cpu_starts_no_process(self, march_on, process_starts):
+        march_on(1)
+        F = scalar_form(n=16)
+        contractivity_probe_multi(F, [2.0], 0.01, 4, Stepper(F, 1e-3))
+        assert march_workers(Stepper(F, 1e-3), 4, 10) == 1
+        assert process_starts == []
+
+    def test_work_chooses_the_path(self, monkeypatch):
+        # probe2d-sized work (2.8e9) forks; kernel1d-sized (1.7e8) does not
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        F = scalar_form(n=64)
+        st = Stepper(F, 1e-3)
+        nnz = st._lu.nnz
+        assert march_workers(st, 50, int(2.8e9 / 50 / nnz) + 1) == 3
+        assert march_workers(st, 2, int(2.8e9 / 2 / nnz) + 1) == 2
+        assert march_workers(st, 10, int(1.7e8 / 10 / nnz)) == 1
+        assert march_workers(st, 1, int(1e12 / nnz)) == 1

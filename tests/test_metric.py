@@ -172,7 +172,7 @@ class TestEuclidEquivalence:
         grid = BoxDomain((0.0,), (1.0,), (8,))
         f = fields_for([["1"]], [["1"]], grid)
         mf = weight_field(f["V"], f["Q"], 1.0)
-        q0, q1, ok = euclid_equivalence_check(mf, grid)
+        q0, q1, ok = euclid_equivalence_check(mf)
         assert (q0, q1, ok) == (1.0, 1.0, True)
 
     def test_exact_cancellation(self):
@@ -180,7 +180,7 @@ class TestEuclidEquivalence:
         grid = BoxDomain((0.5,), (1.5,), (16,))
         f = fields_for([["x1^2"]], [["x1"]], grid)
         mf = weight_field(f["V"], f["Q"], 1.0)
-        q0, q1, ok = euclid_equivalence_check(mf, grid)
+        q0, q1, ok = euclid_equivalence_check(mf)
         assert q0 == pytest.approx(1.0, rel=1e-12)
         assert q1 == pytest.approx(1.0, rel=1e-12)
         assert ok
@@ -189,6 +189,6 @@ class TestEuclidEquivalence:
         grid = BoxDomain((0.0,), (1.0,), (16,))
         f = fields_for([["4"]], [["1 + x1"]], grid)
         mf = weight_field(f["V"], f["Q"], 1.0)
-        q0, q1, ok = euclid_equivalence_check(mf, grid)
+        q0, q1, ok = euclid_equivalence_check(mf)
         assert ok and q0 < q1
         assert q0 == pytest.approx((1 + grid.axis_nodes(0)[0]) / 2.0, rel=1e-12)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semilab.cli as cli
+import semilab.evolution as evolution
 from semilab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -661,3 +662,88 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: no grid node lies 5 cells from "
                                  "the boundary")
+
+
+def outputs(out_dir) -> dict:
+    """Every file of a run's output directory but timings.json, as bytes."""
+    return {name: (out_dir / name).read_bytes()
+            for name in sorted(os.listdir(out_dir)) if name != "timings.json"}
+
+
+class TestRunRecord:
+    def test_timings_name_every_phase(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["all", "--scenario", "gallery:g1",
+                     "--out", str(out)]) == EXIT_OK
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {
+            "sample", "assemble", "factor", "hypotheses", "pinterval",
+            "evolve", "probe_workers", "nittka", "central_distances",
+            "kernel", "distance"}
+        assert timings["probe_workers"] == 1
+        report = (out / "report.json").read_text()
+        assert "workers" not in report and "factor" not in report
+
+    def test_hypotheses_only_run_times_sampling(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check-hypotheses", "--scenario", "gallery:g1",
+                     "--out", str(out)]) == EXIT_OK
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"sample", "hypotheses"}
+
+    @pytest.mark.parametrize("key, changes, grid", [
+        ("g3", {"n_samples": 4, "t_final": 5e-4}, "128"),
+        ("g4", {"n_samples": 4, "t_final": 5e-4}, "96"),
+        ("g6-flat", {}, None),
+        ("g6-quadratic", {}, None),
+    ])
+    def test_small_marches_start_no_process(self, tmp_path, capsys,
+                                            process_starts, key, changes,
+                                            grid):
+        # the fine2d and kernel1d benchmark calls step in-process
+        scn = dataclasses.replace(gallery_scenario(key), **changes)
+        argv = ["all", "--scenario", write(tmp_path, scenario_to_text(scn)),
+                "--out", str(tmp_path / "out")]
+        assert main(argv + (["--grid", grid] if grid else [])) == EXIT_OK
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert timings["probe_workers"] == 1
+        assert process_starts == []
+
+
+@pytest.mark.skipif(evolution._blas_one_thread() is None,
+                    reason="SciPy's BLAS cannot be held to one thread here, "
+                           "so every march stays in-process")
+class TestForkedCli:
+    def test_g3_reports_identical_either_way(self, tmp_path, capsys,
+                                             march_on, process_starts):
+        scn = dataclasses.replace(gallery_scenario("g3"),
+                                  t_final=12 * gallery_scenario("g3").dt)
+        path = write(tmp_path, scenario_to_text(scn))
+        runs = {}
+        for cpus in (None, 2):
+            march_on(cpus)
+            out = tmp_path / f"out-{cpus}"
+            assert main(["all", "--scenario", path, "--out", str(out)]) \
+                == EXIT_OK
+            timings = json.loads((out / "timings.json").read_text())
+            runs[cpus] = (outputs(out), timings["probe_workers"],
+                          capsys.readouterr())
+        assert runs[2][0] == runs[None][0]
+        assert "growth_p2.csv" in runs[2][0]
+        assert (runs[None][1], runs[2][1]) == (1, 2)
+        assert runs[2][2] == runs[None][2]
+        assert len(process_starts) == 2
+
+    def test_blow_up_in_a_child_is_failed_check(self, tmp_path, capsys,
+                                                march_on, process_starts):
+        march_on(2)
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "-300"')
+                .replace("p = 2\n", "p = 2, 4\n")
+                .replace("t_final = 0.01", "t_final = 1")
+                .replace("samples = 3", "samples = 5"))
+        code = main(["evolve", "--scenario", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.splitlines() == [
+            "error: blow-up detected during evolution"]
+        assert len(process_starts) == 2
