@@ -34,8 +34,8 @@ from .expressions import EvalDomainError
 from .gallery import gallery_names, gallery_scenario
 from .heatkernel import kernel_block, verify_gaussian
 from .hypotheses import check_all
-from .metric import (default_order, distance_map, euclid_equivalence_check,
-                     weight_field)
+from .metric import (MetricError, default_order, distance_map,
+                     euclid_equivalence_check, weight_field)
 from .pinterval import (gamma_p, gaussian_bound_rhs, growth_exponent_thm35,
                         interval_thm33, kernel_constants, psd_sweep_Mgamma)
 from .scenario import (Scenario, ScenarioError, parse_p_list, parse_scenario,
@@ -48,10 +48,6 @@ EXIT_CONFIG_ERROR = 2
 
 # grid steps of PSD-oracle disagreement allowed (a couple at each endpoint)
 ORACLE_SLACK = 4
-
-SUBCOMMANDS = ("check-hypotheses", "p-interval", "evolve", "nittka",
-               "kernel", "distance", "gallery", "all")
-
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
@@ -122,8 +118,8 @@ def _load_scenario(args) -> Scenario:
     return scn
 
 
-def _hypotheses_section(scn: Scenario, fields) -> dict:
-    rep = check_all(fields, mode=scn.mode)
+def _hypotheses_section(run: Run) -> dict:
+    rep = check_all(run.fields, mode=run.scn.mode)
     return {
         "report": dataclasses.asdict(rep),
         "pass": rep.all_pass,
@@ -137,8 +133,8 @@ def _oracle_disagreements(constants: tuple, iv, grid: np.ndarray) -> int:
     return int(np.sum(mask != np.array([iv.contains(p) for p in grid])))
 
 
-def _pinterval_section(scn: Scenario, hyp: dict) -> dict:
-    r = hyp["report"]
+def _pinterval_section(run: Run) -> dict:
+    r = run.sections["hypotheses"]["report"]
     constants = (r["kappaA"], r["kappaB"], r["kappaC"], r["kappaW"], r["gamma"])
     out: dict = {"constants": dict(zip(
         ("kappaA", "kappaB", "kappaC", "kappaW", "gamma"), constants))}
@@ -156,7 +152,7 @@ def _pinterval_section(scn: Scenario, hyp: dict) -> dict:
     disagreements = _oracle_disagreements(constants, iv, grid)
     out["oracle_grid_points"] = int(grid.size)
     out["oracle_disagreements"] = disagreements
-    out["p_list_inside"] = [bool(iv.contains(p)) for p in scn.p_list
+    out["p_list_inside"] = [bool(iv.contains(p)) for p in run.scn.p_list
                             if np.isfinite(p)]
     out["pass"] = disagreements <= ORACLE_SLACK
     return out
@@ -188,10 +184,12 @@ def _growth_bound(scn: Scenario, hyp: dict, p: float) -> float | None:
     return growth_exponent_thm35(scn.mode.weight, p, g)
 
 
-def _evolve_section(scn: Scenario, F, stepper, hyp: dict,
-                    out_dir: str) -> dict:
-    bounds = {p: _growth_bound(scn, hyp, p) for p in scn.p_list}
-    results = contractivity_probe_multi(F, scn.p_list, scn.t_final,
+def _evolve_section(run: Run) -> dict:
+    scn = run.scn
+    stepper = run.stepper(scn.scheme)
+    bounds = {p: _growth_bound(scn, run.sections["hypotheses"], p)
+              for p in scn.p_list}
+    results = contractivity_probe_multi(run.F, scn.p_list, scn.t_final,
                                         scn.n_samples, stepper, seed=scn.seed)
     traces = {}
     ok = True
@@ -206,16 +204,19 @@ def _evolve_section(scn: Scenario, F, stepper, hyp: dict,
             "worst_sample": tr.worst_sample,
         }
         tag = "inf" if np.isinf(p) else f"{p:g}"
-        _write_csv(os.path.join(out_dir, f"growth_p{tag}.csv"),
+        _write_csv(os.path.join(run.out_dir, f"growth_p{tag}.csv"),
                    ["t", "worst_norm", "worst_slope", "bound"],
                    ([t, float(norms.max()), float(slopes.max()),
                      "" if bound is None else bound]
                     for t, norms, slopes in zip(tr.times, tr.norms, tr.slopes)))
         ok = ok and within is not False
+    run.timings["probe_workers"] = march_workers(
+        stepper, scn.n_samples, round(scn.t_final / scn.dt))
     return {"traces": traces, "pass": ok}
 
 
-def _nittka_section(scn: Scenario, F, strict: bool) -> dict:
+def _nittka_section(run: Run) -> dict:
+    scn, F = run.scn, run.F
     rng = np.random.default_rng(scn.seed + 1)
     u = band_limited_random(F.grid, F.m, rng, scn.n_samples)
     gamma = scn.mode.gamma if scn.mode.kind == "fixed_gamma" else 1.0
@@ -239,7 +240,7 @@ def _nittka_section(scn: Scenario, F, strict: bool) -> dict:
                                        F.mass)), 1e-30)
             findings.append(
                 {"p": p, "min_shifted_value": vmin, "scale": scale})
-    if strict and findings:
+    if run.strict and findings:
         ok = False
     return {"gamma": gamma, "Cgamma": Cgamma, "min_shifted": values,
             "findings": findings, "pass": ok}
@@ -255,14 +256,16 @@ def _central_distances(scn: Scenario, fields):
     return center, field, distance_map(field, scn.grid, center)
 
 
-def _kernel_section(scn: Scenario, F, stepper, geometry, hyp: dict,
-                    out_dir: str) -> dict:
+def _kernel_section(run: Run) -> dict:
+    scn = run.scn
     if scn.mode.kind != "kernel":
         return {"skipped": "scenario mode is not kernel", "pass": True}
-    center, field, dist = geometry
+    if isinstance(run.geometry, MetricError):
+        return {"reason": str(run.geometry), "pass": False}
+    center, field, dist = run.geometry
     t = scn.t_final
-    values = kernel_block(F, center, t, stepper)
-    r = hyp["report"]
+    values = kernel_block(run.F, center, t, run.stepper("implicit_euler"))
+    r = run.sections["hypotheses"]["report"]
     if r["kappa"] is None:
         rhs = None
         out = {"reason": "kappa is undefined: the drift bounds are not finite",
@@ -278,7 +281,7 @@ def _kernel_section(scn: Scenario, F, stepper, geometry, hyp: dict,
                "verification": {"t": t, "source": center, **result},
                "pass": result["pass"]}
     coords = scn.grid.node_coords()
-    _write_csv(os.path.join(out_dir, "kernel.csv"),
+    _write_csv(os.path.join(run.out_dir, "kernel.csv"),
                _axes(scn.grid) + ["source", "i", "j", "value", "distance",
                                   "bound", "margin"],
                (list(coords[n]) + [center, i, j, v, dist[n]]
@@ -287,21 +290,95 @@ def _kernel_section(scn: Scenario, F, stepper, geometry, hyp: dict,
     return out
 
 
-def _distance_section(scn: Scenario, geometry, out_dir: str) -> dict:
-    center, field, dist = geometry
-    _write_csv(os.path.join(out_dir, "distance.csv"),
-               _axes(scn.grid) + ["distance"],
-               (list(xy) + [dv] for xy, dv in zip(scn.grid.node_coords(), dist)))
+def _distance_section(run: Run) -> dict:
+    if isinstance(run.geometry, MetricError):
+        return {"reason": str(run.geometry), "pass": False}
+    center, field, dist = run.geometry
+    grid = run.scn.grid
+    _write_csv(os.path.join(run.out_dir, "distance.csv"),
+               _axes(grid) + ["distance"],
+               (list(xy) + [dv] for xy, dv in zip(grid.node_coords(), dist)))
     q0, q1, equivalent = euclid_equivalence_check(field)
     return {
         "source": center,
-        "stencil_order": default_order(scn.grid.d),
+        "stencil_order": default_order(grid.d),
         "max_distance": float(dist.max()),
         "euclidean_ratio_lo": q0,
         "euclidean_ratio_hi": q1,
         "euclidean_equivalent": equivalent,
         "pass": bool(np.all(np.isfinite(dist))),
     }
+
+
+# section name -> (section function, whether it uses the assembled form), in
+# report order; each section takes the Run and reads what it needs from it
+SECTIONS = {"hypotheses": (_hypotheses_section, False),
+            "pinterval": (_pinterval_section, False),
+            "evolve": (_evolve_section, True),
+            "nittka": (_nittka_section, True),
+            "kernel": (_kernel_section, True),
+            "distance": (_distance_section, False)}
+
+# subcommand -> the sections it reports (gallery: for each built-in scenario)
+RUNS = {"check-hypotheses": ("hypotheses",),
+        "p-interval": ("hypotheses", "pinterval"),
+        "evolve": ("hypotheses", "evolve"),
+        "nittka": ("hypotheses", "nittka"),
+        "kernel": ("hypotheses", "kernel"),
+        "distance": ("distance",),
+        "gallery": ("hypotheses",),
+        "all": tuple(SECTIONS)}
+
+
+class Run:
+    """One scenario run: its sections, its phase timings, and what the
+    sections share, each built once on first use and timed as its phase.
+    Layer functions are looked up in this module at call time."""
+
+    def __init__(self, scn: Scenario, out_dir: str, strict: bool):
+        self.scn, self.out_dir, self.strict = scn, out_dir, strict
+        self.sections: dict = {}
+        self.timings: dict = {}
+        self._inner: list = []  # per open phase, the time of phases inside it
+        self._steppers: dict = {}
+
+    def timed(self, name: str, fn, *a, **kw):
+        """fn(*a, **kw); its wall time, less that of the phases timed inside
+        it, is added to timings[name]."""
+        self._inner.append(0.0)
+        t0 = time.perf_counter()
+        try:
+            return fn(*a, **kw)
+        finally:
+            wall = time.perf_counter() - t0
+            self.timings[name] = (self.timings.get(name, 0.0) + wall
+                                  - self._inner.pop())
+            if self._inner:
+                self._inner[-1] += wall
+
+    @functools.cached_property
+    def fields(self):
+        return self.timed("sample", sample, self.scn.system, self.scn.grid)
+
+    @functools.cached_property
+    def F(self):
+        return self.timed("assemble", assemble, self.scn.system, self.scn.grid)
+
+    def stepper(self, scheme: str) -> Stepper:
+        """The run's one Stepper (one factorization) for ``scheme``."""
+        if scheme not in self._steppers:
+            self._steppers[scheme] = self.timed("factor", Stepper, self.F,
+                                                self.scn.dt, scheme)
+        return self._steppers[scheme]
+
+    @functools.cached_property
+    def geometry(self):
+        """_central_distances, or the MetricError that leaves them undefined."""
+        try:
+            return self.timed("central_distances", _central_distances,
+                              self.scn, self.fields)
+        except MetricError as err:
+            return err
 
 
 def _gallery_listing() -> str:
@@ -315,60 +392,14 @@ def _gallery_listing() -> str:
 
 def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    sections: dict = {}
-    timings: dict = {}
-
-    def timed(name, fn, *a, **kw):
-        """fn(*a, **kw), its wall time added to timings[name]."""
-        t0 = time.perf_counter()
-        try:
-            return fn(*a, **kw)
-        finally:
-            timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
-
-    fields = timed("sample", sample, scn.system, scn.grid)
-
-    need = {"check-hypotheses": ["hypotheses"],
-            "p-interval": ["hypotheses", "pinterval"],
-            "evolve": ["hypotheses", "evolve"],
-            "nittka": ["hypotheses", "nittka"],
-            "kernel": ["hypotheses", "kernel"],
-            "distance": ["distance"],
-            "all": ["hypotheses", "pinterval", "evolve", "nittka",
-                    "kernel", "distance"]}[sub]
-
-    F = geometry = None
-    if any(s in need for s in ("evolve", "nittka", "kernel")):
-        F = timed("assemble", assemble, scn.system, scn.grid)
-    # one Stepper (one factorization) per scheme, built on first use
-    stepper_for = functools.cache(
-        lambda scheme: timed("factor", Stepper, F, scn.dt, scheme))
-    kernel_mode = scn.mode.kind == "kernel"
-
-    if "hypotheses" in need:
-        sections["hypotheses"] = timed("hypotheses", _hypotheses_section,
-                                       scn, fields)
-    if "pinterval" in need:
-        sections["pinterval"] = timed("pinterval", _pinterval_section, scn,
-                                      sections["hypotheses"])
-    if "evolve" in need:
-        stepper = stepper_for(scn.scheme)
-        sections["evolve"] = timed("evolve", _evolve_section, scn, F, stepper,
-                                   sections["hypotheses"], out_dir)
-        timings["probe_workers"] = march_workers(
-            stepper, scn.n_samples, round(scn.t_final / scn.dt))
-    if "nittka" in need:
-        sections["nittka"] = timed("nittka", _nittka_section, scn, F, strict)
-    if "distance" in need or ("kernel" in need and kernel_mode):
-        geometry = timed("central_distances", _central_distances, scn, fields)
-    if "kernel" in need:
-        sections["kernel"] = timed(
-            "kernel", _kernel_section, scn, F,
-            stepper_for("implicit_euler") if kernel_mode else None, geometry,
-            sections["hypotheses"], out_dir)
-    if "distance" in need:
-        sections["distance"] = timed("distance", _distance_section, scn,
-                                     geometry, out_dir)
+    run = Run(scn, out_dir, strict)
+    # sample, then assemble (if a section uses the form) before any section:
+    # the long-lived form built first keeps the peak memory lower
+    run.fields
+    if any(SECTIONS[name][1] for name in RUNS[sub]):
+        run.F
+    for name in RUNS[sub]:
+        run.sections[name] = run.timed(name, SECTIONS[name][0], run)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -376,14 +407,14 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
         "scenario": scn.name,
         "scenario_hash": _scenario_hash(scn),
         "seed": scn.seed,
-        "sections": sections,
-        "pass": all(sec.get("pass", True) for sec in sections.values()),
+        "sections": run.sections,
+        "pass": all(sec.get("pass", True) for sec in run.sections.values()),
     }
     _atomic_write(os.path.join(out_dir, "report.json"),
                   json.dumps(_jsonable(report), indent=2, sort_keys=True,
                              allow_nan=False) + "\n")
     _atomic_write(os.path.join(out_dir, "timings.json"),
-                  json.dumps(timings, indent=2, sort_keys=True) + "\n")
+                  json.dumps(run.timings, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -392,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semilab",
         description="structural checks, p-norm probes, kernel and distance "
                     "diagnostics for divergence-form systems")
-    ap.add_argument("subcommand", choices=SUBCOMMANDS)
+    ap.add_argument("subcommand", choices=list(RUNS))
     ap.add_argument("--scenario", help="scenario file path or gallery:NAME")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--grid", help="grid override, N or N1,N2,...")
@@ -418,7 +449,7 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
             overall = True
             for key in gallery_names():
-                rep = _run_scenario(gallery_scenario(key), "check-hypotheses",
+                rep = _run_scenario(gallery_scenario(key), "gallery",
                                     os.path.join(args.out, key), args.strict)
                 print(f"{key}: {'pass' if rep['pass'] else 'FAIL'}")
                 overall = overall and rep["pass"]

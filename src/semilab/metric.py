@@ -18,6 +18,10 @@ from scipy.sparse.csgraph import dijkstra
 from .coefficients import BoxDomain, SampledField
 
 
+class MetricError(ValueError):
+    """The coefficients define no intrinsic metric at some node."""
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Nodewise conformal weight, diffusion eigenvalues and inverse diffusion matrix."""
@@ -34,11 +38,11 @@ def weight_field(Vfield: SampledField, Qfield: SampledField, beta: float) -> Met
         raise ValueError("beta must be nonnegative")
     lamV = Vfield.spectrum.eigenvalues[:, 0]
     if np.any(lamV <= 0) and beta > 0:
-        raise ValueError("lambda_V must be positive for beta > 0")
+        raise MetricError("lambda_V must be positive for beta > 0")
     w = np.ones_like(lamV) if beta == 0 else lamV ** (beta / (beta + 1))
     lamQ, U = Qfield.spectrum
     if np.any(lamQ[:, 0] <= 0):
-        raise ValueError("Q must be positive definite at every node")
+        raise MetricError("Q must be positive definite at every node")
     Qinv = (U / lamQ[:, None, :]) @ np.swapaxes(U, -1, -2)
     return MetricField(w, lamQ, Qinv)
 

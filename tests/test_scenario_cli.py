@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -663,6 +664,60 @@ class TestCli:
         assert err[0].startswith("error: no grid node lies 5 cells from "
                                  "the boundary")
 
+    @pytest.mark.parametrize("sub", ["distance", "kernel"])
+    @pytest.mark.parametrize("changes, reason", [
+        ({'q.11 = "1"': 'q.11 = "x1"'},
+         "Q must be positive definite at every node"),
+        ({'v.11 = "2"': 'v.11 = "-1"', "beta = 0": "beta = 1"},
+         "lambda_V must be positive for beta > 0"),
+    ], ids=["indefinite-Q", "nonpositive-V"])
+    def test_undefined_metric_is_failed_check(self, sub, changes, reason,
+                                              tmp_path, capsys):
+        text = (MINIMAL.replace("lower = 0", "lower = -1")
+                .replace("n = 32", "n = 64")
+                .replace(FIXED_GAMMA, "mode = kernel\nbeta = 0\nc = 1"))
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        out = tmp_path / "out"
+        assert main([sub, "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        sec = json.loads((out / "report.json").read_text())["sections"][sub]
+        assert sec == {"reason": reason, "pass": False}
+        assert sorted(os.listdir(out)) == ["report.json", "timings.json"]
+
+
+# the layer entry points perfbench/tracing.py swaps by name on semilab.cli
+TRACED_NAMES = (
+    "sample", "check_all", "interval_thm33", "psd_sweep_Mgamma", "gamma_p",
+    "kernel_constants", "assemble", "nittka_shifted",
+    "contractivity_probe_multi", "kernel_block", "verify_gaussian",
+    "weight_field", "distance_map")
+
+
+def test_traced_layer_entry_points_are_called(tmp_path, capsys, monkeypatch):
+    # a section table that captured a layer function at import time would
+    # bypass the swapped name, and the traced benchmark would read 0 there
+    called = set()
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(cli, name, counting(name))
+    for key in ("g5", "g6-quadratic"):
+        scn = gallery_scenario(key)
+        scn = dataclasses.replace(scn, t_final=20 * scn.dt)
+        assert main(["all", "--scenario",
+                     write(tmp_path, scenario_to_text(scn), f"{key}.ini"),
+                     "--out", str(tmp_path / key)]) == EXIT_OK
+    assert sorted(called) == sorted(TRACED_NAMES)
+
 
 def outputs(out_dir) -> dict:
     """Every file of a run's output directory but timings.json, as bytes."""
@@ -690,6 +745,18 @@ class TestRunRecord:
                      "--out", str(out)]) == EXIT_OK
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"sample", "hypotheses"}
+
+    @pytest.mark.parametrize("key", ["g1", "g6-flat"])
+    def test_phase_timings_do_not_double_count(self, key, tmp_path, capsys):
+        # each phase is charged its wall time less the phases built inside it
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert main(["all", "--scenario", f"gallery:{key}",
+                     "--out", str(out)]) == EXIT_OK
+        wall = time.perf_counter() - t0
+        timings = json.loads((out / "timings.json").read_text())
+        del timings["probe_workers"]
+        assert sum(timings.values()) <= wall
 
     @pytest.mark.parametrize("key, changes, grid", [
         ("g3", {"n_samples": 4, "t_final": 5e-4}, "128"),

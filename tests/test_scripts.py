@@ -1,4 +1,4 @@
-"""The study scripts run to completion at their smallest settings, with
+"""The study script runs to completion at its smallest settings, with
 RuntimeWarnings as errors."""
 
 import os
@@ -24,10 +24,6 @@ def run_script(name, *args, cwd):
 @pytest.mark.parametrize("name, args, first_line", [
     ("convergence_study.py", ["--levels", "1"],
      "omega0 study (scalar 1D, V = 2):"),
-    ("kernel_profile.py", ["--t", "0.01", "--out", "profile.csv"],
-     "checked 1013 nodes, min margin "),
-    ("run_gallery.py", ["--only", "g1,g6-flat"],
-     f"{'scenario':28s} {'mode':11s} "),
 ])
 def test_script_runs(name, args, first_line, tmp_path):
     proc = run_script(name, *args, cwd=tmp_path)
