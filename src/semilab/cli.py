@@ -129,8 +129,7 @@ def _hypotheses_section(run: Run) -> dict:
 def _oracle_disagreements(constants: tuple, iv, grid: np.ndarray) -> int:
     """Points of ``grid`` where the PSD-sweep oracle and the interval differ."""
     admissible = psd_sweep_Mgamma(*constants, grid)
-    mask = np.isin(grid, admissible)
-    return int(np.sum(mask != np.array([iv.contains(p) for p in grid])))
+    return int(np.sum(np.isin(grid, admissible) != iv.contains(grid)))
 
 
 def _pinterval_section(run: Run) -> dict:
@@ -189,8 +188,8 @@ def _evolve_section(run: Run) -> dict:
     stepper = run.stepper(scn.scheme)
     bounds = {p: _growth_bound(scn, run.sections["hypotheses"], p)
               for p in scn.p_list}
-    results = contractivity_probe_multi(run.F, scn.p_list, scn.t_final,
-                                        scn.n_samples, stepper, seed=scn.seed)
+    results = contractivity_probe_multi(stepper, scn.p_list, scn.t_final,
+                                        scn.n_samples, seed=scn.seed)
     traces = {}
     ok = True
     for p, tr in results.items():
@@ -264,7 +263,7 @@ def _kernel_section(run: Run) -> dict:
         return {"reason": str(run.geometry), "pass": False}
     center, field, dist = run.geometry
     t = scn.t_final
-    values = kernel_block(run.F, center, t, run.stepper("implicit_euler"))
+    values = kernel_block(run.stepper("implicit_euler"), center, t)
     r = run.sections["hypotheses"]["report"]
     if r["kappa"] is None:
         rhs = None
@@ -310,13 +309,14 @@ def _distance_section(run: Run) -> dict:
     }
 
 
-# section name -> (section function, whether it uses the assembled form), in
-# report order; each section takes the Run and reads what it needs from it
+# section name -> (section function, whether the section uses the form on
+# every scenario), in report order; each section takes the Run and reads what
+# it needs from it
 SECTIONS = {"hypotheses": (_hypotheses_section, False),
             "pinterval": (_pinterval_section, False),
             "evolve": (_evolve_section, True),
             "nittka": (_nittka_section, True),
-            "kernel": (_kernel_section, True),
+            "kernel": (_kernel_section, False),
             "distance": (_distance_section, False)}
 
 # subcommand -> the sections it reports (gallery: for each built-in scenario)
@@ -393,8 +393,8 @@ def _gallery_listing() -> str:
 def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     run = Run(scn, out_dir, strict)
-    # sample, then assemble (if a section uses the form) before any section:
-    # the long-lived form built first keeps the peak memory lower
+    # sample, then assemble (if a section always uses the form) before any
+    # section: the long-lived form built first keeps the peak memory lower
     run.fields
     if any(SECTIONS[name][1] for name in RUNS[sub]):
         run.F

@@ -68,6 +68,12 @@ class BoxDomain:
         """Interior node coordinates along axis k (0-based)."""
         return self.lower[k] + self.h[k] * np.arange(1, self.n[k])
 
+    def node(self, idx: int) -> tuple:
+        """Coordinates of interior node ``idx`` (row-major), as floats."""
+        ii = np.unravel_index(idx, self.interior_shape)
+        return tuple(float(lo + h * (i + 1))
+                     for lo, h, i in zip(self.lower, self.h, ii))
+
     def node_coords(self) -> np.ndarray:
         """All interior node coordinates, shape (N, d), row-major axis order."""
         axes = [self.axis_nodes(k) for k in range(self.d)]

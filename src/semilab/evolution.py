@@ -4,10 +4,11 @@ The evolution solves M du/dt = -S u with M = vol * I, by implicit Euler or
 Crank-Nicolson with a cached sparse LU factorization.  The adjoint semigroup
 is stepped through the transposed solves of the same factorization, which
 makes the discrete duality pairing exact to solver tolerance.  Forward and
-adjoint evolution and the growth probe share one stepping loop, with one
-time check and one blow-up guard; a state may be one vector or an (ndof, S)
-block of them as columns.  A block with enough stepping work is marched in
-forked column groups, one process per usable CPU.
+adjoint evolution and the growth probe take the Stepper alone (it carries
+its form) and share one stepping loop, with one time check and one blow-up
+guard; a state may be one vector or an (ndof, S) block of them as columns.
+A block with enough stepping work is marched in forked column groups, one
+process per usable CPU, each of which replies once with all its reads.
 """
 
 from __future__ import annotations
@@ -151,26 +152,20 @@ def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
     """
     step = stepper.step_adjoint if adjoint else stepper.step
     read = read or (lambda u: u)
-    counts = list(counts)
     limit = 1e12 * max(np.abs(x).max(initial=0.0), 1e-300)
     columns = x.shape[1] if x.ndim == 2 else 1
-    workers = march_workers(stepper, columns, counts[-1] if counts else 0)
+    workers = march_workers(stepper, columns, counts[-1])
     if workers == 1:
         return [read(u) for u in _stepped(step, x, counts, limit)]
-    # the parent reads the unstepped block: a reduction over a column subset
-    # of a C-ordered block can differ from the full one in the last bit
-    n0 = counts.count(0)
-    head = [read(u) for u in _stepped(step, x, counts[:n0], limit)]
-    return head + _march_forked(step, x, counts[n0:], limit, read, workers)
+    return _march_forked(step, x, counts, limit, read, workers)
 
 
 def _column_group(conn, step, x, counts, limit, read):
-    """Child side of a forked march: send ("ok", read(state)) at each count,
-    or ("error", exception) once something raises."""
+    """Child side of a forked march: send ("ok", [read(state) at each
+    count]) once done, or ("error", exception) once something raises."""
     try:
         _blas_one_thread()()
-        for u in _stepped(step, x, counts, limit):
-            conn.send(("ok", read(u)))
+        conn.send(("ok", [read(u) for u in _stepped(step, x, counts, limit)]))
     except Exception as err:
         conn.send(("error", err))
     finally:
@@ -179,8 +174,8 @@ def _column_group(conn, step, x, counts, limit, read):
 
 def _march_forked(step, x, counts, limit, read, workers) -> list:
     """The forked half of ``_march``: one child per column group, each
-    inheriting the factorization through fork; every child is joined before
-    this returns, and terminated first if anything raised."""
+    inheriting the factorization through fork and replying once; every child
+    is joined before this returns, and terminated first if anything raised."""
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
@@ -192,22 +187,19 @@ def _march_forked(step, x, counts, limit, read, workers) -> list:
             proc.start()
             procs.append(proc)
             send.close()  # the child holds the only writing end
-        out = []
-        for _ in counts:
-            parts = []
-            for proc, conn in zip(procs, conns):
-                try:
-                    tag, value = conn.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(
-                        f"a stepping process exited with code "
-                        f"{proc.exitcode} before it finished") from None
-                if tag == "error":
-                    raise value
-                parts.append(value)
-            out.append(np.concatenate(parts, axis=-1))
-        return out
+        groups = []
+        for proc, conn in zip(procs, conns):
+            try:
+                tag, value = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"a stepping process exited with code "
+                    f"{proc.exitcode} before it finished") from None
+            if tag == "error":
+                raise value
+            groups.append(value)
+        return [np.concatenate(parts, axis=-1) for parts in zip(*groups)]
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -219,15 +211,15 @@ def _march_forked(step, x, counts, limit, read, workers) -> list:
             conn.close()
 
 
-def evolve(F: DiscreteForm, u0: np.ndarray, t_final: float, stepper: Stepper) -> np.ndarray:
-    """State (or block of states) at t_final, an integer multiple of the step."""
-    [u] = _march(stepper, np.array(u0), [_step_count(t_final, stepper.dt)])
+def evolve(stepper: Stepper, u0: np.ndarray, t: float) -> np.ndarray:
+    """State (or block of states) at t, an integer multiple of the step."""
+    [u] = _march(stepper, np.array(u0), [_step_count(t, stepper.dt)])
     return u
 
 
-def evolve_adjoint(F: DiscreteForm, g0: np.ndarray, t_final: float, stepper: Stepper) -> np.ndarray:
-    """Adjoint state at t_final, through the transposed solves."""
-    [g] = _march(stepper, np.array(g0), [_step_count(t_final, stepper.dt)],
+def evolve_adjoint(stepper: Stepper, g0: np.ndarray, t: float) -> np.ndarray:
+    """Adjoint state at t, through the transposed solves."""
+    [g] = _march(stepper, np.array(g0), [_step_count(t, stepper.dt)],
                  adjoint=True)
     return g
 
@@ -283,7 +275,7 @@ class GrowthTrace:
 
     times: np.ndarray
     norms0: np.ndarray  # initial norms, per sample
-    norms: np.ndarray  # (n_checkpoints, n_samples)
+    norms: np.ndarray  # (len(times), n_samples)
     slopes: np.ndarray  # log-slopes log(norms / norms0) / t, same shape
 
     @property
@@ -295,16 +287,16 @@ class GrowthTrace:
         return float(self.slopes.max())
 
 
-def contractivity_probe_multi(F: DiscreteForm, p_list, t_final: float,
-                              n_samples: int, stepper: Stepper,
-                              seed: int = 0, n_checkpoints: int = 10) -> dict:
+def contractivity_probe_multi(stepper: Stepper, p_list, t_final: float,
+                              n_samples: int, seed: int = 0) -> dict:
     """Probe the p-norm growth rates for several p from one trajectory block.
 
     The evolution does not depend on p, so all trajectories advance together
-    as one block right-hand side; at each checkpoint the node magnitudes are
-    taken once and every requested norm is read from them.
+    as one block right-hand side; at each of 10 checkpoints the node
+    magnitudes are taken once and every requested norm is read from them.
     Returns {p: GrowthTrace}.
     """
+    F = stepper.F
     p_list = list(p_list)
     vol = F.grid.cell_volume
 
@@ -315,19 +307,16 @@ def contractivity_probe_multi(F: DiscreteForm, p_list, t_final: float,
     total_steps = _step_count(t_final, stepper.dt)
     if total_steps < 1:
         raise ValueError("t_final shorter than one step")
-    marks = np.unique(
-        np.linspace(total_steps / n_checkpoints, total_steps, n_checkpoints).astype(int)
-    )
+    marks = np.unique(np.linspace(total_steps / 10, total_steps, 10).astype(int))
     marks = marks[marks >= 1]
     times = marks * stepper.dt
 
-    # only the march holds the sample block, and it keeps each state's norms
-    # alone, so one block is in memory while stepping
+    # the initial norms are read here from the whole block: a reduction over
+    # a column subset of this C-ordered block can differ in the last bit
     rng = np.random.default_rng(seed)
-    norms0, *rows = _march(
-        stepper, band_limited_random(F.grid, F.m, rng, n_samples),
-        [0, *marks], read=norms_of)
-    norms = np.stack(rows, axis=1)
+    block = band_limited_random(F.grid, F.m, rng, n_samples)
+    norms0 = norms_of(block)
+    norms = np.stack(_march(stepper, block, marks, read=norms_of), axis=1)
     with np.errstate(divide="ignore"):
         slopes = np.log(norms / norms0[:, None, :]) / times[:, None]
     return {p: GrowthTrace(times=times, norms0=norms0[k], norms=norms[k],
@@ -335,11 +324,10 @@ def contractivity_probe_multi(F: DiscreteForm, p_list, t_final: float,
             for k, p in enumerate(p_list)}
 
 
-def adjoint_duality_check(F: DiscreteForm, t: float, f: np.ndarray,
-                          g: np.ndarray, stepper: Stepper) -> float:
+def adjoint_duality_check(stepper: Stepper, t: float, f: np.ndarray,
+                          g: np.ndarray) -> float:
     """|<T(t)f, g>_M - <f, T*(t)g>_M| via transposed stepping."""
-    Tf = evolve(F, f, t, stepper)
-    Tg = evolve_adjoint(F, g, t, stepper)
-    lhs = F.mass * np.vdot(g, Tf)
-    rhs = F.mass * np.vdot(Tg, f)
+    mass = stepper.F.mass
+    lhs = mass * np.vdot(g, evolve(stepper, f, t))
+    rhs = mass * np.vdot(evolve_adjoint(stepper, g, t), f)
     return float(abs(lhs - rhs))

@@ -2,7 +2,8 @@
 
 A kernel column is the evolution of a discrete delta (mass 1/cell-volume at
 one node and component), so the column converges to the kernel itself under
-refinement; the m columns of one source node evolve together as one block.
+refinement; the m columns of one source node evolve together as one block
+through the Stepper, which carries the form.
 Verification compares node magnitudes against the closed-form upper bound,
 restricted to nodes away from the boundary where the Dirichlet truncation
 only depresses the kernel.
@@ -23,12 +24,13 @@ def _deltas(F: DiscreteForm, y: int) -> np.ndarray:
     return np.eye(F.ndof, F.m, k=-y * F.m) / F.mass  # ones at (y*m + j, j)
 
 
-def kernel_block(F: DiscreteForm, y: int, t: float, stepper: Stepper) -> np.ndarray:
+def kernel_block(stepper: Stepper, y: int, t: float) -> np.ndarray:
     """k(t, x, y) at every node x as an (N, m, m) array, values[x, i, j] ~
     k_ij(t, x, y), from the m deltas at y evolved as one block."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return evolve(F, _deltas(F, y), t, stepper).reshape(-1, F.m, F.m)
+    F = stepper.F
+    return evolve(stepper, _deltas(F, y), t).reshape(-1, F.m, F.m)
 
 
 def interior_mask(grid: BoxDomain, layers: int = 5) -> np.ndarray:
@@ -53,6 +55,6 @@ def verify_gaussian(values: np.ndarray, rhs: np.ndarray, grid: BoxDomain) -> dic
         "checked_nodes": int(idx.size),
         "min_margin": float(margins.min()),
         "violations": int(np.sum(margins < 0)),
-        "worst_node": list(map(float, grid.node_coords()[worst])),
+        "worst_node": list(grid.node(worst)),
         "pass": bool(np.all(margins >= 0)),
     }

@@ -85,7 +85,7 @@ def _require_pd(w: np.ndarray, what: str, domain: BoxDomain):
     are not all positive."""
     if np.any(w[..., 0] <= 0):
         idx = int(np.argmax(w[..., 0] <= 0))
-        where = tuple(map(float, domain.node_coords()[idx]))
+        where = domain.node(idx)
         raise HypothesisViolation(
             f"{what} not positive definite at node {where} "
             f"(min eigenvalue {w[idx, 0]:.3e})")
@@ -145,7 +145,7 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     scale = np.maximum(1.0, np.abs(evals).max())
     if np.any(evals[:, 0] < -1e-12 * scale):
         idx = int(np.argmin(evals[:, 0]))
-        where = tuple(map(float, fields["A"].domain.node_coords()[idx]))
+        where = fields["A"].domain.node(idx)
         raise HypothesisViolation(
             f"Re second-order coupling negative at node {where} "
             f"(eigenvalue {evals[idx, 0]:.3e})")
@@ -220,9 +220,9 @@ class HypothesisReport:
         return all(self.passes.values())
 
 
-def _worst_point(per_node: np.ndarray, coords: np.ndarray, maximize: bool = True):
+def _worst_point(per_node: np.ndarray, domain: BoxDomain, maximize: bool = True):
     idx = int(np.argmax(per_node) if maximize else np.argmin(per_node))
-    return {"node": list(map(float, coords[idx])), "value": float(per_node[idx])}
+    return {"node": list(domain.node(idx)), "value": float(per_node[idx])}
 
 
 def check_all(fields: dict, mode: EstimateMode) -> HypothesisReport:
@@ -232,7 +232,7 @@ def check_all(fields: dict, mode: EstimateMode) -> HypothesisReport:
     recorded.  All infima/suprema are over the sampled grid nodes (the report
     notes that, so refinement studies can bracket the continuum value).
     """
-    coords = fields["V"].domain.node_coords()
+    domain = fields["V"].domain
     passes: dict = {}
     worst: dict = {}
     notes = ["constants are grid-estimated (extrema over sampled nodes)"]
@@ -240,25 +240,25 @@ def check_all(fields: dict, mode: EstimateMode) -> HypothesisReport:
     VS_min = fields["V"].spectrum.eigenvalues[:, 0]
     v0 = float(VS_min.min())
     passes["V_S_positive"] = v0 > 0
-    worst["v0"] = _worst_point(VS_min, coords, maximize=False)
+    worst["v0"] = _worst_point(VS_min, domain, maximize=False)
 
     lamQ = fields["Q"].spectrum.eigenvalues[:, 0]
     nu0 = float(lamQ.min())
     passes["Q_positive"] = nu0 > 0
-    worst["nu0"] = _worst_point(lamQ, coords, maximize=False)
+    worst["nu0"] = _worst_point(lamQ, domain, maximize=False)
 
     c0 = float("nan")
     if passes["V_S_positive"]:
         per = estimate_c0(fields["V"])
         c0 = float(per.max())
-        worst["c0"] = _worst_point(per, coords)
+        worst["c0"] = _worst_point(per, domain)
     passes["imaginary_domination"] = bool(np.isfinite(c0))
 
     kappaA = float("nan")
     try:
         per = estimate_kappa_A(fields)
         kappaA = float(per.max())
-        worst["kappaA"] = _worst_point(per, coords)
+        worst["kappaA"] = _worst_point(per, domain)
         passes["coupling_nonnegative"] = True
     except HypothesisViolation as err:
         passes["coupling_nonnegative"] = False

@@ -27,28 +27,13 @@ class IntervalSpec:
         if not 1 <= self.lo < self.hi:
             raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
 
-    @property
-    def kind(self) -> str:
-        if self.lo == 1 and math.isinf(self.hi):
-            return "all_p"
-        if math.isinf(self.hi):
-            return "left_closed" if self.lo_closed else "open"
-        if self.lo_closed and self.hi_closed:
-            return "closed"
-        if self.hi_closed and not self.lo_closed:
-            return "right_closed"
-        if self.lo_closed:
-            return "left_closed"
-        return "open"
-
-    def contains(self, p: float) -> bool:
-        if p < self.lo or p > self.hi:
-            return False
-        if p == self.lo and not self.lo_closed:
-            return False
-        if p == self.hi and not self.hi_closed:
-            return False
-        return True
+    def contains(self, p):
+        """Whether p lies in the interval; elementwise for an array p."""
+        p = np.asarray(p, dtype=float)
+        above = p >= self.lo if self.lo_closed else p > self.lo
+        below = p <= self.hi if self.hi_closed else p < self.hi
+        inside = above & below
+        return inside if inside.ndim else bool(inside)
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "]"

@@ -137,8 +137,8 @@ def test_criterion_05_quasicontractivity_probe():
                         scn.mode.gamma)
     exponent = scn.mode.Cgamma / scn.mode.gamma
     st = Stepper(F, scn.dt, scn.scheme)
-    traces = contractivity_probe_multi(F, scn.p_list, scn.t_final,
-                                       scn.n_samples, st, seed=scn.seed)
+    traces = contractivity_probe_multi(st, scn.p_list, scn.t_final,
+                                       scn.n_samples, seed=scn.seed)
     ok = True
     tol = 0.05 * max(1.0, abs(exponent))
     for p, tr in traces.items():
@@ -198,7 +198,7 @@ def test_criterion_07_kernel_vs_closed_form():
     y = grid.node_count // 2
     ok = True
     for t in (0.05, 0.1, 0.2):
-        col = kernel_block(F, y, t, Stepper(F, t / 4000))[:, 0, 0]
+        col = kernel_block(Stepper(F, t / 4000), y, t)[:, 0, 0]
         r = np.abs(x - x[y])
         exact = np.exp(-(r**2) / (4 * t) - 4 * t) / np.sqrt(4 * np.pi * t)
         near = r <= 3 * np.sqrt(t)
@@ -287,13 +287,13 @@ def test_criterion_10_exact_algebraic_identities():
     g = rng.standard_normal(F.ndof)
     g /= np.linalg.norm(g)
     st = Stepper(F, 1e-3)
-    ok = ok and adjoint_duality_check(F, 0.05, f, g, st) <= 1e-10
+    ok = ok and adjoint_duality_check(st, 0.05, f, g) <= 1e-10
 
     # fixed-step semigroup property
     for scheme in ("implicit_euler", "crank_nicolson"):
         stp = Stepper(F, 1e-3, scheme)
-        direct = evolve(F, f, 0.05, stp)
-        split = evolve(F, evolve(F, f, 0.03, stp), 0.02, stp)
+        direct = evolve(stp, f, 0.05)
+        split = evolve(stp, evolve(stp, f, 0.03), 0.02)
         ok = ok and np.linalg.norm(direct - split) <= 1e-10
 
     # truncation gradient formula under refinement

@@ -72,10 +72,10 @@ def test_block_equals_columns(F, seed, n_samples):
 def test_kernel_block_equals_delta_columns(F, data):
     y = data.draw(st.integers(0, F.grid.node_count - 1))
     stepper = Stepper(F, 1e-3)
-    block = kernel_block(F, y, 0.004, stepper)
+    block = kernel_block(stepper, y, 0.004)
     for j in range(F.m):
         delta = np.zeros(F.ndof)
         delta[y * F.m + j] = 1.0 / F.mass
-        col = evolve(F, delta, 0.004, stepper).reshape(-1, F.m)
+        col = evolve(stepper, delta, 0.004).reshape(-1, F.m)
         close(block[:, :, j], col, np.abs(col).max())
 

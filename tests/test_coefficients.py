@@ -27,6 +27,19 @@ class TestBoxDomain:
         g = BoxDomain((0.0, 0.0), (1.0, 2.0), (2, 2))
         np.testing.assert_allclose(g.node_coords(), [[0.5, 1.0]])
 
+    @pytest.mark.parametrize("g", [
+        BoxDomain((-1.3,), (2.7,), (17,)),
+        BoxDomain((0.1, -2.0), (0.9, 3.0), (7, 12)),
+        BoxDomain((-0.3, 0.0, 1.0), (0.7, 0.1, 4.0), (5, 3, 6)),
+    ])
+    def test_node_is_the_node_coords_row(self, g):
+        coords = g.node_coords()
+        for i in range(g.node_count):
+            node = g.node(i)
+            assert all(type(x) is float for x in node)
+            np.testing.assert_array_equal(
+                np.array(node).view(np.uint64), coords[i].view(np.uint64))
+
     def test_rejects_degenerate_axis(self):
         with pytest.raises(ValueError):
             BoxDomain((0.0,), (0.0,), (4,))

@@ -39,7 +39,7 @@ class TestStepper:
     def test_zero_initial_state_stays_zero(self):
         F = scalar_form(v="2")
         st = Stepper(F, 1e-3)
-        u = evolve(F, np.zeros(F.ndof), 0.1, st)
+        u = evolve(st, np.zeros(F.ndof), 0.1)
         assert not np.any(u)
 
     def test_eigenmode_decay_rate(self):
@@ -50,7 +50,7 @@ class TestStepper:
         lam = lam_s[0] / F.mass
         u0 = U[:, 0]
         dt, t = 1e-4, 0.1
-        u = evolve(F, u0, t, Stepper(F, dt, "implicit_euler"))
+        u = evolve(Stepper(F, dt, "implicit_euler"), u0, t)
         amp = float(u @ u0)
         rel = abs(amp - np.exp(-lam * t)) / np.exp(-lam * t)
         assert rel <= dt * lam**2 * t / 2 + 1e-9
@@ -61,14 +61,14 @@ class TestStepper:
         x = F.grid.axis_nodes(0)
         u0 = np.sin(np.pi * x)
         t, dt = 0.05, 1e-5
-        u = evolve(F, u0, t, Stepper(F, dt))
+        u = evolve(Stepper(F, dt), u0, t)
         rate = -np.log(pnorm(u, 2, F.grid, 1) / pnorm(u0, 2, F.grid, 1)) / t
         assert rate == pytest.approx(np.pi**2 + 2, rel=1e-2)
 
     def test_t_final_must_be_step_multiple(self):
         F = scalar_form()
         with pytest.raises(ValueError):
-            evolve(F, np.ones(F.ndof), 0.0015, Stepper(F, 1e-3))
+            evolve(Stepper(F, 1e-3), np.ones(F.ndof), 0.0015)
 
     def test_semigroup_property(self):
         F = scalar_form(v="1 + x1^2")
@@ -76,8 +76,8 @@ class TestStepper:
         u0 = rng.standard_normal(F.ndof)
         for scheme in ("implicit_euler", "crank_nicolson"):
             st = Stepper(F, 1e-3, scheme)
-            direct = evolve(F, u0, 0.05, st)
-            composed = evolve(F, evolve(F, u0, 0.03, st), 0.02, st)
+            direct = evolve(st, u0, 0.05)
+            composed = evolve(st, evolve(st, u0, 0.03), 0.02)
             assert np.linalg.norm(direct - composed) <= 1e-10
 
     def test_schemes_converge_together(self):
@@ -88,8 +88,8 @@ class TestStepper:
         t = 0.02
 
         def gap(dt):
-            ie = evolve(F, u0, t, Stepper(F, dt, "implicit_euler"))
-            cn = evolve(F, u0, t, Stepper(F, dt, "crank_nicolson"))
+            ie = evolve(Stepper(F, dt, "implicit_euler"), u0, t)
+            cn = evolve(Stepper(F, dt, "crank_nicolson"), u0, t)
             return np.linalg.norm(ie - cn)
 
         assert gap(2e-4) / gap(1e-4) >= 1.8
@@ -157,7 +157,7 @@ class TestDuality:
         rng = np.random.default_rng(5)
         f = rng.standard_normal(F.ndof)
         g = rng.standard_normal(F.ndof)
-        assert adjoint_duality_check(F, 0.0, f, g, Stepper(F, 1e-3)) == 0.0
+        assert adjoint_duality_check(Stepper(F, 1e-3), 0.0, f, g) == 0.0
 
     def test_nonsymmetric_system_duality(self):
         scn = gallery_scenario("g5")
@@ -168,7 +168,7 @@ class TestDuality:
         g = rng.standard_normal(F.ndof)
         g /= np.linalg.norm(g)
         st = Stepper(F, 1e-3)
-        assert adjoint_duality_check(F, 0.05, f, g, st) <= 1e-10
+        assert adjoint_duality_check(st, 0.05, f, g) <= 1e-10
 
     def test_adjoint_evolution_matches_transpose(self):
         scn = gallery_scenario("g5")
@@ -176,22 +176,22 @@ class TestDuality:
         st = Stepper(F, 1e-3)
         rng = np.random.default_rng(8)
         g0 = rng.standard_normal(F.ndof)
-        ga = evolve_adjoint(F, g0, 0.01, st)
+        ga = evolve_adjoint(st, g0, 0.01)
         F_adj = assemble_adjoint(scn.system, scn.grid)
-        gb = evolve(F_adj, g0, 0.01, Stepper(F_adj, 1e-3))
+        gb = evolve(Stepper(F_adj, 1e-3), g0, 0.01)
         np.testing.assert_allclose(ga, gb, atol=1e-12)
 
     def test_adjoint_rejects_negative_time(self):
         F = scalar_form(v="1")
         with pytest.raises(ValueError, match="nonnegative"):
-            evolve_adjoint(F, np.ones(F.ndof), -1e-3, Stepper(F, 1e-3))
+            evolve_adjoint(Stepper(F, 1e-3), np.ones(F.ndof), -1e-3)
 
     def test_adjoint_blow_up_detected(self):
         # with 1 + dt*(lambda_1 + v) near 0.1 the implicit step amplifies the
         # lowest mode about tenfold, past the 1e12 guard within 20 steps
         F = scalar_form(v="-99", n=8)
         with pytest.raises(FloatingPointError):
-            evolve_adjoint(F, np.ones(F.ndof), 0.2, Stepper(F, 1e-2))
+            evolve_adjoint(Stepper(F, 1e-2), np.ones(F.ndof), 0.2)
 
 
 class TestContractivityProbe:
@@ -199,7 +199,7 @@ class TestContractivityProbe:
         # scalar V = 2: every p-norm decays at rate at least 2
         F = scalar_form(v="2", n=64)
         st = Stepper(F, 1e-3)
-        traces = contractivity_probe_multi(F, [2.0, 3.0, np.inf], 0.1, 10, st,
+        traces = contractivity_probe_multi(st, [2.0, 3.0, np.inf], 0.1, 10,
                                            seed=11)
         for p, tr in traces.items():
             assert tr.max_slope <= -2.0 + 0.1
@@ -208,22 +208,22 @@ class TestContractivityProbe:
         scn = gallery_scenario("g4")
         F = assemble(scn.system, scn.grid)
         st = Stepper(F, 1e-3)
-        tr = contractivity_probe_multi(F, [2.0], 0.05, 10, st, seed=12)[2.0]
+        tr = contractivity_probe_multi(st, [2.0], 0.05, 10, seed=12)[2.0]
         assert tr.max_slope <= omega0(F) + 1e-8
 
     def test_max_norm_contraction_pure_diffusion(self):
         # no drift, no potential: implicit Euler inherits the max principle
         F = scalar_form(v="0", n=64)
         st = Stepper(F, 1e-3)
-        tr = contractivity_probe_multi(F, [np.inf], 0.05, 10, st,
+        tr = contractivity_probe_multi(st, [np.inf], 0.05, 10,
                                        seed=13)[np.inf]
         assert (tr.norms <= tr.norms0[None, :] * (1 + 1e-8)).all()
 
     def test_shared_block_matches_single_probe(self):
         F = scalar_form(v="1 + x1", n=32)
         st = Stepper(F, 1e-3)
-        multi = contractivity_probe_multi(F, [2.0, 4.0], 0.02, 5, st, seed=15)
-        single = contractivity_probe_multi(F, [2.0], 0.02, 5, st, seed=15)[2.0]
+        multi = contractivity_probe_multi(st, [2.0, 4.0], 0.02, 5, seed=15)
+        single = contractivity_probe_multi(st, [2.0], 0.02, 5, seed=15)[2.0]
         np.testing.assert_array_equal(multi[2.0].norms, single.norms)
 
     def test_blow_up_detected(self):
@@ -231,7 +231,7 @@ class TestContractivityProbe:
         # per step, past the 1e12 guard by the first checkpoint
         F = scalar_form(v="-300", n=32)
         with pytest.raises(FloatingPointError):
-            contractivity_probe_multi(F, [2.0, 4.0], 1.0, 5, Stepper(F, 1e-3))
+            contractivity_probe_multi(Stepper(F, 1e-3), [2.0, 4.0], 1.0, 5)
 
 
 @pytest.mark.skipif(evolution._blas_one_thread() is None,
@@ -250,10 +250,10 @@ class TestForkedMarch:
         for cpus in (None, 2, 3):
             march_on(cpus)
             results[cpus] = (
-                contractivity_probe_multi(F, [2.0, 4.0, np.inf], 30 * st.dt,
-                                          7, st, seed=17),
-                evolve(F, block, 20 * st.dt, st),
-                evolve_adjoint(F, block, 20 * st.dt, st))
+                contractivity_probe_multi(st, [2.0, 4.0, np.inf], 30 * st.dt,
+                                          7, seed=17),
+                evolve(st, block, 20 * st.dt),
+                evolve_adjoint(st, block, 20 * st.dt))
         # two groups for each of the three forked marches, then three each
         assert len(process_starts) == 3 * 2 + 3 * 3
         (probe, fwd, adj) = results[None]
@@ -266,12 +266,21 @@ class TestForkedMarch:
             np.testing.assert_array_equal(fwd_f, fwd)
             np.testing.assert_array_equal(adj_f, adj)
 
+    def test_zero_time_returns_the_bits(self, march_on, process_starts):
+        march_on(2)
+        F = scalar_form(n=16)
+        u = np.random.default_rng(18).standard_normal((F.ndof, 5))
+        out = evolve(Stepper(F, 1e-3), u, 0.0)
+        assert len(process_starts) == 2
+        assert out.shape == u.shape
+        assert out.tobytes() == u.tobytes()
+
     def test_blow_up_in_a_child_raises_in_the_parent(self, march_on,
                                                      process_starts):
         march_on(2)
         F = scalar_form(v="-300", n=32)
         with pytest.raises(FloatingPointError, match="blow-up detected"):
-            contractivity_probe_multi(F, [2.0, 4.0], 1.0, 5, Stepper(F, 1e-3))
+            contractivity_probe_multi(Stepper(F, 1e-3), [2.0, 4.0], 1.0, 5)
         assert len(process_starts) == 2
 
     def test_child_error_keeps_type_and_message(self, march_on,
@@ -303,7 +312,7 @@ class TestForkedMarch:
     def test_one_cpu_starts_no_process(self, march_on, process_starts):
         march_on(1)
         F = scalar_form(n=16)
-        contractivity_probe_multi(F, [2.0], 0.01, 4, Stepper(F, 1e-3))
+        contractivity_probe_multi(Stepper(F, 1e-3), [2.0], 0.01, 4)
         assert march_workers(Stepper(F, 1e-3), 4, 10) == 1
         assert process_starts == []
 

@@ -28,7 +28,7 @@ class TestKernelColumns:
     def test_requires_positive_time(self):
         _, grid, F = scalar_line(n=32)
         with pytest.raises(ValueError):
-            kernel_block(F, 0, 0.0, Stepper(F, 1e-3))
+            kernel_block(Stepper(F, 1e-3), 0, 0.0)
 
     def test_flat_potential_matches_free_gaussian(self):
         # constant V shifts the free heat kernel by e^{-v0 t}; far from the
@@ -37,7 +37,7 @@ class TestKernelColumns:
         t = 0.1
         st = Stepper(F, t / 2000)
         y = grid.node_count // 2
-        col = kernel_block(F, y, t, st)[:, 0, 0]
+        col = kernel_block(st, y, t)[:, 0, 0]
         x = grid.axis_nodes(0)
         r = np.abs(x - x[y])
         exact = np.exp(-(r**2) / (4 * t) - 4 * t) / np.sqrt(4 * np.pi * t)
@@ -50,28 +50,28 @@ class TestKernelColumns:
         # which converges to e^{-v0 t} from above
         _, grid, F = scalar_line(v="4", n=256)
         t, dt = 0.1, 1e-3
-        col = kernel_block(F, grid.node_count // 2, t, Stepper(F, dt))
+        col = kernel_block(Stepper(F, dt), grid.node_count // 2, t)
         n_steps = round(t / dt)
         assert F.mass * col.sum() <= (1 + dt * 4) ** (-n_steps) + 1e-10
         assert (1 + dt * 4) ** (-n_steps) <= np.exp(-4 * t) * (1 + dt * 4)
 
     def test_scalar_kernel_nonnegative(self):
         _, grid, F = scalar_line(v="1 + 0.1 * x1^2", n=256)
-        col = kernel_block(F, grid.node_count // 3, 0.05, Stepper(F, 1e-3))
+        col = kernel_block(Stepper(F, 1e-3), grid.node_count // 3, 0.05)
         assert col.min() >= -1e-12
 
     def test_chapman_kolmogorov(self):
         _, grid, F = scalar_line(n=128)
         st = Stepper(F, 1e-3)
         y = 40
-        direct = kernel_block(F, y, 0.05, st).ravel()
-        via = evolve(F, kernel_block(F, y, 0.03, st).ravel(), 0.02, st)
+        direct = kernel_block(st, y, 0.05).ravel()
+        via = evolve(st, kernel_block(st, y, 0.03).ravel(), 0.02)
         assert np.abs(direct - via).max() <= 1e-12 * np.abs(direct).max()
 
     def test_radial_decay_from_source(self):
         _, grid, F = scalar_line(v="4", n=512)
         y = grid.node_count // 2
-        col = kernel_block(F, y, 0.1, Stepper(F, 1e-3))[:, 0, 0]
+        col = kernel_block(Stepper(F, 1e-3), y, 0.1)[:, 0, 0]
         right = col[y:]
         left = col[: y + 1][::-1]
         for side in (right, left):
@@ -84,7 +84,7 @@ class TestKernelColumns:
             V=expr_matrix([["1", "0"], ["0", "2"]]))
         grid = BoxDomain((0.0,), (1.0,), (64,))
         F = assemble(system, grid)
-        block = kernel_block(F, 20, 0.02, Stepper(F, 1e-3))
+        block = kernel_block(Stepper(F, 1e-3), 20, 0.02)
         assert np.abs(block[:, 0, 1]).max() <= 1e-14
         assert np.abs(block[:, 1, 0]).max() <= 1e-14
 
@@ -110,8 +110,8 @@ def symmetry_check(F, t, y1, y2, stepper):
     The adjoint kernel is sampled by evolving deltas through the transposed
     solves, so the gap reflects only solver roundoff.
     """
-    K = kernel_block(F, y2, t, stepper)[y1]
-    Kadj = evolve_adjoint(F, _deltas(F, y1), t, stepper).reshape(-1, F.m, F.m)[y2]
+    K = kernel_block(stepper, y2, t)[y1]
+    Kadj = evolve_adjoint(stepper, _deltas(F, y1), t).reshape(-1, F.m, F.m)[y2]
     # adjoint kernel k*(t, y2, y1) equals k(t, y1, y2)^T
     return float(np.max(np.abs(K - Kadj.T)))
 
@@ -142,7 +142,7 @@ class TestGaussianBoundCheck:
     def test_flat_case_passes(self):
         system, grid, F = scalar_line(v="4", n=512)
         t, y = 0.1, grid.node_count // 2
-        values = kernel_block(F, y, t, Stepper(F, t / 1000))
+        values = kernel_block(Stepper(F, t / 1000), y, t)
         report = verify_gaussian(values, bound_rhs(system, grid, y, t), grid)
         assert report["pass"]
         assert report["violations"] == 0
@@ -153,7 +153,7 @@ class TestGaussianBoundCheck:
         # scaling the kernel values up must eventually break the bound
         system, grid, F = scalar_line(v="4", n=256)
         t, y = 0.1, grid.node_count // 2
-        values = kernel_block(F, y, t, Stepper(F, 1e-3))
+        values = kernel_block(Stepper(F, 1e-3), y, t)
         rhs = bound_rhs(system, grid, y, t)
         assert verify_gaussian(values, rhs, grid)["pass"]
         report = verify_gaussian(values * 1e12, rhs, grid)

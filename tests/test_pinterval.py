@@ -45,7 +45,7 @@ def random_tuples(n, seed=0, with_kA=True):
 class TestIntervalCases:
     def test_all_constants_zero(self):
         iv = interval_thm33(0, 0, 0, 0, 1.0)
-        assert str(iv) == "]1, inf[" and iv.kind == "all_p"
+        assert str(iv) == "]1, inf["
 
     def test_symmetric_unit_drift(self):
         # kappa_B = kappa_C = 1, gamma = 1/2: K = 4, interval [1.2, 6.0]
@@ -374,3 +374,19 @@ class TestIntervalSpec:
         assert not iv.contains(1.0)
         assert iv.contains(5.0)
         assert not iv.contains(5.0001)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (1.5, math.inf)])
+    @pytest.mark.parametrize("lo_closed", [False, True])
+    @pytest.mark.parametrize("hi_closed", [False, True])
+    def test_array_form_matches_scalar_form(self, lo, hi, lo_closed,
+                                            hi_closed):
+        iv = IntervalSpec(lo, hi, lo_closed, hi_closed)
+        ps = np.array([0.5, 1.0, np.nextafter(lo, 0), lo,
+                       np.nextafter(lo, 9), 3.0, 5.0, np.nextafter(5.0, 9),
+                       hi, math.inf])
+        scalar = [iv.contains(float(p)) for p in ps]
+        assert all(type(x) is bool for x in scalar)
+        np.testing.assert_array_equal(iv.contains(ps), scalar)
+        assert (scalar[2], scalar[3], scalar[4]) == (False, lo_closed, True)
+        assert scalar[-2] == hi_closed
+        assert scalar[-1] == (hi == math.inf and hi_closed)

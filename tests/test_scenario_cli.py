@@ -746,6 +746,24 @@ class TestRunRecord:
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"sample", "hypotheses"}
 
+    def test_skipped_kernel_builds_no_form(self, tmp_path, capsys,
+                                           monkeypatch):
+        # kernel on a non-kernel scenario neither assembles nor factors, and
+        # reports what it reports when the form is built up front
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setitem(cli.SECTIONS, "kernel",
+                                    (cli._kernel_section, True))
+            out = tmp_path / f"out-{patch}"
+            assert main(["kernel", "--scenario", "gallery:g1",
+                         "--out", str(out)]) == EXIT_OK
+            runs.append((set(json.loads((out / "timings.json").read_text())),
+                         (out / "report.json").read_bytes()))
+        assert runs[0][0] == {"sample", "hypotheses", "kernel"}
+        assert runs[1][0] == {"sample", "assemble", "hypotheses", "kernel"}
+        assert runs[0][1] == runs[1][1]
+
     @pytest.mark.parametrize("key", ["g1", "g6-flat"])
     def test_phase_timings_do_not_double_count(self, key, tmp_path, capsys):
         # each phase is charged its wall time less the phases built inside it
@@ -781,10 +799,15 @@ class TestRunRecord:
                     reason="SciPy's BLAS cannot be held to one thread here, "
                            "so every march stays in-process")
 class TestForkedCli:
-    def test_g3_reports_identical_either_way(self, tmp_path, capsys,
-                                             march_on, process_starts):
-        scn = dataclasses.replace(gallery_scenario("g3"),
-                                  t_final=12 * gallery_scenario("g3").dt)
+    @pytest.mark.parametrize("key, steps", [
+        pytest.param("g3", 12, id="g3"),
+        pytest.param("g5", 20, id="g5"),
+        pytest.param("g6-quadratic", 20, id="g6-quadratic"),
+    ])
+    def test_reports_identical_either_way(self, tmp_path, capsys, march_on,
+                                          process_starts, key, steps):
+        scn = gallery_scenario(key)
+        scn = dataclasses.replace(scn, t_final=steps * scn.dt)
         path = write(tmp_path, scenario_to_text(scn))
         runs = {}
         for cpus in (None, 2):
