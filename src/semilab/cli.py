@@ -126,6 +126,13 @@ def _hypotheses_section(run: Run) -> dict:
     }
 
 
+def _oracle_grid(iv) -> np.ndarray:
+    """The p grid the PSD-sweep oracle checks ``iv`` on: steps of 1e-3 from
+    1.001 to 0.2 past the upper end (past 2 lo + 4 if there is none)."""
+    hi = iv.hi if np.isfinite(iv.hi) else 2 * iv.lo + 4
+    return np.arange(1.0 + 1e-3, hi + 0.2, 1e-3)
+
+
 def _oracle_disagreements(constants: tuple, iv, grid: np.ndarray) -> int:
     """Points of ``grid`` where the PSD-sweep oracle and the interval differ."""
     admissible = psd_sweep_Mgamma(*constants, grid)
@@ -146,8 +153,7 @@ def _pinterval_section(run: Run) -> dict:
     out["interval"] = str(iv)
     out["interval_lo"] = iv.lo
     out["interval_hi"] = None if np.isinf(iv.hi) else iv.hi
-    hi = iv.hi if np.isfinite(iv.hi) else max(4.0, 2 * iv.lo + 2)
-    grid = np.arange(max(1.0 + 1e-3, iv.lo - 0.2), hi + 0.2, 1e-3)
+    grid = _oracle_grid(iv)
     disagreements = _oracle_disagreements(constants, iv, grid)
     out["oracle_grid_points"] = int(grid.size)
     out["oracle_disagreements"] = disagreements
@@ -218,7 +224,7 @@ def _nittka_section(run: Run) -> dict:
     scn, F = run.scn, run.F
     rng = np.random.default_rng(scn.seed + 1)
     u = band_limited_random(F.grid, F.m, rng, scn.n_samples)
-    gamma = scn.mode.gamma if scn.mode.kind == "fixed_gamma" else 1.0
+    gamma = run.sections["hypotheses"]["report"]["gamma"]
     Cgamma = scn.mode.weight(gamma)
     values = {}
     findings = []
@@ -460,9 +466,7 @@ def main(argv=None) -> int:
             if len(vals) != 5:
                 raise ScenarioError("--constants needs kA,kB,kC,kW,gamma")
             iv = interval_thm33(*vals)
-            grid = np.arange(1.0 + 1e-3,
-                             (iv.hi if np.isfinite(iv.hi) else 2 * iv.lo + 4) + 0.2,
-                             1e-3)
+            grid = _oracle_grid(iv)
             disagree = _oracle_disagreements(tuple(vals), iv, grid)
             print(str(iv))
             print(f"psd-oracle disagreements: {disagree} of {grid.size}")

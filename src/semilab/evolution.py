@@ -71,7 +71,12 @@ def _step_count(t_final: float, dt: float) -> int:
     """Steps to t_final, which must be a nonnegative integer multiple of dt."""
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    n_steps = int(round(t_final / dt))
+    n_steps = t_final / dt
+    # a count past int64 (inf included) is beyond any run and any step array
+    if not n_steps <= np.iinfo(np.int64).max:
+        raise ValueError(f"{n_steps:.3e} steps of dt = {dt!r} to t_final = "
+                         f"{t_final!r} are too many")
+    n_steps = int(round(n_steps))
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, dt):
         raise ValueError("t_final is not a multiple of dt")
     return n_steps

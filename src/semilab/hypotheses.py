@@ -4,7 +4,8 @@ Each constant (c0, kappa_A, kappa_B, kappa_C, kappa_W, ...) is the smallest
 value making a defining sesquilinear inequality hold at every sampled node.
 All of them reduce to largest singular values of suitably whitened node
 matrices, so they are computed by exact finite-dimensional linear algebra;
-randomized probing is used only as a cross-check in the tests.
+randomized probing is used only as a cross-check in the tests.  Whitening is
+a rotation into the eigenbases of Q and V_S, then only a scaling.
 """
 
 from __future__ import annotations
@@ -91,21 +92,23 @@ def _require_pd(w: np.ndarray, what: str, domain: BoxDomain):
             f"(min eigenvalue {w[idx, 0]:.3e})")
 
 
-def _inv_sqrt_eig(w: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U diag(w^{-1/2}) U^T per node."""
-    return (U * w[..., None, :] ** -0.5) @ np.swapaxes(U, -1, -2)
-
-
-def _inv_sqrt(field: SampledField, what: str) -> np.ndarray:
-    """Per-node inverse square root of the field's symmetric part, from its
-    spectrum; rejects the first node where that part is not positive definite."""
-    w, U = field.spectrum
-    _require_pd(w, what, field.domain)
-    return _inv_sqrt_eig(w, U)
+def _eigen_whitener(field: SampledField, what: str) -> np.ndarray:
+    """Per-node U diag(lam^{-1/2}), U diag(lam) U^T the field's symmetric
+    part, which must be positive definite: its inverse square root less the
+    factor U^T, which moves no singular value."""
+    lam, U = field.spectrum
+    _require_pd(lam, what, field.domain)
+    return U * lam[:, None, :] ** -0.5
 
 
 def _max_sv(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    """Per-node top singular value: root of the largest eigenvalue of M^T M, with
+    M each matrix over its largest |entry| (so M^T M cannot overflow)."""
+    scale = np.abs(mats).max(axis=(-2, -1), keepdims=True)
+    scale[scale == 0] = 1.0
+    M = mats / scale
+    gram = np.swapaxes(M, -1, -2) @ M
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1]) * scale[..., 0, 0]
 
 
 def estimate_c0(Vfield: SampledField) -> np.ndarray:
@@ -115,15 +118,8 @@ def estimate_c0(Vfield: SampledField) -> np.ndarray:
     """
     V = Vfield.values
     VA = 0.5 * (V - np.swapaxes(V, -1, -2))
-    Wh = _inv_sqrt(Vfield, "V_S")
-    return _max_sv(Wh @ VA @ Wh)
-
-
-def _kron_whitener(Qis: np.ndarray, m: int) -> np.ndarray:
-    """Per-node Kronecker product Q^{-1/2} (x) I_m, shape (N, d*m, d*m)."""
-    N, d = Qis.shape[0], Qis.shape[1]
-    eye = np.eye(m)
-    return np.einsum("nhk,ij->nhikj", Qis, eye).reshape(N, d * m, d * m)
+    Wh = _eigen_whitener(Vfield, "V_S")
+    return _max_sv(np.swapaxes(Wh, -1, -2) @ VA @ Wh)
 
 
 def estimate_kappa_A(fields: dict) -> np.ndarray:
@@ -131,14 +127,14 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     diffusion quadratic form, plus the nonnegativity check of its real part."""
     A = fields["A"].values  # (N, d, d, m, m)
     N, d, _, m, _ = A.shape
-
-    # block matrix over (h, k), acting on stacked theta = (theta^1..theta^d)
-    Abig = np.transpose(A, (0, 1, 3, 2, 4)).reshape(N, d * m, d * m)
-    if not np.any(Abig):
+    if not np.any(A):
         return np.zeros(N)
 
-    W = _kron_whitener(_inv_sqrt(fields["Q"], "Q"), m)
-    white = W @ Abig @ W
+    # block matrix over (h, k), acting on stacked theta = (theta^1..theta^d),
+    # whitened on both sides by Q^{-1/2} (x) I_m
+    Wh = _eigen_whitener(fields["Q"], "Q")
+    white = np.einsum("nha,nhkij,nkb->naibj", Wh, A, Wh).reshape(
+        N, d * m, d * m)
 
     sym = 0.5 * (white + np.swapaxes(white, -1, -2))
     evals = np.linalg.eigvalsh(sym)
@@ -158,21 +154,24 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     kappa_B and kappa_C are the largest singular values of the doubly whitened
     block columns of the B^h / C^h, kappa_W that of W whitened on both sides
     by G = (gamma V_S + R(gamma) I)^{-1/2}; each is maximized over nodes and
-    gammas.  V_S = U diag(lam) U^T comes from the field's spectrum, so every
-    gamma only shifts its eigenvalues to gamma*lam + R.
+    gammas.  With V_S = U diag(lam) U^T from the field's spectrum, each block
+    is rotated by U once, and each gamma scales it by (gamma lam + R)^{-1/2}.
     """
     B = fields["B"].values  # (N, d, m, m)
     N, d, m, _ = B.shape
-    Bcol = B.reshape(N, d * m, m)
-    Ccol = fields["C"].values.reshape(N, d * m, m)
-    Wmat = fields["W"].values
-    has_b, has_c, has_w = np.any(Bcol), np.any(Ccol), np.any(Wmat)
+    C, Wmat = fields["C"].values, fields["W"].values
+    has_b, has_c, has_w = np.any(B), np.any(C), np.any(Wmat)
     if not (has_b or has_c or has_w):
         return 0.0, 0.0, 0.0
 
-    if has_b or has_c:
-        Wq = _kron_whitener(_inv_sqrt(fields["Q"], "Q"), m)
     lam, U = fields["V"].spectrum
+    if has_b or has_c:
+        # the block columns of B and C, whitened by Q^{-1/2} (x) I_m, times U
+        Wq = _eigen_whitener(fields["Q"], "Q")
+        YB, YC = ((np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
+            N, d * m, m) for X in (B, C))
+    if has_w:
+        Z = np.swapaxes(U, -1, -2) @ Wmat @ U
     kB = kC = kW = 0.0
     for gamma in mode.gamma_candidates():
         # a refined R(gamma) overflows to inf at the grid's smallest gammas
@@ -180,13 +179,13 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
         with np.errstate(over="ignore"):
             w = gamma * lam + mode.weight(gamma)
         _require_pd(w, f"gamma*V_S + R (gamma={gamma})", fields["V"].domain)
-        Gi = _inv_sqrt_eig(w, U)
+        s = w[:, None, :] ** -0.5  # as rows
         if has_b:
-            kB = max(kB, float(_max_sv(Wq @ Bcol @ Gi).max()))
+            kB = max(kB, float(_max_sv(YB * s).max()))
         if has_c:
-            kC = max(kC, float(_max_sv(Wq @ Ccol @ Gi).max()))
+            kC = max(kC, float(_max_sv(YC * s).max()))
         if has_w:
-            kW = max(kW, float(_max_sv(Gi @ Wmat @ Gi).max()))
+            kW = max(kW, float(_max_sv(np.swapaxes(s, 1, 2) * Z * s).max()))
     return kB, kC, kW
 
 

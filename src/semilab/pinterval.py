@@ -45,7 +45,9 @@ class IntervalSpec:
 
 def k_combination(kappaB, kappaC, kappaW, gamma) -> float:
     """K = 4(1/gamma - kappa_W) - (kappa_B + kappa_C)^2; Theorem 3.3 needs K > 0."""
-    return 4 * (1 / gamma - kappaW) - (kappaB + kappaC) ** 2
+    s = kappaB + kappaC
+    # a product, not a power: a float power raises OverflowError, s * s is inf
+    return 4 * (1 / gamma - kappaW) - s * s
 
 
 def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
@@ -53,13 +55,14 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
 
     The combination K of ``k_combination`` must be positive.
     """
+    # written so that NaN fails every comparison and is rejected
     for name, v in [("kappaA", kappaA), ("kappaB", kappaB), ("kappaC", kappaC), ("kappaW", kappaW)]:
-        if v < 0:
+        if not v >= 0:
             raise ValueError(f"{name} must be nonnegative")
-    if gamma <= 0 or gamma * kappaW >= 1:
+    if not (gamma > 0 and gamma * kappaW < 1):
         raise ValueError("need gamma > 0 and gamma*kappaW < 1")
     K = k_combination(kappaB, kappaC, kappaW, gamma)
-    if K <= 0:
+    if not K > 0:
         raise ValueError(f"hypothesis violated: K = {K} <= 0")
 
     if kappaA == 0 and kappaB == 0 and kappaC == 0:

@@ -1,5 +1,7 @@
 """Structural-constant extraction: closed scalar reductions and probe checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from semilab.gallery import gallery_names, gallery_scenario
 from semilab.metric import weight_field
 from semilab.hypotheses import (
     HypothesisViolation,
-    _kron_whitener,
     check_all,
     estimate_c0,
     estimate_gamma_constants,
@@ -193,6 +194,33 @@ def inv_sqrt(mats):
     return (U * w[..., None, :] ** -0.5) @ np.swapaxes(U, -1, -2)
 
 
+def top_sv(mats):
+    """Per-node largest singular value, by SVD."""
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def q_whitener(fields):
+    """Per-node Q^{-1/2} (x) I_m, acting on stacked block columns."""
+    Q, m = fields["Q"].values, fields["V"].values.shape[-1]
+    N, d, _ = Q.shape
+    return np.einsum("nhk,ij->nhikj", inv_sqrt(Q), np.eye(m)).reshape(
+        N, d * m, d * m)
+
+
+def reference_c0(fields):
+    V = fields["V"].values
+    Wh = inv_sqrt(0.5 * (V + np.swapaxes(V, -1, -2)))
+    return top_sv(Wh @ (0.5 * (V - np.swapaxes(V, -1, -2))) @ Wh)
+
+
+def reference_kappa_A(fields):
+    A = fields["A"].values
+    N, d, _, m, _ = A.shape
+    Wq = q_whitener(fields)
+    return top_sv(Wq @ np.transpose(A, (0, 1, 3, 2, 4)).reshape(
+        N, d * m, d * m) @ Wq)
+
+
 def reference_sweep(fields, mode):
     """(kappa_B, kappa_C, kappa_W) with each gamma's whitener
     (gamma V_S + R I)^{-1/2} taken from its own eigendecomposition."""
@@ -200,18 +228,15 @@ def reference_sweep(fields, mode):
     N, d, m, _ = B.shape
     V = fields["V"].values
     VS = 0.5 * (V + np.swapaxes(V, -1, -2))
-    Wq = _kron_whitener(inv_sqrt(fields["Q"].values), m)
+    Wq = q_whitener(fields)
     Bcol, Ccol = B.reshape(N, d * m, m), C.reshape(N, d * m, m)
-
-    def top_sv(mats):
-        return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
 
     kB = kC = kW = 0.0
     for gamma in mode.gamma_candidates():
         Gi = inv_sqrt(gamma * VS + mode.weight(gamma) * np.eye(m))
-        kB = max(kB, top_sv(Wq @ Bcol @ Gi))
-        kC = max(kC, top_sv(Wq @ Ccol @ Gi))
-        kW = max(kW, top_sv(Gi @ Wmat @ Gi))
+        kB = max(kB, float(top_sv(Wq @ Bcol @ Gi).max()))
+        kC = max(kC, float(top_sv(Wq @ Ccol @ Gi).max()))
+        kW = max(kW, float(top_sv(Gi @ Wmat @ Gi).max()))
     return kB, kC, kW
 
 
@@ -231,6 +256,55 @@ COUPLED = CoefficientSystem(
                    ["0.2", "0", "0.4"]]),
 )
 
+# d = m = 2 with an x-dependent, non-diagonal Q, a non-symmetric V and every
+# block present, so both eigenbases (of Q and of V_S) vary from node to node
+COUPLED_2D = CoefficientSystem(
+    d=2, m=2, Q=expr_matrix([["2 + x1", "0.5 * x2"], ["0.5 * x2", "1.5 + x2^2"]]),
+    V=expr_matrix([["3 + x1", "0.4 + x2"], ["-0.2 * x1", "2.5 - x2"]]),
+    A=expr_matrix([
+        [[["1 + 0.2 * x1", "0.1"], ["-0.1 * x2", "0.8"]],
+         [["0.1 * x2", "0"], ["0.05", "0.1"]]],
+        [[["0.1", "-0.05 * x1"], ["0", "0.2 * x2"]],
+         [["0.9", "0.1 * x1"], ["0.1", "1 + x2"]]]]),
+    B=expr_matrix([[["x1", "0.5"], ["-0.3", "x2^2"]],
+                   [["0.2", "-x1 * x2"], ["0.4", "0.1"]]]),
+    C=expr_matrix([[["0.3", "x2"], ["0", "-0.2"]],
+                   [["x1^2", "0.1"], ["-0.5", "0.3 * x2"]]]),
+    W=expr_matrix([["0.1 + x1", "0.2"], ["-0.3 * x2", "0.4"]]),
+)
+GRID_2D = BoxDomain((0.0, 0.0), (1.0, 1.0), (6, 6))
+MODES_3 = pytest.mark.parametrize(
+    "mode", [fixed_gamma(0.7, 1.5), refined(a=0.25), kernel_mode(beta=1.0, c=2.0)],
+    ids=["fixed_gamma", "refined", "kernel"])
+
+
+class TestRotatedWhitening:
+    """Every estimator on systems whose eigenbases vary from node to node,
+    against whiteners from dense per-node eigendecompositions and SVDs."""
+
+    # at m = 2 every rotation maps the antisymmetric part to +-itself; m = 3
+    # also checks that it is rotated into the eigenbasis of V_S
+    @pytest.mark.parametrize("system,grid", [(COUPLED_2D, GRID_2D),
+                                             (COUPLED, GRID)], ids=["m2", "m3"])
+    def test_c0(self, system, grid):
+        fields = sample(system, grid)
+        got = estimate_c0(fields["V"])
+        assert got.min() > 0
+        np.testing.assert_allclose(got, reference_c0(fields), rtol=1e-12)
+
+    def test_kappa_A(self):
+        fields = sample(COUPLED_2D, GRID_2D)
+        got = estimate_kappa_A(fields)
+        assert got.min() > 0
+        np.testing.assert_allclose(got, reference_kappa_A(fields), rtol=1e-12)
+
+    @MODES_3
+    def test_gamma_sweep(self, mode):
+        fields = sample(COUPLED_2D, GRID_2D)
+        got = estimate_gamma_constants(fields, mode)
+        assert all(k > 0 for k in got)
+        assert got == pytest.approx(reference_sweep(fields, mode), rel=1e-12)
+
 
 class TestSharedGammaSweep:
     """The one-eigendecomposition sweep against per-gamma whitening."""
@@ -242,9 +316,7 @@ class TestSharedGammaSweep:
         assert estimate_gamma_constants(fields, scn.mode) == pytest.approx(
             reference_sweep(fields, scn.mode), rel=1e-12)
 
-    @pytest.mark.parametrize("mode", [fixed_gamma(0.7, 1.5), refined(a=0.25),
-                                      kernel_mode(beta=1.0, c=2.0)],
-                             ids=["fixed_gamma", "refined", "kernel"])
+    @MODES_3
     def test_non_diagonal_potential(self, mode):
         fields = sample(COUPLED, GRID)
         got = estimate_gamma_constants(fields, mode)
@@ -307,6 +379,18 @@ class TestCheckAll:
         assert rep.passes["kernel_W_vanishes"]
         # the gamma-grid supremum approaches the exact value 0.1 from below
         assert 0.0999 < rep.kappa <= 0.1 + 1e-12
+
+    def test_drift_beyond_root_of_float_range(self):
+        # kappa_B = 1e100 / (2e-120)^{1/2} = 7.07e159 is finite, its Gram
+        # entry and its square are not: kappa_B stays exact and K is -inf
+        system = scalar_system(v="1e-120", b="1e100")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_all(sample(system, GRID), mode=fixed_gamma(1.0, 1e-120))
+        assert rep.kappaB == pytest.approx(1e100 / np.sqrt(2e-120), rel=1e-14)
+        assert rep.K == -np.inf and rep.best_K == -np.inf
+        assert rep.passes["drift_bounds_finite"]
+        assert not rep.passes["K_positive"]
 
     def test_nu0_is_min_diffusion_eigenvalue(self):
         system = scalar_system(q="2 + x1")

@@ -372,6 +372,48 @@ class TestCli:
     def test_p_interval_bad_constants(self, capsys):
         assert main(["p-interval", "--constants", "1,2"]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("pos,error", [
+        (0, "kappaA must be nonnegative"), (1, "kappaB must be nonnegative"),
+        (2, "kappaC must be nonnegative"), (3, "kappaW must be nonnegative"),
+        (4, "need gamma > 0 and gamma*kappaW < 1")],
+        ids=["kA", "kB", "kC", "kW", "gamma"])
+    def test_p_interval_nan_constant_is_config_error(self, pos, error, capsys):
+        # NaN in place of one constant of the ]1, inf[ case
+        vals = ["0", "0", "0", "0", "1"]
+        vals[pos] = "nan"
+        assert main(["p-interval", "--constants", ",".join(vals)]) \
+            == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize("key", ["g1", "g4"])
+    def test_p_interval_section_and_constants_share_oracle_grid(
+            self, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["p-interval", "--scenario", f"gallery:{key}",
+                     "--out", str(out)]) == EXIT_OK
+        sec = json.loads((out / "report.json").read_text())[
+            "sections"]["pinterval"]
+        capsys.readouterr()
+        c = sec["constants"]
+        assert main(["p-interval", "--constants", ",".join(
+            repr(c[k]) for k in ("kappaA", "kappaB", "kappaC", "kappaW",
+                                 "gamma"))]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            sec["interval"],
+            f"psd-oracle disagreements: {sec['oracle_disagreements']} of "
+            f"{sec['oracle_grid_points']}"]
+
+    def test_nittka_reads_gamma_of_hypotheses(self, tmp_path, capsys):
+        # a refined-mode scenario: check_all reports gamma = 1
+        out = tmp_path / "out"
+        main(["nittka", "--scenario", "gallery:g5", "--out", str(out)])
+        sections = json.loads((out / "report.json").read_text())["sections"]
+        assert sections["nittka"]["gamma"] == 1.0
+        assert sections["nittka"]["gamma"] == \
+            sections["hypotheses"]["report"]["gamma"]
+
     def test_overrides_change_scenario_hash(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
         assert main(["check-hypotheses", "--scenario", path,
@@ -415,6 +457,35 @@ class TestCli:
         hyp = rep["sections"]["hypotheses"]["report"]
         assert hyp["passes"]["drift_bounds_finite"] is False
         assert any("not positive definite" in n for n in hyp["notes"])
+
+    def test_drift_square_beyond_float_range_is_failed_check(self, tmp_path,
+                                                             capsys):
+        # kappa_B = 1e100 / (2e-120)^{1/2} = 7.07e159 squares past the float
+        # range: K is -inf, a failed check, and the report is written
+        text = (MINIMAL.replace("Cgamma = 1", "Cgamma = 1e-120")
+                .replace('v.11 = "2"', 'v.11 = "1e-120"\nb.1.11 = "1e100"'))
+        out = tmp_path / "out"
+        assert main(["check-hypotheses", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        hyp = json.loads((out / "report.json").read_text())[
+            "sections"]["hypotheses"]["report"]
+        assert hyp["kappaB"] == pytest.approx(7.0710678118654755e159,
+                                              rel=1e-14)
+        assert hyp["K"] is None and hyp["best_K"] is None
+        assert hyp["passes"]["K_positive"] is False
+
+    @pytest.mark.parametrize("sub,key,dt", [("evolve", "g1", "1e-300"),
+                                            ("all", "g1", "1e-300"),
+                                            ("evolve", "g1", "5e-324"),
+                                            ("kernel", "g6-flat", "1e-300")])
+    def test_step_count_beyond_int64_is_config_error(self, sub, key, dt,
+                                                     tmp_path, capsys):
+        assert main([sub, "--scenario", f"gallery:{key}", "--dt", dt,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and err[0].endswith("are too many")
 
     def test_nittka_finding_scale_from_worst_sample(self, tmp_path, capsys):
         # a strongly negative potential makes the shifted sign test negative
