@@ -76,12 +76,8 @@ def _axes(grid) -> list:
 
 
 def _jsonable(obj):
-    """Plain JSON data for ``obj``; a non-finite float becomes None (null),
-    since strict JSON has no NaN or Infinity."""
-    if dataclasses.is_dataclass(obj):
-        obj = dataclasses.asdict(obj)
-    elif isinstance(obj, (np.ndarray, np.floating, np.integer)):
-        obj = obj.tolist()
+    """``obj``, built of dicts, lists and scalars, with each non-finite float
+    made None (null), since strict JSON has no NaN or Infinity."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -119,11 +115,8 @@ def _load_scenario(args) -> Scenario:
 
 
 def _hypotheses_section(run: Run) -> dict:
-    rep = check_all(run.fields, mode=run.scn.mode)
-    return {
-        "report": dataclasses.asdict(rep),
-        "pass": rep.all_pass,
-    }
+    return {"report": dataclasses.asdict(run.hypotheses),
+            "pass": run.hypotheses.all_pass}
 
 
 def _oracle_grid(iv) -> np.ndarray:
@@ -140,16 +133,13 @@ def _oracle_disagreements(constants: tuple, iv, grid: np.ndarray) -> int:
 
 
 def _pinterval_section(run: Run) -> dict:
-    r = run.sections["hypotheses"]["report"]
-    constants = (r["kappaA"], r["kappaB"], r["kappaC"], r["kappaW"], r["gamma"])
-    out: dict = {"constants": dict(zip(
-        ("kappaA", "kappaB", "kappaC", "kappaW", "gamma"), constants))}
-    K = out["K"] = r["K"]
-    if not np.isfinite(K) or K <= 0 or not np.isfinite(r["kappaA"]):
-        out["interval"] = None
-        out["pass"] = False
+    h, iv = run.hypotheses, run.interval
+    constants = (h.kappaA, h.kappaB, h.kappaC, h.kappaW, h.gamma)
+    out = {"constants": dict(zip(
+        ("kappaA", "kappaB", "kappaC", "kappaW", "gamma"), constants)),
+        "K": h.K, "interval": None, "pass": False}
+    if iv is None:
         return out
-    iv = interval_thm33(*constants)
     out["interval"] = str(iv)
     out["interval_lo"] = iv.lo
     out["interval_hi"] = None if np.isinf(iv.hi) else iv.hi
@@ -163,37 +153,28 @@ def _pinterval_section(run: Run) -> dict:
     return out
 
 
-def _growth_bound(scn: Scenario, hyp: dict, p: float) -> float | None:
-    """Exponential growth-rate bound for the p-norm, or None if p is not
-    covered by the declared mode at the estimated constants."""
-    if np.isinf(p):
-        return None
-    r = hyp["report"]
-    kA, kB, kC, kW = r["kappaA"], r["kappaB"], r["kappaC"], r["kappaW"]
-    if not all(np.isfinite(x) for x in (kA, kB, kC, kW)):
-        return None
-    if scn.mode.kind == "fixed_gamma":
+def _growth_bound(run: Run, p: float) -> float | None:
+    """Exponential growth-rate bound R(gamma)/gamma for the p-norm, or None
+    if p is not covered by the declared mode at the estimated constants:
+    gamma is the fixed gamma where p lies in the Theorem 3.3 interval, else
+    gamma_p of Theorem 3.5 (gamma_p = inf gives 0)."""
+    mode, h = run.scn.mode, run.hypotheses
+    if mode.kind == "fixed_gamma":
+        if run.interval is None or not run.interval.contains(p):
+            return None
+        gamma = mode.gamma
+    else:
         try:
-            iv = interval_thm33(kA, kB, kC, kW, scn.mode.gamma)
+            gamma = gamma_p(h.kappaA, h.kappaB, h.kappaC, h.kappaW, p)
         except ValueError:
             return None
-        if not iv.contains(p):
-            return None
-        return scn.mode.Cgamma / scn.mode.gamma
-    try:
-        g = gamma_p(kA, kB, kC, kW, p)
-    except ValueError:
-        return None
-    if np.isinf(g):
-        return 0.0
-    return growth_exponent_thm35(scn.mode.weight, p, g)
+    return growth_exponent_thm35(mode.weight, p, gamma)
 
 
 def _evolve_section(run: Run) -> dict:
     scn = run.scn
     stepper = run.stepper(scn.scheme)
-    bounds = {p: _growth_bound(scn, run.sections["hypotheses"], p)
-              for p in scn.p_list}
+    bounds = {p: _growth_bound(run, p) for p in scn.p_list}
     results = contractivity_probe_multi(stepper, scn.p_list, scn.t_final,
                                         scn.n_samples, seed=scn.seed)
     traces = {}
@@ -224,7 +205,7 @@ def _nittka_section(run: Run) -> dict:
     scn, F = run.scn, run.F
     rng = np.random.default_rng(scn.seed + 1)
     u = band_limited_random(F.grid, F.m, rng, scn.n_samples)
-    gamma = run.sections["hypotheses"]["report"]["gamma"]
+    gamma = run.hypotheses.gamma
     Cgamma = scn.mode.weight(gamma)
     values = {}
     findings = []
@@ -265,21 +246,21 @@ def _kernel_section(run: Run) -> dict:
     scn = run.scn
     if scn.mode.kind != "kernel":
         return {"skipped": "scenario mode is not kernel", "pass": True}
-    if isinstance(run.geometry, MetricError):
-        return {"reason": str(run.geometry), "pass": False}
     center, field, dist = run.geometry
     t = scn.t_final
     values = kernel_block(run.stepper("implicit_euler"), center, t)
-    r = run.sections["hypotheses"]["report"]
-    if r["kappa"] is None:
-        rhs = None
-        out = {"reason": "kappa is undefined: the drift bounds are not finite",
-               "pass": False}
-    else:
+    h = run.hypotheses
+    try:
+        if h.kappa is None:
+            raise ValueError(
+                "kappa is undefined: the drift bounds are not finite")
         # any positive constant is a valid drift bound when the drift vanishes
-        kappa = max(r["kappa"], 1e-6)
         bundle = kernel_constants(d=scn.grid.d, beta=scn.mode.beta,
-                                  kappa=kappa, c=scn.mode.c, nu0=r["nu0"])
+                                  kappa=max(h.kappa, 1e-6), c=scn.mode.c,
+                                  nu0=h.nu0)
+    except ValueError as err:  # the bound is undefined: no bound column
+        rhs, out = None, {"reason": str(err), "pass": False}
+    else:
         rhs = gaussian_bound_rhs(bundle, t, dist)
         result = verify_gaussian(values, rhs, scn.grid)
         out = {"bundle": dataclasses.asdict(bundle),
@@ -296,8 +277,6 @@ def _kernel_section(run: Run) -> dict:
 
 
 def _distance_section(run: Run) -> dict:
-    if isinstance(run.geometry, MetricError):
-        return {"reason": str(run.geometry), "pass": False}
     center, field, dist = run.geometry
     grid = run.scn.grid
     _write_csv(os.path.join(run.out_dir, "distance.csv"),
@@ -317,7 +296,7 @@ def _distance_section(run: Run) -> dict:
 
 # section name -> (section function, whether the section uses the form on
 # every scenario), in report order; each section takes the Run and reads what
-# it needs from it
+# it needs from it, and a MetricError it raises fails it with that reason
 SECTIONS = {"hypotheses": (_hypotheses_section, False),
             "pinterval": (_pinterval_section, False),
             "evolve": (_evolve_section, True),
@@ -337,13 +316,14 @@ RUNS = {"check-hypotheses": ("hypotheses",),
 
 
 class Run:
-    """One scenario run: its sections, its phase timings, and what the
-    sections share, each built once on first use and timed as its phase.
+    """One scenario run: its phase timings and what its sections share, each
+    built once on first use.  Sampling, assembly, factorization and the
+    central distances are timed as their own phases; the hypotheses report
+    and the p-interval are charged to the section that first reads them.
     Layer functions are looked up in this module at call time."""
 
     def __init__(self, scn: Scenario, out_dir: str, strict: bool):
         self.scn, self.out_dir, self.strict = scn, out_dir, strict
-        self.sections: dict = {}
         self.timings: dict = {}
         self._inner: list = []  # per open phase, the time of phases inside it
         self._steppers: dict = {}
@@ -378,13 +358,24 @@ class Run:
         return self._steppers[scheme]
 
     @functools.cached_property
+    def hypotheses(self):
+        """The HypothesisReport of the sampled fields."""
+        return check_all(self.fields, mode=self.scn.mode)
+
+    @functools.cached_property
+    def interval(self):
+        """The Theorem 3.3 p-interval at the report's constants; None unless
+        K and kappa_A are finite and K > 0."""
+        h = self.hypotheses
+        if not (0 < h.K < math.inf and math.isfinite(h.kappaA)):
+            return None
+        return interval_thm33(h.kappaA, h.kappaB, h.kappaC, h.kappaW, h.gamma)
+
+    @functools.cached_property
     def geometry(self):
-        """_central_distances, or the MetricError that leaves them undefined."""
-        try:
-            return self.timed("central_distances", _central_distances,
-                              self.scn, self.fields)
-        except MetricError as err:
-            return err
+        """_central_distances; raises MetricError where they are undefined."""
+        return self.timed("central_distances", _central_distances,
+                          self.scn, self.fields)
 
 
 def _gallery_listing() -> str:
@@ -404,8 +395,12 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
     run.fields
     if any(SECTIONS[name][1] for name in RUNS[sub]):
         run.F
+    sections = {}
     for name in RUNS[sub]:
-        run.sections[name] = run.timed(name, SECTIONS[name][0], run)
+        try:
+            sections[name] = run.timed(name, SECTIONS[name][0], run)
+        except MetricError as err:
+            sections[name] = {"reason": str(err), "pass": False}
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -413,8 +408,8 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
         "scenario": scn.name,
         "scenario_hash": _scenario_hash(scn),
         "seed": scn.seed,
-        "sections": run.sections,
-        "pass": all(sec.get("pass", True) for sec in run.sections.values()),
+        "sections": sections,
+        "pass": all(sec.get("pass", True) for sec in sections.values()),
     }
     _atomic_write(os.path.join(out_dir, "report.json"),
                   json.dumps(_jsonable(report), indent=2, sort_keys=True,

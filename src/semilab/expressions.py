@@ -90,7 +90,8 @@ Expr = Const | Var | Neg | BinOp | Call
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|\Z)"  # the end of the input, after trailing whitespace
 )
 
 
@@ -111,8 +112,6 @@ def _tokenize(text: str):
         elif m.group("op") is not None:
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
-        if m.end() == m.start():  # trailing whitespace only
-            break
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -45,10 +45,17 @@ class EstimateMode:
     def __post_init__(self):
         if self.kind not in MODE_PARAMS:
             raise ValueError(f"unknown mode {self.kind!r}")
+        for key in MODE_PARAMS[self.kind]:
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value):  # b may be None
+                raise ValueError(f"{self.kind} mode requires a finite {key}, "
+                                 f"got {value}")
         if self.kind == "fixed_gamma" and not self.gamma > 0:
             raise ValueError("fixed_gamma mode requires gamma > 0")
         if self.kind == "refined":
             phi_power(self.a, self.b)  # rejects a outside ]0, 1/2[, b outside [0, 1[
+        if self.kind == "kernel" and self.beta < 0:
+            raise ValueError("kernel mode requires beta >= 0")
         if self.kind == "kernel" and self.c < 1:
             raise ValueError("kernel mode requires c >= 1")
 
@@ -103,12 +110,17 @@ def _eigen_whitener(field: SampledField, what: str) -> np.ndarray:
 
 def _max_sv(mats: np.ndarray) -> np.ndarray:
     """Per-node top singular value: root of the largest eigenvalue of M^T M, with
-    M each matrix over its largest |entry| (so M^T M cannot overflow)."""
-    scale = np.abs(mats).max(axis=(-2, -1), keepdims=True)
-    scale[scale == 0] = 1.0
-    M = mats / scale
+    M each matrix over its largest |entry| (so M^T M cannot overflow); inf
+    for a matrix with an entry that is not finite."""
+    scale = np.abs(mats).max(axis=(-2, -1))
+    bad = ~np.isfinite(scale)
+    scale[bad | (scale == 0)] = 1.0
+    M = mats / scale[..., None, None]
+    M[bad] = 0.0
     gram = np.swapaxes(M, -1, -2) @ M
-    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1]) * scale[..., 0, 0]
+    top = np.sqrt(np.linalg.eigvalsh(gram)[..., -1]) * scale
+    top[bad] = np.inf
+    return top
 
 
 def estimate_c0(Vfield: SampledField) -> np.ndarray:
@@ -148,6 +160,10 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     return _max_sv(white)
 
 
+# a refined R(gamma) overflows to inf at the grid's smallest gammas when an
+# exponent is near its bound; inf is its limit and whitens to 0.  A whitened
+# block that overflows has top singular value inf (see _max_sv)
+@np.errstate(over="ignore")
 def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     """(kappa_B, kappa_C, kappa_W) from one sweep over the mode's gammas.
 
@@ -174,10 +190,7 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
         Z = np.swapaxes(U, -1, -2) @ Wmat @ U
     kB = kC = kW = 0.0
     for gamma in mode.gamma_candidates():
-        # a refined R(gamma) overflows to inf at the grid's smallest gammas
-        # when an exponent is near its bound; inf is its limit and whitens to 0
-        with np.errstate(over="ignore"):
-            w = gamma * lam + mode.weight(gamma)
+        w = gamma * lam + mode.weight(gamma)
         _require_pd(w, f"gamma*V_S + R (gamma={gamma})", fields["V"].domain)
         s = w[:, None, :] ** -0.5  # as rows
         if has_b:

@@ -126,6 +126,10 @@ def admissible_p_range_thm35(kappaA) -> tuple:
 
 
 def gamma_p(kappaA, kappaB, kappaC, kappaW, p) -> float:
+    # written so that NaN fails every comparison and is rejected
+    for name, v in [("kappaA", kappaA), ("kappaB", kappaB), ("kappaC", kappaC), ("kappaW", kappaW)]:
+        if not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
     lo, hi = admissible_p_range_thm35(kappaA)
     if not lo < p < hi:
         raise ValueError(f"p = {p} outside admissible range ]{lo}, {hi}[")
@@ -320,19 +324,23 @@ def kernel_constants(d: int, beta: float, kappa: float, c: float, nu0: float) ->
         raise ValueError("c must be at least 1")
     r = d if d >= 3 else 3
     rstar = 2 * r / (r - 2)
-    R, A, B, L, jtrunc = moser_sums(r, beta)
+    try:
+        R, A, B, L, jtrunc = moser_sums(r, beta)
 
-    Hhat = hhat_constant(kappa, c, beta)
-    H = max(rstar ** (2 * beta + 2) * Hhat, nu0 / 2) * (2 * A + L)
-    C1 = 2 ** (2 * beta + 2) * Hhat
-    pw = 1 / (2 * beta + 1)
-    C2 = (2 * beta + 1) / (2 * beta + 2) * (2 ** (2 * beta + 2) * Hhat * (2 * beta + 2)) ** (-pw)
-    H1 = H * (2 ** (2 * beta + 2) * Hhat * (2 * beta + 2)) ** (-(2 * beta + 2) * pw)
+        Hhat = hhat_constant(kappa, c, beta)
+        H = max(rstar ** (2 * beta + 2) * Hhat, nu0 / 2) * (2 * A + L)
+        C1 = 2 ** (2 * beta + 2) * Hhat
+        pw = 1 / (2 * beta + 1)
+        C2 = (2 * beta + 1) / (2 * beta + 2) * (2 ** (2 * beta + 2) * Hhat * (2 * beta + 2)) ** (-pw)
+        H1 = H * (2 ** (2 * beta + 2) * Hhat * (2 * beta + 2)) ** (-(2 * beta + 2) * pw)
 
-    chat = sobolev_chat(r, d)
-    c_rd = chat ** (d / r) * d ** (d / (2 * r)) * r ** (-d / (2 * r))
-    C_dbeta = c_rd ** (r / 2) * B ** (d / r) * math.e
-    C0 = 2 ** (d / 2) * C_dbeta**2 * nu0 ** (-d / 2) * max(1.0, H, H1) ** (d / 2)
+        chat = sobolev_chat(r, d)
+        c_rd = chat ** (d / r) * d ** (d / (2 * r)) * r ** (-d / (2 * r))
+        C_dbeta = c_rd ** (r / 2) * B ** (d / r) * math.e
+        C0 = 2 ** (d / 2) * C_dbeta**2 * nu0 ** (-d / 2) * max(1.0, H, H1) ** (d / 2)
+    except OverflowError:  # a power beyond the float range
+        raise ValueError(f"the kernel constants at beta = {beta} lie beyond "
+                         "the float range") from None
 
     return ConstantsBundle(
         d=d, beta=beta, kappa=kappa, c=c, nu0=nu0,
@@ -353,4 +361,5 @@ def gaussian_bound_rhs(bundle: ConstantsBundle, t, dist):
     X = (dist / t) ** q
     pre = bundle.C0 * (1 + 1 / t + X) ** (d / 2)
     expo = bundle.C1 * t - bundle.C2 * t ** (-1 / (2 * beta + 1)) * dist**q
-    return pre * np.exp(expo)
+    with np.errstate(over="ignore"):  # an infinite bound holds, vacuously
+        return pre * np.exp(expo)

@@ -151,7 +151,10 @@ def parse_key(key: str):
 def parse_scenario(path, name: str | None = None) -> Scenario:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cfg.optionxform = str
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as err:  # its message names the file and line
+        raise ScenarioError(" ".join(str(err).split())) from None
     if not read:
         raise ScenarioError(f"cannot read scenario file {path}")
     where = str(path)

@@ -113,6 +113,20 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expr("1 + $")
 
+    @pytest.mark.parametrize("text", ["x1", "1 + x1^2", "min(x1, 2)"])
+    @pytest.mark.parametrize("space", [" ", " \t", "\n  "])
+    def test_trailing_whitespace_is_ignored(self, text, space):
+        assert parse_expr(text + space, dim=1) == parse_expr(text, dim=1)
+        assert parse_expr(space + text + space, dim=1) == parse_expr(text, dim=1)
+
+    @pytest.mark.parametrize("text, offset", [("1 + $", 4), ("1 + 2 )", 6),
+                                              ("x1 x1", 3)])
+    def test_trailing_whitespace_keeps_error_offsets(self, text, offset):
+        for t in (text, text + " \t"):
+            with pytest.raises(ExprSyntaxError) as exc:
+                parse_expr(t, dim=1)
+            assert exc.value.offset == offset
+
 
 # random expression trees for the roundtrip property
 _leaves = st.one_of(

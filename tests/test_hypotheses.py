@@ -17,7 +17,10 @@ from semilab.coefficients import (
 from semilab.gallery import gallery_names, gallery_scenario
 from semilab.metric import weight_field
 from semilab.hypotheses import (
+    MODE_PARAMS,
+    EstimateMode,
     HypothesisViolation,
+    _max_sv,
     check_all,
     estimate_c0,
     estimate_gamma_constants,
@@ -392,6 +395,19 @@ class TestCheckAll:
         assert rep.passes["drift_bounds_finite"]
         assert not rep.passes["K_positive"]
 
+    def test_overflowed_drift_is_infinite(self):
+        # the whitened drift 1e200 * (1e-300 + 1e-300)^{-1/2} overflows: its
+        # top singular value is inf, so the drift bounds and K are undefined
+        system = scalar_system(v="1e-300", b="1e200")
+        grid = BoxDomain((0.0,), (1.0,), (16,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_all(sample(system, grid), mode=fixed_gamma(1.0, 1e-300))
+        assert rep.kappaB == np.inf
+        assert not rep.passes["drift_bounds_finite"]
+        assert np.isnan(rep.K) and rep.best_K is None
+        assert not rep.passes["K_positive"]
+
     def test_nu0_is_min_diffusion_eigenvalue(self):
         system = scalar_system(q="2 + x1")
         rep = check_all(sample(system, GRID), mode=fixed_gamma(1.0, 1.0))
@@ -401,11 +417,30 @@ class TestCheckAll:
 
 @pytest.mark.parametrize("make", [lambda: fixed_gamma(0.0, 1.0),
                                   lambda: refined(a=0.7),
-                                  lambda: refined(a=0.25, b=1.0)],
-                         ids=["gamma_zero", "a_too_large", "b_too_large"])
+                                  lambda: refined(a=0.25, b=1.0),
+                                  lambda: kernel_mode(beta=-1.0, c=1.0)],
+                         ids=["gamma_zero", "a_too_large", "b_too_large",
+                              "beta_negative"])
 def test_invalid_mode_rejected_at_construction(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, keys in MODE_PARAMS.items() for key in keys])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_mode_parameter_rejected(kind, key, value):
+    with pytest.raises(ValueError, match=f"requires a finite {key}"):
+        EstimateMode(kind, **{key: value})
+
+
+def test_top_singular_value_of_nonfinite_matrix_is_inf():
+    mats = np.array([[[3.0, 0.0], [0.0, 4.0]], [[1.0, np.inf], [0.0, 1.0]],
+                     [[np.nan, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        top = _max_sv(mats)
+    assert top.tolist() == [4.0, np.inf, np.inf, 0.0]
 
 
 def test_one_decomposition_per_field(monkeypatch):

@@ -1,6 +1,7 @@
 """Closed-form interval algebra against the independent PSD oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,14 @@ class TestGammaP:
     def test_outside_range_rejected(self):
         with pytest.raises(ValueError):
             gamma_p(0.5, 1, 1, 0, 3.5)
+
+    @pytest.mark.parametrize("pos", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_rejects_nonfinite_or_negative_constants(self, pos, value):
+        constants = [0.0, 0.5, 0.5, 0.1]
+        constants[pos] = value
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            gamma_p(*constants, 2.0)
 
     def test_duality_consistency_below_two(self):
         # the direct formula at p < 2 agrees with the swapped dual exponent
@@ -323,6 +332,15 @@ class TestKernelConstants:
             kernel_constants(d=1, beta=0.0, kappa=kappa, c=1.0, nu0=nu0)
 
 
+    @pytest.mark.parametrize("beta, message", [
+        (100.0, "constant H = inf not positive finite"),
+        (300.0, "beyond the float range")])
+    def test_constants_beyond_float_range_rejected(self, beta, message):
+        # at beta = 100 a product overflows to inf, at 300 a power raises
+        with pytest.raises(ValueError, match=message):
+            kernel_constants(d=1, beta=beta, kappa=3.0, c=1.0, nu0=1.0)
+
+
 class TestGaussianRhs:
     def test_zero_distance(self):
         b = kernel_constants(d=1, beta=0.0, kappa=0.1, c=1.0, nu0=1.0)
@@ -359,6 +377,15 @@ class TestGaussianRhs:
         q = (2 * b.beta + 2) / (2 * b.beta + 1)
         expo = b.C1 * t - b.C2 * t ** (-1 / (2 * b.beta + 1)) * dist**q
         assert np.all(np.diff(expo) < 0)
+
+    def test_overflowing_bound_is_inf(self):
+        # C1 t is far past the exponential's float range: the bound holds
+        # vacuously, without a warning
+        b = kernel_constants(d=1, beta=50.0, kappa=3.0, c=1.0, nu0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = gaussian_bound_rhs(b, 0.05, np.array([0.0, 1.0, 8.0]))
+        assert np.all(np.isposinf(vals))
 
     def test_rejects_bad_arguments(self):
         b = kernel_constants(d=1, beta=0.0, kappa=0.1, c=1.0, nu0=1.0)

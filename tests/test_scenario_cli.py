@@ -1,5 +1,6 @@
 """Scenario file parsing, serialization roundtrips, and the CLI surface."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -60,6 +61,25 @@ INDEFINITE = MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nv.22 = "-1"').replace(
 
 
 FIXED_GAMMA = "mode = fixed_gamma\ngamma = 1\nCgamma = 1"
+KERNEL = "mode = kernel\nbeta = 0\nc = 1"
+# a 1-D kernel-mode scenario with a constant drift
+KERNEL_1D = (MINIMAL.replace("lower = 0", "lower = -4")
+             .replace("upper = 1", "upper = 4").replace("n = 32", "n = 64")
+             .replace('v.11 = "2"', 'v.11 = "1 + x1^2"\nb.1.11 = "3"')
+             .replace(FIXED_GAMMA, KERNEL).replace("t_final = 0.01",
+                                                   "t_final = 0.05"))
+# scenario files configparser cannot read: (text, part of the message)
+UNREADABLE = {
+    "repeated-key": (MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nv.11 = "3"'),
+                     "option 'v.11' in section 'operator' already exists"),
+    "repeated-section": (MINIMAL + "\n[run]\nseed = 8\n",
+                         "section 'run' already exists"),
+    "key-above-header": ("seed = 7\n" + MINIMAL,
+                         "File contains no section headers"),
+    "line-without-equals": (MINIMAL.replace('v.11 = "2"',
+                                            'v.11 = "2"\ngarbage'),
+                            "[line 11]: 'garbage\\n'"),
+}
 # (mode lines, a key that mode does not read)
 FOREIGN_MODE_KEYS = [
     ("mode = refined\na = 0.25", "gamma = 5"),
@@ -175,6 +195,12 @@ class TestParsing:
                 f"{path}: [run] scheme must be one of implicit_euler, "
                 "crank_nicolson, got 'foo'")):
             parse_scenario(path)
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_unreadable_file_rejected(self, case, tmp_path):
+        text, message = UNREADABLE[case]
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(write(tmp_path, text))
 
     def test_zero_samples_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("samples = 3", "samples = 0"))
@@ -294,6 +320,52 @@ class TestCli:
 
     def test_no_scenario_flag(self, capsys):
         assert main(["check-hypotheses"]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_unreadable_file_is_config_error(self, case, tmp_path, capsys):
+        text, message = UNREADABLE[case]
+        path = write(tmp_path, text)
+        assert main(["check-hypotheses", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [err] = captured.err.splitlines()
+        assert err.startswith("error: ") and path in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_expression_whitespace_is_ignored(self, tmp_path, capsys):
+        reports = set()
+        for value in ('"1"', '"1 "', '" 1\t"'):
+            out = tmp_path / f"out-{len(reports)}"
+            text = MINIMAL.replace('q.11 = "1"', f"q.11 = {value}")
+            assert main(["check-hypotheses", "--scenario",
+                         write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+            reports.add((out / "report.json").read_bytes())
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("mode, message", [
+        (KERNEL.replace("beta = 0", "beta = nan"), "requires a finite beta"),
+        (KERNEL.replace("beta = 0", "beta = inf"), "requires a finite beta"),
+        (KERNEL.replace("beta = 0", "beta = -1"), "requires beta >= 0"),
+        (KERNEL.replace("c = 1", "c = nan"), "requires a finite c"),
+        (FIXED_GAMMA.replace("Cgamma = 1", "Cgamma = nan"),
+         "requires a finite Cgamma"),
+        (FIXED_GAMMA.replace("gamma = 1", "gamma = inf"),
+         "requires a finite gamma")],
+        ids=["beta-nan", "beta-inf", "beta-negative", "c-nan", "Cgamma-nan",
+             "gamma-inf"])
+    def test_unusable_mode_parameter_is_config_error(self, mode, message,
+                                                     tmp_path, capsys):
+        # rejected while parsing: nothing is stepped and no file is written
+        text = KERNEL_1D.replace(KERNEL, mode)
+        out = tmp_path / "out"
+        assert main(["all", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [err] = captured.err.splitlines()
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_check_passes_on_valid_scenario(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL)
@@ -582,6 +654,55 @@ class TestCli:
         assert "kappa is undefined" in sec["reason"]
         assert "bundle" not in sec
 
+    @pytest.mark.parametrize("beta, reason", [
+        ("100", "constant H = inf not positive finite"),
+        ("300", "the kernel constants at beta = 300.0 lie beyond the float "
+                "range")])
+    def test_kernel_bound_beyond_float_range_fails_section(
+            self, beta, reason, tmp_path, capsys):
+        text = KERNEL_1D.replace("beta = 0", f"beta = {beta}")
+        out = tmp_path / "out"
+        assert main(["kernel", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        sec = json.loads((out / "report.json").read_text())["sections"]["kernel"]
+        assert sec == {"reason": reason, "pass": False}
+        rows = (out / "kernel.csv").read_text().splitlines()
+        assert rows[0].endswith(",bound,margin")
+        assert len(rows) == 64 and all(row.endswith(",,") for row in rows[1:])
+
+    def test_kernel_bound_beyond_exp_range_holds_vacuously(self, tmp_path,
+                                                           capsys):
+        text = KERNEL_1D.replace("beta = 0", "beta = 50")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            main(["kernel", "--scenario", write(tmp_path, text),
+                  "--out", str(out)])
+        assert capsys.readouterr().out.splitlines()[-1] == "kernel: pass"
+        sec = json.loads((out / "report.json").read_text())["sections"]["kernel"]
+        assert sec["verification"]["violations"] == 0
+        assert sec["verification"]["min_margin"] is None  # inf
+        rows = (out / "kernel.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[6] for row in rows} == {"inf"}
+
+    def test_overflowed_drift_is_failed_check(self, tmp_path, capsys):
+        # the whitened drift overflows: kappa_B and K are undefined, not 0
+        text = (MINIMAL.replace("n = 32", "n = 16")
+                .replace("Cgamma = 1", "Cgamma = 1e-300")
+                .replace('v.11 = "2"', 'v.11 = "1e-300"\nb.1.11 = "1e200"'))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["check-hypotheses", "--scenario",
+                         write(tmp_path, text), "--out", str(out)])
+        assert code == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        hyp = json.loads((out / "report.json").read_text())[
+            "sections"]["hypotheses"]["report"]
+        assert hyp["kappaB"] is None and hyp["K"] is None
+        assert hyp["passes"]["drift_bounds_finite"] is False
+
     def test_kernel_section_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["kernel", "--scenario", "gallery:g6-flat",
@@ -613,6 +734,18 @@ class TestCli:
             for name, sec in sorted(rep["sections"].items())]
         trace = rep["sections"]["evolve"]["traces"]["1.01"]
         assert trace["bound"] is None and trace["within_bound"] is True
+
+    @pytest.mark.parametrize("mode", ["mode = refined\na = 0.25\nb = 0",
+                                      "mode = refined\na = 0.25", KERNEL])
+    def test_growth_rate_without_drift_is_zero(self, mode, tmp_path, capsys):
+        # every constant vanishes, so gamma_p = inf and R(inf)/inf = 0
+        text = MINIMAL.replace(FIXED_GAMMA, mode)
+        out = tmp_path / "out"
+        assert main(["evolve", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_OK
+        trace = json.loads((out / "report.json").read_text())[
+            "sections"]["evolve"]["traces"]["2.0"]
+        assert trace["bound"] == 0.0 and trace["within_bound"] is True
 
     def test_kernel_and_distance_share_one_distance_map(self, tmp_path,
                                                         capsys, monkeypatch):
@@ -788,6 +921,64 @@ def test_traced_layer_entry_points_are_called(tmp_path, capsys, monkeypatch):
                      write(tmp_path, scenario_to_text(scn), f"{key}.ini"),
                      "--out", str(tmp_path / key)]) == EXIT_OK
     assert sorted(called) == sorted(TRACED_NAMES)
+
+
+def test_interval_built_once_per_run(tmp_path, capsys, monkeypatch):
+    # the p-interval section and each fixed-gamma growth bound share it
+    calls = []
+    original = cli.interval_thm33
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "interval_thm33", counting)
+    assert main(["all", "--scenario", "gallery:g3", "--grid", "16",
+                 "--dt", "0.005", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sub, key", [("p-interval", "g1"), ("evolve", "g1"),
+                                      ("evolve", "g5"), ("nittka", "g5"),
+                                      ("kernel", "g6-flat")])
+def test_section_reads_the_run_not_the_hypotheses_section(
+        sub, key, tmp_path, capsys, monkeypatch):
+    # without the hypotheses section a section reports what it reports
+    # beside it
+    sections = {}
+    for alone in (False, True):
+        if alone:
+            monkeypatch.setitem(cli.RUNS, sub, cli.RUNS[sub][1:])
+        out = tmp_path / f"out-{alone}"
+        assert main([sub, "--scenario", f"gallery:{key}",
+                     "--out", str(out)]) == EXIT_OK
+        sections[alone] = json.loads((out / "report.json").read_text())[
+            "sections"]
+    del sections[False]["hypotheses"]
+    assert sections[True] == sections[False]
+
+
+def sections_users(tree: ast.AST) -> set:
+    """Names of the functions of ``tree`` that use a name or an attribute
+    called sections."""
+    return {func.name for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if getattr(node, "id", getattr(node, "attr", None)) == "sections"}
+
+
+def test_only_run_scenario_reads_the_sections():
+    # sections read the run, never each other's output
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    assert sections_users(tree) == {"_run_scenario"}
+
+
+def test_sections_detector():
+    src = ("def f(run):\n    return run.sections['x']\n"
+           "def g():\n    sections = {}\n"
+           "def h(report):\n    return report['sections']\n")
+    assert sections_users(ast.parse(src)) == {"f", "g"}
 
 
 def outputs(out_dir) -> dict:
