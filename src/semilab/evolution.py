@@ -36,8 +36,8 @@ class Stepper:
     """
 
     def __init__(self, F: DiscreteForm, dt: float, scheme: str = "implicit_euler"):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.F = F
@@ -69,8 +69,9 @@ class Stepper:
 
 def _step_count(t_final: float, dt: float) -> int:
     """Steps to t_final, which must be a nonnegative integer multiple of dt."""
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not 0 <= t_final < np.inf:
+        raise ValueError(f"t_final must be finite and nonnegative, got "
+                         f"{t_final!r}")
     n_steps = t_final / dt
     # a count past int64 (inf included) is beyond any run and any step array
     if not n_steps <= np.iinfo(np.int64).max:

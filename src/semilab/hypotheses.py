@@ -111,14 +111,24 @@ def _eigen_whitener(field: SampledField, what: str) -> np.ndarray:
 def _max_sv(mats: np.ndarray) -> np.ndarray:
     """Per-node top singular value: root of the largest eigenvalue of M^T M, with
     M each matrix over its largest |entry| (so M^T M cannot overflow); inf
-    for a matrix with an entry that is not finite."""
+    for a matrix with an entry that is not finite.  For one or two columns
+    the eigenvalue is in closed form (the symmetric 2 x 2 Schur step,
+    Golub & Van Loan 8.5), beyond that it is ``eigvalsh`` of the Gram."""
     scale = np.abs(mats).max(axis=(-2, -1))
     bad = ~np.isfinite(scale)
     scale[bad | (scale == 0)] = 1.0
     M = mats / scale[..., None, None]
     M[bad] = 0.0
-    gram = np.swapaxes(M, -1, -2) @ M
-    top = np.sqrt(np.linalg.eigvalsh(gram)[..., -1]) * scale
+    if M.shape[-1] == 1:
+        top = np.einsum("...i,...i->...", M[..., 0], M[..., 0])
+    elif M.shape[-1] == 2:
+        a, d, b = (np.einsum("...i,...i->...", M[..., j], M[..., k])
+                   for j, k in ((0, 0), (1, 1), (0, 1)))
+        # both terms are >= 0, so nothing cancels
+        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    else:
+        top = np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[..., -1]
+    top = np.sqrt(top) * scale
     top[bad] = np.inf
     return top
 

@@ -101,8 +101,6 @@ def _edge_lists(field: MetricField, grid: BoxDomain, order: int):
                 dst_sel.append(slice(0, nk + ok))
         src = lin[tuple(src_sel)].ravel()
         dst = lin[tuple(dst_sel)].ravel()
-        if src.size == 0:
-            continue
         dx = np.array(off, dtype=float) * h
         w_mid = 0.5 * (field.w[src] + field.w[dst])
         Qinv_mid = 0.5 * (field.Qinv[src] + field.Qinv[dst])

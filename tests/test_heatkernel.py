@@ -159,3 +159,12 @@ class TestGaussianBoundCheck:
         report = verify_gaussian(values * 1e12, rhs, grid)
         assert not report["pass"]
         assert report["violations"] > 0
+
+    def test_vacuous_bound_names_no_worst_node(self):
+        # every margin is inf: the bound holds and no node is the worst
+        _, grid, F = scalar_line(v="4", n=64)
+        values = kernel_block(Stepper(F, 1e-3), grid.node_count // 2, 0.01)
+        report = verify_gaussian(values, np.full(grid.node_count, np.inf), grid)
+        assert report["pass"] and report["violations"] == 0
+        assert report["min_margin"] == np.inf
+        assert report["worst_node"] is None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semilab.hypotheses as hypotheses
 from semilab.coefficients import (
     BoxDomain,
     CoefficientSystem,
@@ -17,6 +18,7 @@ from semilab.coefficients import (
 from semilab.gallery import gallery_names, gallery_scenario
 from semilab.metric import weight_field
 from semilab.hypotheses import (
+    GAMMA_GRID,
     MODE_PARAMS,
     EstimateMode,
     HypothesisViolation,
@@ -441,6 +443,57 @@ def test_top_singular_value_of_nonfinite_matrix_is_inf():
         warnings.simplefilter("error", RuntimeWarning)
         top = _max_sv(mats)
     assert top.tolist() == [4.0, np.inf, np.inf, 0.0]
+
+
+def top_sv_blocks(cols):
+    """(kind, blocks) cases of 3 x cols matrices for the closed form."""
+    rng = np.random.default_rng(cols)
+    rand = rng.standard_normal((50, 3, cols))
+    rank_one = rng.standard_normal((50, 3, 1)) * rng.standard_normal((50, 1, cols))
+    return [("random", rand), ("rank-one", rank_one), ("huge", rand * 1e200),
+            ("tiny", rand * 1e-200), ("zero", np.zeros((4, 3, cols)))]
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 4])
+def test_top_singular_value_matches_svd(cols):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind, mats in top_sv_blocks(cols):
+            np.testing.assert_allclose(
+                _max_sv(mats), np.linalg.svd(mats, compute_uv=False)[..., 0],
+                rtol=1e-13, atol=0, err_msg=kind)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_top_singular_value_of_nonfinite_row_is_inf(cols, bad):
+    mats = np.random.default_rng(cols).standard_normal((3, 3, cols))
+    mats[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        top = _max_sv(mats)
+    assert np.isfinite(top[[0, 2]]).all() and top[1] == np.inf
+
+
+def test_gamma_sweep_decomposes_no_node_block(monkeypatch):
+    # g5's drift and W blocks have m = 2 columns: the sweep takes their top
+    # singular values in closed form, so the eigvalsh calls do not grow with
+    # the gamma grid
+    scn = gallery_scenario("g5")
+    fields = sample(scn.system, scn.grid)
+    calls = []
+
+    def counting(a, _orig=np.linalg.eigvalsh):
+        calls.append(a)
+        return _orig(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    counts = []
+    for grid in (GAMMA_GRID[::10], GAMMA_GRID):
+        monkeypatch.setattr(hypotheses, "GAMMA_GRID", grid)
+        calls.clear()
+        check_all(fields, mode=scn.mode)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_one_decomposition_per_field(monkeypatch):

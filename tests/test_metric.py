@@ -158,6 +158,16 @@ class TestDistances:
         with pytest.raises(ValueError, match="out of range"):
             distance_map(mf, grid, np.array([0, -1]))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_node_grid(self, d):
+        # no stencil offset joins two nodes, so the graph has no edge
+        grid = BoxDomain((0.0,) * d, (1.0,) * d, (2,) * d)
+        q = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+        f = fields_for([["4"]], q, grid)
+        mf = weight_field(f["V"], f["Q"], 1.0)
+        assert grid.node_count == 1
+        np.testing.assert_array_equal(distance_map(mf, grid, 0), [0.0])
+
     def test_several_sources_stack_single_source_rows(self):
         mf, grid = self.constant_field(n=12)
         sources = np.array([3, 60, 97])

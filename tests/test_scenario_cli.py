@@ -559,6 +559,44 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error:") and err[0].endswith("are too many")
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_nonfinite_dt_override_is_config_error(self, dt, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["evolve", "--scenario", "gallery:g1", "--dt", dt,
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: dt must be finite and positive, got {dt}"]
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("sub,key,value,message", [
+        ("evolve", "dt", "nan", "dt must be finite and positive, got nan"),
+        ("evolve", "t_final", "nan",
+         "t_final must be finite and nonnegative, got nan"),
+        ("evolve", "t_final", "inf",
+         "t_final must be finite and nonnegative, got inf"),
+        ("kernel", "t_final", "nan",
+         "t_final must be finite and nonnegative, got nan")])
+    def test_nonfinite_run_setting_is_config_error(self, sub, key, value,
+                                                   message, tmp_path, capsys):
+        text = KERNEL_1D if sub == "kernel" else MINIMAL
+        setting = re.search(rf"^{key} = .*$", text, re.M).group(0)
+        text = text.replace(setting, f"{key} = {value}")
+        out = tmp_path / "out"
+        assert main([sub, "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("sub,key", [("distance", "g1"), ("distance", "g3"),
+                                         ("all", "g1"), ("all", "g6-flat")])
+    def test_one_node_grid_runs(self, sub, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([sub, "--scenario", f"gallery:{key}", "--grid", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (out / "distance.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",0.0")
+
     def test_nittka_finding_scale_from_worst_sample(self, tmp_path, capsys):
         # a strongly negative potential makes the shifted sign test negative
         # at p = 3; the finding's scale is ||u||_p^p of the minimizing sample
@@ -683,6 +721,7 @@ class TestCli:
         sec = json.loads((out / "report.json").read_text())["sections"]["kernel"]
         assert sec["verification"]["violations"] == 0
         assert sec["verification"]["min_margin"] is None  # inf
+        assert sec["verification"]["worst_node"] is None
         rows = (out / "kernel.csv").read_text().splitlines()[1:]
         assert {row.split(",")[6] for row in rows} == {"inf"}
 
