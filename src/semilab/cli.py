@@ -70,6 +70,14 @@ def _write_csv(path: str, header: list, rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
+def _rows(block: np.ndarray):
+    """The rows of a 2-D array as lists of Python numbers, which the CSV
+    writer formats faster than numpy scalars; 256 rows at a time, so that
+    no list of the whole block is held."""
+    for k in range(0, len(block), 256):
+        yield from block[k:k + 256].tolist()
+
+
 def _axes(grid) -> list:
     """CSV header names of the node coordinates."""
     return [f"x{k + 1}" for k in range(grid.d)]
@@ -266,13 +274,20 @@ def _kernel_section(run: Run) -> dict:
         out = {"bundle": dataclasses.asdict(bundle),
                "verification": {"t": t, "source": center, **result},
                "pass": result["pass"]}
-    coords = scn.grid.node_coords()
+    # one row per kernel entry (n, i, j)
+    n, i, j = np.indices(values.shape).reshape(3, -1)
+    v = values.reshape(-1)
+    floats = [scn.grid.node_coords()[n], v, dist[n]]
+    blank = ["", ""]  # the bound and margin columns of an undefined bound
+    if rhs is not None:
+        floats, blank = floats + [rhs[n], rhs[n] - np.abs(v)], []
+    d = scn.grid.d
     _write_csv(os.path.join(run.out_dir, "kernel.csv"),
                _axes(scn.grid) + ["source", "i", "j", "value", "distance",
                                   "bound", "margin"],
-               (list(coords[n]) + [center, i, j, v, dist[n]]
-                + (["", ""] if rhs is None else [rhs[n], rhs[n] - abs(v)])
-                for (n, i, j), v in np.ndenumerate(values)))
+               (x[:d] + [center] + ij + x[d:] + blank
+                for x, ij in zip(_rows(np.column_stack(floats)),
+                                 _rows(np.column_stack([i, j])))))
     return out
 
 
@@ -281,7 +296,7 @@ def _distance_section(run: Run) -> dict:
     grid = run.scn.grid
     _write_csv(os.path.join(run.out_dir, "distance.csv"),
                _axes(grid) + ["distance"],
-               (list(xy) + [dv] for xy, dv in zip(grid.node_coords(), dist)))
+               _rows(np.column_stack([grid.node_coords(), dist])))
     q0, q1, equivalent = euclid_equivalence_check(field)
     return {
         "source": center,
@@ -440,8 +455,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_values(ap: argparse.ArgumentParser, argv: list) -> list:
+    """``argv`` with each ``--name -x`` written ``--name=-x``, for the options
+    that take a value.  argparse takes a token such as -inf or -1e-3 for an
+    option flag, not for a negative value; every option here is long, so a
+    token with one leading dash after such an option can only be its value."""
+    takes_value = {name for action in ap._actions if action.nargs is None
+                   for name in action.option_strings}
+    out = []
+    for tok in argv:
+        if (out and out[-1] in takes_value and tok.startswith("-")
+                and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(_attach_values(
+        ap, sys.argv[1:] if argv is None else argv))
     try:
         if args.subcommand == "gallery":
             if args.list:

@@ -231,10 +231,19 @@ def evolve_adjoint(stepper: Stepper, g0: np.ndarray, t: float) -> np.ndarray:
 
 
 def _norm_from_nodes(norms: np.ndarray, p: float, vol: float):
-    """L^p norm from the node magnitudes, one value per column."""
+    """L^p norm from the node magnitudes, one value per column.  A nonzero
+    column whose sum of |u|^p leaves the float range (a huge p) is divided
+    by its largest magnitude first."""
     if np.isinf(p):
         return norms.max(axis=0, initial=0.0)
-    return lp_power(norms, p, vol) ** (1 / p)
+    with np.errstate(over="ignore"):
+        out = lp_power(norms, p, vol) ** (1 / p)
+    top = norms.max(axis=0, initial=0.0)
+    redo = (top > 0) & ~((out > 0) & (out < np.inf))
+    if np.any(redo):
+        unit = norms / np.where(redo, top, 1.0)
+        out = np.where(redo, top * lp_power(unit, p, vol) ** (1 / p), out)
+    return out
 
 
 def pnorm(u: np.ndarray, p: float, grid: BoxDomain, m: int):

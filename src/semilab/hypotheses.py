@@ -108,25 +108,33 @@ def _eigen_whitener(field: SampledField, what: str) -> np.ndarray:
     return U * lam[:, None, :] ** -0.5
 
 
+def _entries_first(mats: np.ndarray) -> np.ndarray:
+    """(N, ...) node arrays as contiguous (..., N): each entry is one array
+    over the nodes, the layout ``_max_sv`` reads."""
+    return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+
+
 def _max_sv(mats: np.ndarray) -> np.ndarray:
-    """Per-node top singular value: root of the largest eigenvalue of M^T M, with
-    M each matrix over its largest |entry| (so M^T M cannot overflow); inf
-    for a matrix with an entry that is not finite.  For one or two columns
-    the eigenvalue is in closed form (the symmetric 2 x 2 Schur step,
-    Golub & Van Loan 8.5), beyond that it is ``eigvalsh`` of the Gram."""
-    scale = np.abs(mats).max(axis=(-2, -1))
+    """Per-node top singular value of entries-first (r, c, N) matrices: root
+    of the largest eigenvalue of M^T M, with M each matrix over its largest
+    |entry| (so M^T M cannot overflow); inf for a matrix with an entry that
+    is not finite.  For one or two columns the eigenvalue is in closed form
+    (the symmetric 2 x 2 Schur step, Golub & Van Loan 8.5), beyond that it
+    is ``eigvalsh`` of the Gram."""
+    scale = np.abs(mats).max(axis=(0, 1))
     bad = ~np.isfinite(scale)
     scale[bad | (scale == 0)] = 1.0
-    M = mats / scale[..., None, None]
-    M[bad] = 0.0
-    if M.shape[-1] == 1:
-        top = np.einsum("...i,...i->...", M[..., 0], M[..., 0])
-    elif M.shape[-1] == 2:
-        a, d, b = (np.einsum("...i,...i->...", M[..., j], M[..., k])
+    M = mats / scale
+    M[..., bad] = 0.0
+    if M.shape[1] == 1:
+        top = (M[:, 0] * M[:, 0]).sum(0)
+    elif M.shape[1] == 2:
+        a, d, b = ((M[:, j] * M[:, k]).sum(0)
                    for j, k in ((0, 0), (1, 1), (0, 1)))
         # both terms are >= 0, so nothing cancels
         top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
     else:
+        M = np.ascontiguousarray(np.moveaxis(M, -1, 0))
         top = np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[..., -1]
     top = np.sqrt(top) * scale
     top[bad] = np.inf
@@ -141,7 +149,7 @@ def estimate_c0(Vfield: SampledField) -> np.ndarray:
     V = Vfield.values
     VA = 0.5 * (V - np.swapaxes(V, -1, -2))
     Wh = _eigen_whitener(Vfield, "V_S")
-    return _max_sv(np.swapaxes(Wh, -1, -2) @ VA @ Wh)
+    return _max_sv(_entries_first(np.swapaxes(Wh, -1, -2) @ VA @ Wh))
 
 
 def estimate_kappa_A(fields: dict) -> np.ndarray:
@@ -167,7 +175,7 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
         raise HypothesisViolation(
             f"Re second-order coupling negative at node {where} "
             f"(eigenvalue {evals[idx, 0]:.3e})")
-    return _max_sv(white)
+    return _max_sv(_entries_first(white))
 
 
 # a refined R(gamma) overflows to inf at the grid's smallest gammas when an
@@ -194,21 +202,25 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     if has_b or has_c:
         # the block columns of B and C, whitened by Q^{-1/2} (x) I_m, times U
         Wq = _eigen_whitener(fields["Q"], "Q")
-        YB, YC = ((np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
-            N, d * m, m) for X in (B, C))
+        YB, YC = (_entries_first((np.einsum("nha,nhij->naij", Wq, X)
+                                  @ U[:, None]).reshape(N, d * m, m))
+                  for X in (B, C))
     if has_w:
-        Z = np.swapaxes(U, -1, -2) @ Wmat @ U
+        Z = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
+    lam = _entries_first(lam)  # (m, N), ascending down the rows
     kB = kC = kW = 0.0
     for gamma in mode.gamma_candidates():
         w = gamma * lam + mode.weight(gamma)
-        _require_pd(w, f"gamma*V_S + R (gamma={gamma})", fields["V"].domain)
-        s = w[:, None, :] ** -0.5  # as rows
+        if not (w[0] > 0).all():
+            _require_pd(w.T, f"gamma*V_S + R (gamma={gamma})",
+                        fields["V"].domain)
+        s = w ** -0.5  # scales the columns
         if has_b:
             kB = max(kB, float(_max_sv(YB * s).max()))
         if has_c:
             kC = max(kC, float(_max_sv(YC * s).max()))
         if has_w:
-            kW = max(kW, float(_max_sv(np.swapaxes(s, 1, 2) * Z * s).max()))
+            kW = max(kW, float(_max_sv(s[:, None] * Z * s).max()))
     return kB, kC, kW
 
 

@@ -71,11 +71,16 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
         lo = 1 + gamma * kappaB**2 / (4 * (1 - gamma * kappaW))
         return IntervalSpec(lo, math.inf, True, False)
     if kappaA == 0 and kappaB == 0:
-        hi = 1 + 4 * (1 - gamma * kappaW) / (gamma * kappaC**2)
-        return IntervalSpec(1.0, hi, False, True)
+        tail = gamma * kappaC**2
+        # an end beyond the float range (tail underflows to 0, or the
+        # quotient overflows) is no end: every float p > 1 lies inside
+        hi = 1 + 4 * (1 - gamma * kappaW) / tail if tail > 0 else math.inf
+        return IntervalSpec(1.0, hi, False, hi < math.inf)
     s = kappaA * (kappaB + kappaC)
-    delta1 = K / ((kappaA**2 + 1) * K + (s + kappaB) ** 2)
-    delta2 = K / (kappaA**2 * K + (s + kappaC) ** 2)
+    # products, not powers, as in k_combination: a huge kappa_A gives
+    # delta = 0 and so no interval, not an OverflowError
+    delta1 = K / ((kappaA * kappaA + 1) * K + (s + kappaB) * (s + kappaB))
+    delta2 = K / (kappaA * kappaA * K + (s + kappaC) * (s + kappaC))
     return IntervalSpec(2 - delta1, 2 + delta2, True, True)
 
 
@@ -133,12 +138,17 @@ def gamma_p(kappaA, kappaB, kappaC, kappaW, p) -> float:
     lo, hi = admissible_p_range_thm35(kappaA)
     if not lo < p < hi:
         raise ValueError(f"p = {p} outside admissible range ]{lo}, {hi}[")
-    denom = 4 * (min((p - 1) ** 2, 1.0) - 2 * kappaA * min(p - 1, 1.0) * abs(p - 2))
+    q = min(p - 1, 1.0)  # squared after the min, so a huge p cannot overflow
+    denom = 4 * (q ** 2 - 2 * kappaA * q * abs(p - 2))
     if denom <= 0:
         raise ValueError("denominator not positive; p too close to the range boundary")
-    inv = kappaW + (kappaB + (p - 1) * kappaC) ** 2 / denom
+    t = kappaB + (p - 1) * kappaC
+    # a product, not a power: a float power raises OverflowError, t * t is inf
+    inv = kappaW + t * t / denom
     if inv == 0:
         return math.inf
+    if inv == math.inf:
+        raise ValueError(f"gamma_p at p = {p} lies below the float range")
     return 1.0 / inv
 
 

@@ -120,6 +120,16 @@ class TestPNorm:
         exact = (np.sqrt(np.pi) / 2) ** 0.25  # (int e^{-4x^2})^{1/4}
         assert pnorm(u, 4, grid, 1) == pytest.approx(exact, abs=1e-6)
 
+    @pytest.mark.parametrize("size", [0.5, 2.0])
+    def test_huge_p_is_the_max_norm(self, size):
+        # |u|^p under- or overflows at p = 1e300; the norm is max |u|, and a
+        # zero column stays zero
+        grid = BoxDomain((0.0,), (1.0,), (16,))
+        u = size * np.random.default_rng(3).uniform(0.1, 1.0, (grid.node_count, 2))
+        u[:, 1] = 0.0
+        np.testing.assert_allclose(pnorm(u, 1e300, grid, 1),
+                                   [np.abs(u[:, 0]).max(), 0.0], rtol=1e-15)
+
     def test_componentwise_magnitude(self):
         grid = BoxDomain((0.0,), (1.0,), (4,))
         u = np.tile([3.0, 4.0], grid.node_count)

@@ -1,5 +1,6 @@
 """Structural-constant extraction: closed scalar reductions and probe checks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -441,7 +442,7 @@ def test_top_singular_value_of_nonfinite_matrix_is_inf():
                      [[np.nan, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        top = _max_sv(mats)
+        top = _max_sv(np.moveaxis(mats, 0, -1))
     assert top.tolist() == [4.0, np.inf, np.inf, 0.0]
 
 
@@ -460,7 +461,8 @@ def test_top_singular_value_matches_svd(cols):
         warnings.simplefilter("error", RuntimeWarning)
         for kind, mats in top_sv_blocks(cols):
             np.testing.assert_allclose(
-                _max_sv(mats), np.linalg.svd(mats, compute_uv=False)[..., 0],
+                _max_sv(np.moveaxis(mats, 0, -1)),
+                np.linalg.svd(mats, compute_uv=False)[..., 0],
                 rtol=1e-13, atol=0, err_msg=kind)
 
 
@@ -471,8 +473,22 @@ def test_top_singular_value_of_nonfinite_row_is_inf(cols, bad):
     mats[1, 2] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        top = _max_sv(mats)
+        top = _max_sv(np.moveaxis(mats, 0, -1))
     assert np.isfinite(top[[0, 2]]).all() and top[1] == np.inf
+
+
+@pytest.mark.parametrize("key,n,expected", [
+    ("g5", (1023,), {"kappaB": 0.1999999998973962, "kappaC": 0.1999999998973962,
+                     "kappaW": 0.29999999969218855}),
+    ("g6-quadratic", (2047,), {"kappaB": 0.09999999982281645}),
+    ("g3", (128, 128), {"kappaB": 0.3794733192202055}),
+    ("g4", (96, 96), {"kappaA": 0.7999999999999999})])
+def test_constants_on_fine_grids_are_pinned(key, n, expected):
+    # exact floats: the layout of the node matrices moves no bit
+    scn = gallery_scenario(key)
+    grid = dataclasses.replace(scn.grid, n=n)
+    rep = check_all(sample(scn.system, grid), mode=scn.mode)
+    assert {name: getattr(rep, name) for name in expected} == expected
 
 
 def test_gamma_sweep_decomposes_no_node_block(monkeypatch):

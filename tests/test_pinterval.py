@@ -64,6 +64,19 @@ class TestIntervalCases:
         assert iv.lo == 1.0 and iv.hi == 5.0
         assert not iv.lo_closed and iv.hi_closed
 
+    @pytest.mark.parametrize("kC,gamma", [(1e-200, 1e-300), (1e-160, 1.0)],
+                             ids=["tail_underflows", "quotient_overflows"])
+    def test_c_only_end_beyond_float_range_is_no_end(self, kC, gamma):
+        # the right end 1 + 4 / (gamma kC^2) lies beyond the float range
+        iv = interval_thm33(0, 0, kC, 0, gamma)
+        assert str(iv) == "]1, inf["
+        assert iv.contains(1e308) and not iv.contains(1.0)
+
+    def test_huge_kappa_a_leaves_no_interval(self):
+        # kappa_A^2 is beyond the float range: delta = 0 leaves [2, 2]
+        with pytest.raises(ValueError, match=r"bad interval \[2\.0, 2\.0\]"):
+            interval_thm33(1e200, 0.1, 0.1, 0, 1.0)
+
     def test_two_always_inside(self):
         for consts in random_tuples(50, seed=3):
             assert interval_thm33(*consts).contains(2.0)
@@ -156,6 +169,16 @@ class TestGammaP:
         vals = [gamma_p(0.5, 1, 1, 0, p) for p in (2.9, 2.99, 2.999)]
         assert vals[0] > vals[1] > vals[2] > 0
         assert vals[2] < 1e-2
+
+    def test_huge_p_without_kappa_c(self):
+        # min(p - 1, 1) = 1 at p = 1e300: gamma_p = 1 / (kappa_B^2 / 4)
+        assert gamma_p(0, 1, 0, 0, 1e300) == 4.0
+
+    @pytest.mark.parametrize("kC,p", [(1.0, 1e300), (1e200, 1e10)])
+    def test_gamma_p_below_float_range_rejected(self, kC, p):
+        # (kappa_B + (p - 1) kappa_C)^2 is beyond the float range
+        with pytest.raises(ValueError, match="below the float range"):
+            gamma_p(0, 1, kC, 0, p)
 
     def test_outside_range_rejected(self):
         with pytest.raises(ValueError):

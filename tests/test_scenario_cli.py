@@ -459,6 +459,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {error}"]
 
+    def test_p_interval_end_beyond_float_range_is_no_end(self, tmp_path,
+                                                          capsys):
+        # gamma kappa_C^2 = 1e-700 underflows to 0: the right end
+        # 1 + 4 / (gamma kappa_C^2) is beyond the float range
+        assert main(["p-interval", "--constants",
+                     "0,0,1e-200,0,1e-300"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "]1, inf["
+        text = (MINIMAL.replace(FIXED_GAMMA, FIXED_GAMMA.replace(
+                    "gamma = 1\n", "gamma = 1e-300\n"))
+                .replace('v.11 = "2"', 'v.11 = "2"\nc.1.11 = "1e-200"'))
+        out = tmp_path / "out"
+        assert main(["p-interval", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_OK
+        sec = json.loads((out / "report.json").read_text())[
+            "sections"]["pinterval"]
+        assert sec["interval"] == "]1, inf[" and sec["interval_hi"] is None
+
+    def test_p_interval_huge_kappa_a_is_config_error(self, capsys):
+        assert main(["p-interval", "--constants", "1e200,0.1,0.1,0,1"]) \
+            == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad interval [2.0, 2.0]"]
+
     @pytest.mark.parametrize("key", ["g1", "g4"])
     def test_p_interval_section_and_constants_share_oracle_grid(
             self, key, tmp_path, capsys):
@@ -566,6 +589,16 @@ class TestCli:
                      "--out", str(out)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.splitlines() == [
             f"error: dt must be finite and positive, got {dt}"]
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("dt", ["-inf", "-1e-3", "-1"])
+    def test_negative_dt_override_is_config_error(self, dt, tmp_path, capsys):
+        # argparse takes -inf and -1e-3 for option flags, not for values
+        out = tmp_path / "out"
+        assert main(["evolve", "--scenario", "gallery:g1", "--dt", dt,
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: dt must be finite and positive, got {float(dt)!r}"]
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("sub,key,value,message", [
@@ -773,6 +806,37 @@ class TestCli:
             for name, sec in sorted(rep["sections"].items())]
         trace = rep["sections"]["evolve"]["traces"]["1.01"]
         assert trace["bound"] is None and trace["within_bound"] is True
+
+    @pytest.mark.parametrize("sub", ["evolve", "all"])
+    @pytest.mark.parametrize("mode", ["mode = refined\na = 0.25\nb = 0.988",
+                                      KERNEL], ids=["refined", "kernel"])
+    @pytest.mark.parametrize("coupling,p", [("", "1e300"),
+                                            ('\nc.1.11 = "1e200"', "1e10")],
+                             ids=["huge_p", "huge_drift"])
+    def test_growth_bound_at_huge_p(self, coupling, p, mode, sub, tmp_path,
+                                    capsys):
+        # without kappa_C, p = 1e300 has the bound of p = 2 (min(p - 1, 1)
+        # = 1); with kappa_C = 6.8e199, gamma_p at p = 2 and 1e10 lies below
+        # the float range, so neither p is covered
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nb.1.11 = "3"'
+                                + coupling)
+                .replace(FIXED_GAMMA, mode).replace("p = 2\n", f"p = 2, {p}\n"))
+        out = tmp_path / "out"
+        code = main([sub, "--scenario", write(tmp_path, text),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rep = json.loads((out / "report.json").read_text())
+        assert code == (EXIT_OK if rep["pass"] else EXIT_CHECK_FAILED)
+        traces = rep["sections"]["evolve"]["traces"]
+        huge = traces[repr(float(p))]
+        if coupling:
+            assert huge["bound"] is None and traces["2.0"]["bound"] is None
+            assert huge["within_bound"] is None
+        else:
+            assert huge["bound"] == traces["2.0"]["bound"] > 0
+            # the probe reads the p = 1e300 norm as max |u|
+            assert huge["max_slope"] is not None
 
     @pytest.mark.parametrize("mode", ["mode = refined\na = 0.25\nb = 0",
                                       "mode = refined\na = 0.25", KERNEL])
