@@ -24,7 +24,8 @@ class IntervalSpec:
     hi_closed: bool
 
     def __post_init__(self):
-        if not 1 <= self.lo < self.hi:
+        point = self.lo == self.hi and self.lo_closed and self.hi_closed  # [p, p]
+        if not (1 <= self.lo and (self.lo < self.hi or point)):
             raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
 
     def contains(self, p):
@@ -78,7 +79,7 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
         return IntervalSpec(1.0, hi, False, hi < math.inf)
     s = kappaA * (kappaB + kappaC)
     # products, not powers, as in k_combination: a huge kappa_A gives
-    # delta = 0 and so no interval, not an OverflowError
+    # delta = 0 and so the point interval [2, 2], not an OverflowError
     delta1 = K / ((kappaA * kappaA + 1) * K + (s + kappaB) * (s + kappaB))
     delta2 = K / (kappaA * kappaA * K + (s + kappaC) * (s + kappaC))
     return IntervalSpec(2 - delta1, 2 + delta2, True, True)
@@ -152,7 +153,7 @@ def gamma_p(kappaA, kappaB, kappaC, kappaW, p) -> float:
     return 1.0 / inv
 
 
-def growth_exponent_thm35(phi, p, gamma_p_value) -> float:
+def growth_exponent_thm35(phi, gamma_p_value) -> float:
     """Exponential growth rate phi(gamma_p)/gamma_p of the p-norm bound."""
     try:
         return phi(gamma_p_value) / gamma_p_value
@@ -196,8 +197,11 @@ def phi_hat_power(b: float):
 def closed_form_exponent_b2a(a, kappa, kappaW, d, p, kappaA=0.0) -> float:
     """Growth exponent for the power family with b = 2a and drift bound
     kappa_B = kappa_C = kappa*sqrt(d), written out in closed form."""
-    denom = 4 * (min((p - 1) ** 2, 1.0) - 2 * kappaA * min(p - 1, 1.0) * abs(p - 2))
-    base = kappaW + p**2 * kappa**2 * d / denom
+    # squares after the min and as products, as in gamma_p: at a huge p a
+    # float power raises OverflowError, while p * p is inf
+    q = min(p - 1, 1.0)
+    denom = 4 * (q * q - 2 * kappaA * q * abs(p - 2))
+    base = kappaW + p * p * kappa * kappa * d / denom
     return (1 - 2 * a) * (2 * a) ** (2 * a / (1 - 2 * a)) * base ** (1 / (1 - 2 * a))
 
 
@@ -241,10 +245,13 @@ def hhat_constant(kappa, c, beta) -> float:
 
 
 def moser_sums(r: float, beta: float) -> tuple:
-    """Closed forms and truncated product of the iteration sums.
+    """Closed forms of the iteration sums.
 
-    Returns (R, A, B, L, truncation_index) for the time-slice sequence
-    t_j = ((S-1)/S) S^{-j}, S = (R^{2beta+1}+1)R, and exponents p_j = 2R^j.
+    Returns (R, A, B, L) for the time-slice sequence t_j = ((S-1)/S) S^{-j},
+    S = (R^{2beta+1}+1)R, and exponents p_j = 2R^j.  B is the product of
+    t_j^{-1/(2 p_j)}, so log B = sum_j (log(S/(S-1)) + j log S) / (4 R^j), an
+    arithmetico-geometric series: with x = 1/R, sum_j x^j = R/(R-1) and
+    sum_j j x^j = R/(R-1)^2.
     """
     if r <= 2:
         raise ValueError("r must exceed 2")
@@ -252,24 +259,10 @@ def moser_sums(r: float, beta: float) -> tuple:
     S = (R ** (2 * beta + 1) + 1) * R
     A = (R**2 * (R ** (2 * beta + 1) + 1) - R) / (2 * (R**2 * (R ** (2 * beta + 1) + 1) - 1))
     L = 2 ** (2 * beta + 2) / R * ((R ** (2 * beta + 1) + 1) * R - 1)
-
-    # log B = sum_j -log(t_j)/(2 p_j), terms decay geometrically in 1/R
-    log_head = math.log(S / (S - 1))
-    log_S = math.log(S)
-    log_B = 0.0
-    j = 0
-    while True:
-        term = (log_head + j * log_S) / (4 * R**j)
-        log_B += term
-        j += 1
-        # geometric tail bound: remaining sum < term * R/(R-1) * 2 once terms shrink
-        if term * 2 * R / (R - 1) < 1e-14 and j > 4:
-            break
-        if j > 100000:
-            raise RuntimeError("product truncation failed to converge")
+    log_B = (math.log(S / (S - 1)) * R / (R - 1) + math.log(S) * R / (R - 1) ** 2) / 4
     B = math.exp(log_B)
     assert A < 1
-    return R, A, B, L, j
+    return R, A, B, L
 
 
 def sobolev_chat(r: float, d: int) -> float:
@@ -306,7 +299,6 @@ class ConstantsBundle:
     A_rb: float
     B_rb: float
     L_rb: float
-    trunc_index: int
     Hhat: float
     H: float
     H1: float
@@ -335,7 +327,7 @@ def kernel_constants(d: int, beta: float, kappa: float, c: float, nu0: float) ->
     r = d if d >= 3 else 3
     rstar = 2 * r / (r - 2)
     try:
-        R, A, B, L, jtrunc = moser_sums(r, beta)
+        R, A, B, L = moser_sums(r, beta)
 
         Hhat = hhat_constant(kappa, c, beta)
         H = max(rstar ** (2 * beta + 2) * Hhat, nu0 / 2) * (2 * A + L)
@@ -354,7 +346,7 @@ def kernel_constants(d: int, beta: float, kappa: float, c: float, nu0: float) ->
 
     return ConstantsBundle(
         d=d, beta=beta, kappa=kappa, c=c, nu0=nu0,
-        r=r, rstar=rstar, R=R, A_rb=A, B_rb=B, L_rb=L, trunc_index=jtrunc,
+        r=r, rstar=rstar, R=R, A_rb=A, B_rb=B, L_rb=L,
         Hhat=Hhat, H=H, H1=H1, chat=chat, C_dbeta=C_dbeta, C0=C0, C1=C1, C2=C2,
     )
 

@@ -343,7 +343,7 @@ def test_criterion_12_moser_sum_identities():
     ok = True
     for r in (3.0, 4.0, 5.0):
         for beta in (0.0, 0.5, 1.0, 2.0):
-            R, A, B, L, _ = moser_sums(r, beta)
+            R, A, B, L = moser_sums(r, beta)
             S = (R ** (2 * beta + 1) + 1) * R
             j = np.arange(0, 201)
             tj = ((S - 1) / S) * S ** (-j.astype(float))

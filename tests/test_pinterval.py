@@ -72,10 +72,13 @@ class TestIntervalCases:
         assert str(iv) == "]1, inf["
         assert iv.contains(1e308) and not iv.contains(1.0)
 
-    def test_huge_kappa_a_leaves_no_interval(self):
-        # kappa_A^2 is beyond the float range: delta = 0 leaves [2, 2]
-        with pytest.raises(ValueError, match=r"bad interval \[2\.0, 2\.0\]"):
-            interval_thm33(1e200, 0.1, 0.1, 0, 1.0)
+    @pytest.mark.parametrize("kA", [1e9, 1e200], ids=["1e9", "1e200"])
+    def test_huge_kappa_a_leaves_point_interval(self, kA):
+        # both deltas vanish against 2 (at 1e200 kappa_A^2 overflows): the
+        # point interval [2, 2] remains, as p = 2 is admissible for any kappa_A
+        iv = interval_thm33(kA, 0.1, 0.1, 0, 1.0)
+        assert str(iv) == "[2.0, 2.0]"
+        assert iv.contains(2.0) and not iv.contains(np.nextafter(2.0, 3.0))
 
     def test_two_always_inside(self):
         for consts in random_tuples(50, seed=3):
@@ -223,14 +226,18 @@ class TestGammaP:
 
 class TestGrowthExponent:
     def test_constant_phi_recovers_fixed_gamma_rate(self):
-        assert growth_exponent_thm35(lambda g: 2.0, 4.0, 0.5) == 4.0
+        assert growth_exponent_thm35(lambda g: 2.0, 0.5) == 4.0
 
     def test_power_family_b2a_closed_form(self):
         a, kappa, kW, d, p = 0.25, 0.3, 0.1, 2, 3.0
         g = gamma_p(0, kappa * math.sqrt(d), kappa * math.sqrt(d), kW, p)
-        direct = growth_exponent_thm35(phi_power(a), p, g)
+        direct = growth_exponent_thm35(phi_power(a), g)
         assert direct == pytest.approx(
             closed_form_exponent_b2a(a, kappa, kW, d, p), rel=1e-12)
+
+    def test_b2a_closed_form_at_huge_p_is_inf(self):
+        # p^2 and (p - 1)^2 are beyond the float range at p = 1e300
+        assert closed_form_exponent_b2a(0.25, 1.0, 0.0, 1, 1e300) == math.inf
 
     def test_quarter_exponent_phi_is_quarter_over_gamma(self):
         phi = phi_power(0.25, 0.5)
@@ -290,7 +297,7 @@ class TestMoserSums:
     @pytest.mark.parametrize("r", [3, 4, 5])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
     def test_direct_summation(self, r, beta):
-        R, A, B, L, _ = moser_sums(r, beta)
+        R, A, B, L = moser_sums(r, beta)
         S = (R ** (2 * beta + 1) + 1) * R
         j = np.arange(0, 201)
         t = (S - 1) / S * S ** (-j.astype(float))
@@ -304,9 +311,13 @@ class TestMoserSums:
         assert abs((p ** (2 * beta + 2) * t).sum() - L) < 1e-10 * max(1.0, L)
         assert abs(np.exp(-(np.log(t) / (2 * p)).sum()) - B) < 1e-10 * B
 
+    def test_b_matches_term_by_term_sum(self):
+        # B of 95 terms of the product, summed until the tail fell below 1e-14
+        assert moser_sums(3, 1.0)[2] == pytest.approx(19.030642195076492, rel=1e-14)
+
     def test_dominated_series_below_l(self):
         # the series actually summed in the iteration is dominated by L
-        R, A, B, L, _ = moser_sums(3, 1.0)
+        R, A, B, L = moser_sums(3, 1.0)
         S = (R**3 + 1) * R
         j = np.arange(0, 300)
         t = (S - 1) / S * S ** (-j.astype(float))
@@ -320,7 +331,6 @@ class TestKernelConstants:
         assert b.r == 3 and b.rstar == 6.0
         assert b.A_rb < 1
         assert min(b.C0, b.C1, b.C2, b.H, b.H1, b.Hhat) > 0
-        assert b.trunc_index > 4
 
     def test_c2_matches_optimal_sigma_algebra(self):
         # C2 is the coefficient from maximizing sigma*D - t*Chat*sigma^{2b+2}

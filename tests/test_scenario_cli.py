@@ -476,11 +476,20 @@ class TestCli:
             "sections"]["pinterval"]
         assert sec["interval"] == "]1, inf[" and sec["interval_hi"] is None
 
-    def test_p_interval_huge_kappa_a_is_config_error(self, capsys):
-        assert main(["p-interval", "--constants", "1e200,0.1,0.1,0,1"]) \
-            == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err.splitlines() == [
-            "error: bad interval [2.0, 2.0]"]
+    @pytest.mark.parametrize("kA", ["1e9", "1e200"])
+    def test_p_interval_huge_kappa_a_is_point_interval(self, kA, capsys):
+        # both ends round to 2: p = 2 is admissible for every finite kappa_A
+        assert main(["p-interval", "--constants", f"{kA},0.1,0.1,0,1"]) \
+            == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "[2.0, 2.0]", "psd-oracle disagreements: 0 of 1200"]
+
+    def test_all_with_huge_kappa_a_passes(self, tmp_path, capsys):
+        text = MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\na.11.11 = "1e9"')
+        out = tmp_path / "out"
+        assert main(["all", "--scenario", write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+        sec = json.loads((out / "report.json").read_text())["sections"]["pinterval"]
+        assert sec["interval"] == "[2.0, 2.0]" and sec["p_list_inside"] == [True]
 
     @pytest.mark.parametrize("key", ["g1", "g4"])
     def test_p_interval_section_and_constants_share_oracle_grid(
@@ -633,8 +642,9 @@ class TestCli:
     def test_nittka_finding_scale_from_worst_sample(self, tmp_path, capsys):
         # a strongly negative potential makes the shifted sign test negative
         # at p = 3; the finding's scale is ||u||_p^p of the minimizing sample
-        text = MINIMAL.replace('v.11 = "2"', 'v.11 = "-1000"').replace(
-            "p = 2\n", "p = 3\n")
+        # (with 4 samples the minimizing scaled sample is not sample 0)
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "-1000"')
+                .replace("p = 2\n", "p = 3\n").replace("samples = 3", "samples = 4"))
         path = write(tmp_path, text)
         out = tmp_path / "out"
         main(["nittka", "--scenario", path, "--out", str(out)])
@@ -645,6 +655,7 @@ class TestCli:
         F = assemble(scn.system, scn.grid)
         u = band_limited_random(F.grid, F.m, np.random.default_rng(scn.seed + 1),
                                 scn.n_samples)
+        u = u / node_norms(u, F.m).max(axis=0)  # each sample at max |u| = 1
         vals = nittka_shifted(F, u, 3.0, 1.0, 1.0)
         worst = int(np.argmin(vals))
         assert worst != 0  # sample 0 would give a different scale
@@ -652,6 +663,17 @@ class TestCli:
         assert finding["scale"] == pytest.approx(
             F.mass * np.sum(node_norms(u[:, worst], F.m) ** 3), rel=1e-14)
         assert sec["pass"] is True
+
+    def test_nittka_at_huge_p_is_not_vacuous(self, tmp_path, capsys):
+        # unscaled, |u|^(p - 2) and |u|^p underflow to 0 at every node at
+        # p = 1e300, and the shifted sign test reads exactly 0
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nb.1.11 = "3"')
+                .replace("p = 2\n", "p = 2, 1e300\n"))
+        out = tmp_path / "out"
+        main(["nittka", "--scenario", write(tmp_path, text), "--out", str(out)])
+        sec = json.loads((out / "report.json").read_text())["sections"]["nittka"]
+        assert sec["min_shifted"]["1e+300"] > 0
+        assert sec["findings"] == [] and sec["pass"] is True
 
     def test_nonpositive_fixed_gamma_is_config_error(self, tmp_path, capsys):
         text = MINIMAL.replace("gamma = 1\n", "gamma = 0\n")
