@@ -48,6 +48,11 @@ EXIT_CONFIG_ERROR = 2
 
 # grid steps of PSD-oracle disagreement allowed (a couple at each endpoint)
 ORACLE_SLACK = 4
+# the oracle's 1e-3 steps end here, since past it they would grow with the
+# interval's end (4e8 points at an end of 4e5); a farther end gets a window
+# of 2 ORACLE_WINDOW + 1 points
+ORACLE_UNIFORM_TO = 100.0
+ORACLE_WINDOW = 20
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
@@ -130,10 +135,19 @@ def _hypotheses_section(run: Run) -> dict:
 def _oracle_check(constants: tuple, iv) -> tuple:
     """(points where the PSD-sweep oracle and ``iv`` differ, grid size) on p
     in steps of 1e-3 from 1.001 to 0.2 past the upper end of ``iv`` (past
-    2 lo + 4 if there is none)."""
+    2 lo + 4 if there is none).  The steps stop at ORACLE_UNIFORM_TO + 0.2:
+    an end beyond it gets a window of its own, 2 ORACLE_WINDOW + 1 points in
+    relative steps of 1e-5, so the grid stays small whatever the end."""
     hi = iv.hi if np.isfinite(iv.hi) else 2 * iv.lo + 4
-    grid = np.arange(1.0 + 1e-3, hi + 0.2, 1e-3)
-    admissible = np.isin(grid, psd_sweep_Mgamma(*constants, grid))
+    grid = np.arange(1.0 + 1e-3, min(hi, ORACLE_UNIFORM_TO) + 0.2, 1e-3)
+    if hi > ORACLE_UNIFORM_TO:
+        with np.errstate(over="ignore"):  # an end near the float maximum
+            window = hi * (1 + 1e-5 * np.arange(-ORACLE_WINDOW,
+                                                ORACLE_WINDOW + 1))
+        grid = np.unique(np.concatenate([grid, window[np.isfinite(window)]]))
+    # the grid ascends without repeats, and the sweep keeps its order
+    admissible = np.zeros(grid.size, dtype=bool)
+    admissible[np.searchsorted(grid, psd_sweep_Mgamma(*constants, grid))] = True
     return int(np.sum(admissible != iv.contains(grid))), grid.size
 
 

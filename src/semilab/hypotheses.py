@@ -178,50 +178,127 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     return _max_sv(_entries_first(white))
 
 
+# node-gamma entries the gamma sweep evaluates at once
+SWEEP_CHUNK = 2 ** 13
+
+
+def _sweep_grams(Y: np.ndarray, rows: bool) -> tuple:
+    """(sigma, grams, bad) for entries-first (r, c, N) blocks Y.  sigma is
+    each node's largest |entry|; grams is the c x c Gram of Y / sigma,
+    (1, c, c, N), or with ``rows`` the outer product of each of its rows,
+    (r, c, c, N).  A node with an entry that is not finite is flagged in
+    ``bad`` and gets sigma = 0 and zero grams."""
+    sigma = np.abs(Y).max(axis=(0, 1))
+    bad = ~np.isfinite(sigma)
+    sigma[bad] = 0.0
+    Y = Y / np.where(sigma == 0, 1.0, sigma)
+    Y[..., bad] = 0.0
+    grams = Y[:, :, None] * Y[:, None, :]
+    return sigma, grams if rows else grams.sum(0, keepdims=True), bad
+
+
+def _top_eig(grams: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of D H D, D = diag(1, u), H = grams[0] + sum_i
+    u2[i - 1] grams[i], for weights u (c - 1, ...) <= 1 and u2 = u * u.  For
+    one or two columns it is in closed form (the symmetric 2 x 2 Schur step,
+    Golub & Van Loan 8.5), beyond that it is ``eigvalsh``."""
+    def h(j, k):
+        out = grams[0, j, k]
+        for i in range(1, len(grams)):
+            out = out + u2[i - 1] * grams[i, j, k]
+        return out
+
+    c = grams.shape[1]
+    if c == 1:
+        return h(0, 0)
+    if c == 2:
+        a, d, b = h(0, 0), u2[0] * h(1, 1), u[0] * h(0, 1)
+        t, x = a + d, 0.5 * (a - d)
+        # both terms are >= 0, so nothing cancels; |x| and |b| are at most
+        # t/2, and their squares lose digits to underflow only for t < 1e-145
+        top = 0.5 * t + np.sqrt(x * x + b * b)
+        tiny = t < 1e-140
+        if tiny.any():
+            top[tiny] = 0.5 * t[tiny] + np.hypot(x[tiny], b[tiny])
+        return top
+    w = [1.0, *u]
+    M = np.empty(u.shape[1:] + (c, c))
+    for j in range(c):
+        for k in range(j, c):
+            M[..., j, k] = M[..., k, j] = w[j] * h(j, k) * w[k]
+    return np.linalg.eigvalsh(M)[..., -1]
+
+
 # a refined R(gamma) overflows to inf at the grid's smallest gammas when an
 # exponent is near its bound; inf is its limit and whitens to 0.  A whitened
-# block that overflows has top singular value inf (see _max_sv)
-@np.errstate(over="ignore")
+# block entry that overflows (inf, or NaN where the rotation meets inf with
+# 0) gives the block the top singular value inf, and so does a top singular
+# value beyond the float range
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     """(kappa_B, kappa_C, kappa_W) from one sweep over the mode's gammas.
 
     kappa_B and kappa_C are the largest singular values of the doubly whitened
     block columns of the B^h / C^h, kappa_W that of W whitened on both sides
-    by G = (gamma V_S + R(gamma) I)^{-1/2}; each is maximized over nodes and
+    by (gamma V_S + R(gamma) I)^{-1/2}; each is maximized over nodes and
     gammas.  With V_S = U diag(lam) U^T from the field's spectrum, each block
-    is rotated by U once, and each gamma scales it by (gamma lam + R)^{-1/2}.
+    is rotated by U once, and each gamma scales it by s = (gamma lam + R)^{-1/2}.
+
+    So each block enters only through Grams taken once per node.  A block
+    column Y with largest |entry| sigma, G the Gram of Y / sigma, has top
+    singular value sigma s[0] sqrt(lambda_max(diag(u) G diag(u))) with
+    u = s / s[0] <= 1 (lam ascends, so s[0] is the largest scale).  W scaled
+    on both sides has sigma s[0]^2 sqrt(lambda_max(diag(u) H diag(u))),
+    H = sum_i u_i^2 z_i z_i^T over the rows z_i of W / sigma.  A block with an
+    entry that is not finite has top singular value inf.  The gammas go in
+    chunks of at most ``SWEEP_CHUNK`` node-gamma entries.
     """
     B = fields["B"].values  # (N, d, m, m)
     N, d, m, _ = B.shape
-    C, Wmat = fields["C"].values, fields["W"].values
-    has_b, has_c, has_w = np.any(B), np.any(C), np.any(Wmat)
-    if not (has_b or has_c or has_w):
+    Wmat = fields["W"].values
+    drifts = {name: X for name, X in (("B", B), ("C", fields["C"].values))
+              if np.any(X)}
+    if not (drifts or np.any(Wmat)):
         return 0.0, 0.0, 0.0
 
     lam, U = fields["V"].spectrum
-    if has_b or has_c:
+    grams = {}  # name -> (sigma, grams, bad)
+    if drifts:
         # the block columns of B and C, whitened by Q^{-1/2} (x) I_m, times U
         Wq = _eigen_whitener(fields["Q"], "Q")
-        YB, YC = (_entries_first((np.einsum("nha,nhij->naij", Wq, X)
-                                  @ U[:, None]).reshape(N, d * m, m))
-                  for X in (B, C))
-    if has_w:
-        Z = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
-    lam = _entries_first(lam)  # (m, N), ascending down the rows
-    kB = kC = kW = 0.0
-    for gamma in mode.gamma_candidates():
-        w = gamma * lam + mode.weight(gamma)
-        if not (w[0] > 0).all():
-            _require_pd(w.T, f"gamma*V_S + R (gamma={gamma})",
+    for name, X in drifts.items():
+        Y = (np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
+            N, d * m, m)
+        grams[name] = _sweep_grams(_entries_first(Y), False)
+    if np.any(Wmat):
+        Z = np.swapaxes(U, -1, -2) @ Wmat @ U
+        grams["W"] = _sweep_grams(_entries_first(Z), True)
+
+    kappa = {name: np.inf if bad.any() else 0.0
+             for name, (_, _, bad) in grams.items()}
+    lam = _entries_first(lam)[:, None]  # (m, 1, N), ascending down the rows
+    gammas = mode.gamma_candidates()
+    step = max(1, SWEEP_CHUNK // N)
+    for start in range(0, len(gammas), step):
+        chunk = gammas[start:start + step]
+        w = chunk[:, None] * lam  # (m, gammas, N)
+        w += np.array([mode.weight(gamma) for gamma in chunk])[:, None]
+        positive = (w[0] > 0).all(axis=1)
+        if not positive.all():
+            k = int(np.argmin(positive))
+            _require_pd(w[:, k].T, f"gamma*V_S + R (gamma={chunk[k]})",
                         fields["V"].domain)
-        s = w ** -0.5  # scales the columns
-        if has_b:
-            kB = max(kB, float(_max_sv(YB * s).max()))
-        if has_c:
-            kC = max(kC, float(_max_sv(YC * s).max()))
-        if has_w:
-            kW = max(kW, float(_max_sv(s[:, None] * Z * s).max()))
-    return kB, kC, kW
+        s = w ** -0.5
+        s0 = s[0]
+        u = s[1:] / np.where(s0 > 0, s0, 1.0)  # s0 = 0 only where all s are
+        u2 = u * u
+        for name, (sigma, G, _) in grams.items():
+            scale = sigma * s0
+            if name == "W":  # scaled on both sides
+                scale = scale * s0
+            top = np.sqrt(_top_eig(G, u, u2)) * scale
+            kappa[name] = max(kappa[name], float(top.max()))
+    return tuple(kappa.get(name, 0.0) for name in "BCW")
 
 
 @dataclass

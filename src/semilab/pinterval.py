@@ -54,7 +54,7 @@ def k_combination(kappaB, kappaC, kappaW, gamma) -> float:
 def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
     """Admissible p-interval from the explicit four-case formula.
 
-    The combination K of ``k_combination`` must be positive.
+    The combination K of ``k_combination`` must be positive and finite.
     """
     # written so that NaN fails every comparison and is rejected
     for name, v in [("kappaA", kappaA), ("kappaB", kappaB), ("kappaC", kappaC), ("kappaW", kappaW)]:
@@ -65,6 +65,8 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
     K = k_combination(kappaB, kappaC, kappaW, gamma)
     if not K > 0:
         raise ValueError(f"hypothesis violated: K = {K} <= 0")
+    if K == math.inf:  # 1/gamma, or 4/gamma, beyond the float range
+        raise ValueError(f"gamma = {gamma} is too small: K overflows to inf")
 
     if kappaA == 0 and kappaB == 0 and kappaC == 0:
         return IntervalSpec(1.0, math.inf, False, False)
@@ -81,44 +83,41 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
     # products, not powers, as in k_combination: a huge kappa_A gives
     # delta = 0 and so the point interval [2, 2], not an OverflowError
     delta1 = K / ((kappaA * kappaA + 1) * K + (s + kappaB) * (s + kappaB))
-    delta2 = K / (kappaA * kappaA * K + (s + kappaC) * (s + kappaC))
-    return IntervalSpec(2 - delta1, 2 + delta2, True, True)
+    lo = 2 - delta1
+    # a tiny kappa_A (and kappa_C) can underflow the denominator of delta2
+    # to 0: its limit, the kappa_A = 0 case, has no right end.  p = 1 is
+    # never admissible, so a left end that rounds to 1 is open
+    den2 = kappaA * kappaA * K + (s + kappaC) * (s + kappaC)
+    hi = 2 + K / den2 if den2 > 0 else math.inf
+    return IntervalSpec(lo, hi, lo > 1, hi < math.inf)
 
 
-def _M_gamma(kappaA, kappaB, kappaC, kappaW, gamma, p):
-    """The 3x3 feasibility matrix for exponents p >= 2 (vectorized over p)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    n = p.shape[0]
-    M = np.empty((n, 3, 3))
-    M[:, 0, 0] = 1.0
-    M[:, 0, 1] = M[:, 1, 0] = -(p - 2) * kappaA
-    M[:, 0, 2] = M[:, 2, 0] = -(kappaB + kappaC) / 2
-    M[:, 1, 1] = p - 2
-    M[:, 1, 2] = M[:, 2, 1] = -(p - 2) * kappaC / 2
-    M[:, 2, 2] = 1 / gamma - kappaW
-    return M
+def psd_sweep_Mgamma(kappaA, kappaB, kappaC, kappaW, gamma, p_grid):
+    """Admissible subset of ``p_grid``: the exponents p > 1 at which the 3x3
+    feasibility matrix M_gamma(p) has no eigenvalue below -1e-12.
 
-
-def psd_sweep_Mgamma(kappaA, kappaB, kappaC, kappaW, gamma, p_grid, tol=-1e-12):
-    """Admissible subset of ``p_grid`` by eigenvalue test of the 3x3 matrix.
-
-    Exponents below 2 are handled by the duality swap: test the conjugate
-    exponent with kappa_B and kappa_C exchanged.
+    For p >= 2, with t = p - 2, b = kappa_B + kappa_C and c = 1/gamma - kappa_W,
+        M_gamma(p) = [[1, -t kappa_A, -b/2], [-t kappa_A, t, -t kappa_C/2],
+                      [-b/2, -t kappa_C/2, c]].
+    The (0,0) entry of M + 1e-12 I is e = 1 + 1e-12 > 0, so M + 1e-12 I is
+    PSD exactly when the 2x2 Schur complement of that entry is: both its
+    diagonal entries and its determinant nonnegative.  Exponents below 2 go
+    through the duality swap: the conjugate exponent, with kappa_B and
+    kappa_C exchanged (which changes only the coupling -t kappa_C/2).
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    ok = np.zeros(p_grid.shape, dtype=bool)
-
-    hi_mask = p_grid >= 2
-    if np.any(hi_mask):
-        M = _M_gamma(kappaA, kappaB, kappaC, kappaW, gamma, p_grid[hi_mask])
-        ok[hi_mask] = np.linalg.eigvalsh(M)[:, 0] >= tol
-
-    lo_mask = (p_grid > 1) & (p_grid < 2)
-    if np.any(lo_mask):
-        p_dual = p_grid[lo_mask] / (p_grid[lo_mask] - 1)
-        M = _M_gamma(kappaA, kappaC, kappaB, kappaW, gamma, p_dual)
-        ok[lo_mask] = np.linalg.eigvalsh(M)[:, 0] >= tol
-
+    dual = p_grid < 2
+    b = kappaB + kappaC
+    e = 1 + 1e-12
+    tail = kappaA * b / (2 * e)
+    # p <= 1 has no conjugate and is dropped below; an entry beyond the
+    # float range makes a verdict of inf or NaN, and NaN is not admissible
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.where(dual, p_grid / (p_grid - 1), p_grid) - 2
+        s11 = t + 1e-12 - (t * kappaA) * (t * kappaA) / e
+        s12 = -t * np.where(dual, kappaB / 2 + tail, kappaC / 2 + tail)
+        s22 = 1 / gamma - kappaW + 1e-12 - (b / 2) * (b / 2) / e
+        ok = (p_grid > 1) & (s11 >= 0) & (s22 >= 0) & (s11 * s22 >= s12 * s12)
     return p_grid[ok]
 
 

@@ -23,7 +23,10 @@ from semilab.hypotheses import (
     MODE_PARAMS,
     EstimateMode,
     HypothesisViolation,
+    _eigen_whitener,
+    _entries_first,
     _max_sv,
+    _require_pd,
     check_all,
     estimate_c0,
     estimate_gamma_constants,
@@ -337,6 +340,155 @@ class TestSharedGammaSweep:
                                  r"definite at node \(0\.03125,\)"):
             estimate_gamma_constants(sample(system, GRID),
                                      fixed_gamma(1.0, -10.0))
+
+
+def max_sv_sweep(fields, mode):
+    """(kappa_B, kappa_C, kappa_W) one gamma at a time: the top singular
+    value of each block scaled by s = (gamma lam + R)^{-1/2}, by ``_max_sv``
+    on the entries-first node matrices."""
+    B, C, Wmat = fields["B"].values, fields["C"].values, fields["W"].values
+    N, d, m, _ = B.shape
+    lam, U = fields["V"].spectrum
+    Wq = _eigen_whitener(fields["Q"], "Q")
+    YB, YC = (_entries_first((np.einsum("nha,nhij->naij", Wq, X)
+                              @ U[:, None]).reshape(N, d * m, m))
+              for X in (B, C))
+    Z = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
+    lam = _entries_first(lam)
+    kB = kC = kW = 0.0
+    for gamma in mode.gamma_candidates():
+        w = gamma * lam + mode.weight(gamma)
+        if not (w[0] > 0).all():
+            _require_pd(w.T, f"gamma*V_S + R (gamma={gamma})",
+                        fields["V"].domain)
+        s = w ** -0.5
+        kB = max(kB, float(_max_sv(YB * s).max()))
+        kC = max(kC, float(_max_sv(YC * s).max()))
+        kW = max(kW, float(_max_sv(s[:, None] * Z * s).max()))
+    return kB, kC, kW
+
+
+def random_system(d, m, seed):
+    """Every first-order and potential block present, each entry affine in
+    the coordinates; diagonal shifts make Q and V_S positive definite."""
+    rng = np.random.default_rng([d, m, seed])
+
+    def mat(n, shift=0.0):
+        return expr_matrix([[" + ".join(
+            [repr(float(rng.uniform(-1, 1) + shift * (i == j)))]
+            + [f"({float(rng.uniform(-1, 1))!r}) * x{k + 1}" for k in range(d)])
+            for j in range(n)] for i in range(n)])
+
+    return CoefficientSystem(d=d, m=m, Q=mat(d, 3.0), V=mat(m, 4.0),
+                             B=tuple(mat(m) for _ in range(d)),
+                             C=tuple(mat(m) for _ in range(d)), W=mat(m))
+
+
+SWEEP_MODES = [fixed_gamma(0.7, 1.5), refined(a=0.25), refined(a=0.45, b=0.2),
+               kernel_mode(beta=1.0, c=2.0)]
+
+
+class TestGramSweep:
+    """The Gram-form sweep against the per-gamma ``_max_sv`` loop."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("mode", SWEEP_MODES,
+                             ids=["fixed_gamma", "refined", "refined_b",
+                                  "kernel"])
+    def test_matches_max_sv_loop(self, d, m, mode):
+        grid = BoxDomain((0.0,) * d, (1.0,) * d, (9,) * d)
+        fields = sample(random_system(d, m, seed=0), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = estimate_gamma_constants(fields, mode)
+        with np.errstate(over="ignore"):
+            want = max_sv_sweep(fields, mode)
+        assert all(0 < k < np.inf for k in got)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("system,mode,inf_at", [
+        # 1e200 whitened by Q = 1e-300 overflows in the block itself
+        (scalar_system(q="1e-300", b="1e200", c="1"), fixed_gamma(1.0, 1.0), 0),
+        (scalar_system(q="1e-300", b="1", c="1e200"), fixed_gamma(1.0, 1.0), 1),
+        # 1e200 scaled by (1e-300 + 1e-300)^{-1/2} on both sides overflows
+        (scalar_system(v="1e-300", b="1", w="1e200"),
+         fixed_gamma(1.0, 1e-300), 2),
+        (CoefficientSystem(d=1, m=2, Q=expr_matrix([["1"]]),
+                           V=expr_matrix([["1e-300", "0"], ["0", "3 + x1"]]),
+                           B=(expr_matrix([["1", "x1"], ["0", "1"]]),),
+                           W=expr_matrix([["0.1", "1e200 * x1"],
+                                          ["0", "0.2"]])),
+         fixed_gamma(1.0, 1e-300), 2),
+        # the rotation by V_S's eigenbasis meets the overflowed entry with 0
+        (CoefficientSystem(d=1, m=2, Q=expr_matrix([["1e-300"]]),
+                           V=expr_matrix([["2", "0"], ["0", "3 + x1"]]),
+                           B=(expr_matrix([["1", "1e200 * x1"],
+                                           ["0", "1"]]),)),
+         refined(a=0.25), 0)],
+        ids=["B", "C", "W", "W-m2", "B-m2-rotated"])
+    def test_overflow_gives_inf(self, system, mode, inf_at):
+        fields = sample(system, GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = estimate_gamma_constants(fields, mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = max_sv_sweep(fields, mode)
+        assert got[inf_at] == np.inf
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_scales_far_apart_keep_their_digits(self):
+        # V_S = diag(1e-300, 1) and gamma = 1, R = 1e-300 weigh the second
+        # column by u^2 = 2e-300 against a first column of 1e-150: every
+        # entry of diag(u) G diag(u) is near 1e-300, and kappa_B is 1
+        system = CoefficientSystem(
+            d=1, m=2, Q=expr_matrix([["1"]]),
+            V=expr_matrix([["1e-300", "0"], ["0", "1"]]),
+            B=(expr_matrix([["1e-150", "0"], ["0", "1"]]),))
+        fields = sample(system, GRID)
+        mode = fixed_gamma(1.0, 1e-300)
+        got = estimate_gamma_constants(fields, mode)
+        assert got[0] == pytest.approx(1.0, rel=1e-13)
+        np.testing.assert_allclose(got, max_sv_sweep(fields, mode),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES[1:], ids=["refined",
+                                                          "refined_b",
+                                                          "kernel"])
+    def test_chunks_move_no_bit(self, mode, monkeypatch):
+        # 32 nodes: chunks of one and of three gammas, against one chunk
+        fields = sample(random_system(1, 2, seed=1), GRID)
+        whole = estimate_gamma_constants(fields, mode)
+        for chunk in (1, 100):
+            monkeypatch.setattr(hypotheses, "SWEEP_CHUNK", chunk)
+            assert estimate_gamma_constants(fields, mode) == whole
+
+    def test_first_failing_gamma_is_reported(self, monkeypatch):
+        # V = -1 + x1/10: gamma v + 1/(4 gamma) turns negative from some
+        # gamma on, at the node where v is smallest; the message names the
+        # first such gamma in grid order, in whichever chunk it falls
+        fields = sample(scalar_system(v="-1 + 0.1 * x1", b="1"), GRID)
+        mode = refined(a=0.25)
+        with pytest.raises(HypothesisViolation) as want:
+            max_sv_sweep(fields, mode)
+        for chunk in (hypotheses.SWEEP_CHUNK, 100):
+            monkeypatch.setattr(hypotheses, "SWEEP_CHUNK", chunk)
+            with pytest.raises(HypothesisViolation) as got:
+                estimate_gamma_constants(fields, mode)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("key", ["g3", "g6-quadratic"])
+def test_no_eigvalsh_for_two_columns(key, monkeypatch):
+    # m <= 2 and no second-order coupling: every constant of check_all is in
+    # closed form, with no decomposition but the fields' cached spectra
+    scn = gallery_scenario(key)
+    fields = sample(scn.system, scn.grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert check_all(fields, mode=scn.mode).all_pass
 
 
 class TestCheckAll:

@@ -151,6 +151,84 @@ class TestPsdSweep:
         assert psd_sweep_Mgamma(0.3, 0.5, 0.4, 0.1, 1.0, interior).size == 50
 
 
+def m_gamma(kappaA, kappaB, kappaC, kappaW, gamma, p):
+    """The 3x3 feasibility matrix of Theorem 3.3 at each p >= 2."""
+    t = np.asarray(p, dtype=float) - 2
+    M = np.empty(t.shape + (3, 3))
+    M[:, 0, 0] = 1.0
+    M[:, 0, 1] = M[:, 1, 0] = -t * kappaA
+    M[:, 0, 2] = M[:, 2, 0] = -(kappaB + kappaC) / 2
+    M[:, 1, 1] = t
+    M[:, 1, 2] = M[:, 2, 1] = -t * kappaC / 2
+    M[:, 2, 2] = 1 / gamma - kappaW
+    return M
+
+
+def eigvalsh_verdicts(kappaA, kappaB, kappaC, kappaW, gamma, p):
+    """Whether M_gamma(p) (with the duality swap below 2) has no eigenvalue
+    below -1e-12, by dense eigenvalues."""
+    ok = np.zeros(p.shape, dtype=bool)
+    hi, lo = p >= 2, (p > 1) & (p < 2)
+    ok[hi] = np.linalg.eigvalsh(m_gamma(kappaA, kappaB, kappaC, kappaW, gamma,
+                                        p[hi]))[:, 0] >= -1e-12
+    ok[lo] = np.linalg.eigvalsh(m_gamma(kappaA, kappaC, kappaB, kappaW, gamma,
+                                        p[lo] / (p[lo] - 1)))[:, 0] >= -1e-12
+    return ok
+
+
+class TestSchurOracle:
+    def test_verdicts_equal_eigvalsh(self):
+        # criterion 01's tuples on p in [1.001, 30], plus fine windows
+        # where the verdict turns, at each end of the interval
+        coarse = np.arange(1.001, 30, 1e-2)
+        for consts in random_tuples(200, seed=1):
+            iv = interval_thm33(*consts)
+            ends = [e for e in (iv.lo, iv.hi) if 1 < e < 30]
+            grid = np.concatenate([coarse] + [
+                e + 1e-7 * np.arange(-200, 201) for e in ends])
+            got = np.isin(grid, psd_sweep_Mgamma(*consts, grid))
+            assert np.array_equal(got, eigvalsh_verdicts(*consts, grid))
+
+    def test_no_eigenvalue_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        iv = interval_thm33(0.3, 0.5, 0.4, 0.1, 1.0)
+        grid = np.arange(1.001, 10, 1e-3)
+        assert np.array_equal(
+            np.isin(grid, psd_sweep_Mgamma(0.3, 0.5, 0.4, 0.1, 1.0, grid)),
+            iv.contains(grid))
+
+    def test_no_exponent_at_or_below_one(self):
+        grid = np.array([-1.0, 0.0, 0.5, 1.0, np.nan, 1.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            adm = psd_sweep_Mgamma(0.0, 0.0, 0.0, 0.0, 1.0, grid)
+        assert adm.tolist() == [1.5, 2.0]
+
+
+class TestExtremeConstants:
+    def test_underflowing_right_denominator_leaves_no_right_end(self):
+        # kappa_A^2 K + (kappa_A kappa_B)^2 underflows to 0: the limit is the
+        # kappa_A = 0 case, closed at 1 + gamma kappa_B^2 / 4 and unbounded
+        iv = interval_thm33(1e-300, 0.1, 0, 0, 1.0)
+        assert str(iv) == str(interval_thm33(0, 0.1, 0, 0, 1.0)) == "[1.0025, inf["
+
+    def test_left_end_rounding_to_one_is_open(self):
+        iv = interval_thm33(1e-300, 0, 0.1, 0, 1.0)
+        assert iv.lo == 1.0 and not iv.lo_closed
+        assert str(iv).startswith("]1, ")
+        assert not iv.contains(1.0)
+
+    @pytest.mark.parametrize("consts", [(0, 0, 0, 0, 1e-320),
+                                        (0.1, 0.1, 0.1, 0, 1e-320),
+                                        (0.1, 0.1, 0.1, 0, 1e-308)],
+                             ids=["all_zero", "general", "four_over_gamma"])
+    def test_gamma_beyond_float_range_rejected(self, consts):
+        with pytest.raises(ValueError, match="too small: K overflows to inf"):
+            interval_thm33(*consts)
+
+
 class TestGammaP:
     def test_p2_closed_form(self):
         assert gamma_p(0, 0.5, 0.7, 0.2, 2.0) == pytest.approx(

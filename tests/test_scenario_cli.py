@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -490,6 +491,67 @@ class TestCli:
         assert main(["all", "--scenario", write(tmp_path, text), "--out", str(out)]) == EXIT_OK
         sec = json.loads((out / "report.json").read_text())["sections"]["pinterval"]
         assert sec["interval"] == "[2.0, 2.0]" and sec["p_list_inside"] == [True]
+
+    @pytest.mark.parametrize("consts,interval", [
+        ("0,0,0.003,0,1", "]1, 444445.44444444444]"),
+        ("0,0,1e-4,0,1", "]1, 400000001.0]")], ids=["4e5", "4e8"])
+    def test_p_interval_far_right_end_has_bounded_oracle_grid(
+            self, consts, interval, capsys):
+        # the uniform grid stops at 100.2 and the far end gets a window of
+        # 41 points: 99240 in all, where a grid up to the end would hold
+        # 4e8 or 4e11 points
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code = main(["p-interval", "--constants", consts])
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and elapsed < 1.0
+        assert peak < 32 * 2**20
+        assert capsys.readouterr().out.splitlines() == [
+            interval, "psd-oracle disagreements: 0 of 99240"]
+
+    def test_pinterval_section_with_tiny_drift_has_bounded_grid(self, tmp_path,
+                                                                capsys):
+        text = MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nc.1.11 = "0.003"')
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["p-interval", "--scenario", write(tmp_path, text),
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and peak < 32 * 2**20
+        sec = json.loads((out / "report.json").read_text())[
+            "sections"]["pinterval"]
+        assert sec["interval_hi"] > 1e5
+        assert sec["oracle_grid_points"] == 99240
+        assert sec["oracle_disagreements"] == 0 and sec["pass"]
+
+    @pytest.mark.parametrize("consts,interval", [
+        # kappa_A^2 K + (kappa_A kappa_B)^2 underflows: the kappa_A = 0 limit
+        ("1e-300,0.1,0,0,1", "[1.0025, inf["),
+        # the left end rounds to 1, which is never admissible
+        ("1e-300,0,0.1,0,1", "]1, 400.99999999999994]")],
+        ids=["no_right_end", "open_left_end"])
+    def test_p_interval_tiny_kappa_a(self, consts, interval, capsys):
+        assert main(["p-interval", "--constants", consts]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == interval
+        assert out[1].startswith("psd-oracle disagreements: 0 of ")
+
+    @pytest.mark.parametrize("consts", ["0,0,0,0,1e-320",
+                                        "0.1,0.1,0.1,0,1e-320"])
+    def test_p_interval_gamma_beyond_float_range_is_config_error(self, consts,
+                                                                 capsys):
+        assert main(["p-interval", "--constants", consts]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: gamma = 1e-320 is too small: K overflows to inf"]
 
     @pytest.mark.parametrize("key", ["g1", "g4"])
     def test_p_interval_section_and_constants_share_oracle_grid(
