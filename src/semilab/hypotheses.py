@@ -114,29 +114,57 @@ def _entries_first(mats: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
 
 
+def _node_grams(Y: np.ndarray, rows: bool) -> tuple:
+    """(sigma, grams, bad) for entries-first (r, c, N) blocks Y.  sigma is
+    each node's largest |entry|; grams is the c x c Gram of Y / sigma,
+    (1, c, c, N), or with ``rows`` the outer product of each of its rows,
+    (r, c, c, N).  A node with an entry that is not finite is flagged in
+    ``bad`` and gets sigma = 0 and zero grams."""
+    sigma = np.abs(Y).max(axis=(0, 1))
+    bad = ~np.isfinite(sigma)
+    sigma[bad] = 0.0
+    Y = Y / np.where(sigma == 0, 1.0, sigma)
+    Y[..., bad] = 0.0
+    grams = Y[:, :, None] * Y[:, None, :]
+    return sigma, grams if rows else grams.sum(0, keepdims=True), bad
+
+
+def _top_eig(grams: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of D H D, D = diag(1, u), H = grams[0] + sum_i
+    u2[i - 1] grams[i], for weights u (c - 1, ...) <= 1 and u2 = u * u.  For
+    one or two columns it is in closed form (the symmetric 2 x 2 Schur step,
+    Golub & Van Loan 8.5), beyond that it is ``eigvalsh``."""
+    def h(j, k):
+        out = grams[0, j, k]
+        for i in range(1, len(grams)):
+            out = out + u2[i - 1] * grams[i, j, k]
+        return out
+
+    c = grams.shape[1]
+    if c == 1:
+        return h(0, 0)
+    if c == 2:
+        a, d, b = h(0, 0), u2[0] * h(1, 1), u[0] * h(0, 1)
+        t, x = a + d, 0.5 * (a - d)
+        # both terms are >= 0, so nothing cancels; x and b are at most t / 2,
+        # and their squares lose digits to underflow only below SWEEP_FLOOR
+        return 0.5 * t + np.sqrt(x * x + b * b)
+    w = [1.0, *u]
+    M = np.empty(u.shape[1:] + (c, c))
+    for j in range(c):
+        for k in range(j, c):
+            M[..., j, k] = M[..., k, j] = w[j] * h(j, k) * w[k]
+    return np.linalg.eigvalsh(M)[..., -1]
+
+
 def _max_sv(mats: np.ndarray) -> np.ndarray:
-    """Per-node top singular value of entries-first (r, c, N) matrices: root
-    of the largest eigenvalue of M^T M, with M each matrix over its largest
-    |entry| (so M^T M cannot overflow); inf for a matrix with an entry that
-    is not finite.  For one or two columns the eigenvalue is in closed form
-    (the symmetric 2 x 2 Schur step, Golub & Van Loan 8.5), beyond that it
-    is ``eigvalsh`` of the Gram."""
-    scale = np.abs(mats).max(axis=(0, 1))
-    bad = ~np.isfinite(scale)
-    scale[bad | (scale == 0)] = 1.0
-    M = mats / scale
-    M[..., bad] = 0.0
-    if M.shape[1] == 1:
-        top = (M[:, 0] * M[:, 0]).sum(0)
-    elif M.shape[1] == 2:
-        a, d, b = ((M[:, j] * M[:, k]).sum(0)
-                   for j, k in ((0, 0), (1, 1), (0, 1)))
-        # both terms are >= 0, so nothing cancels
-        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-    else:
-        M = np.ascontiguousarray(np.moveaxis(M, -1, 0))
-        top = np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)[..., -1]
-    top = np.sqrt(top) * scale
+    """Per-node top singular value of entries-first (r, c, N) matrices:
+    sigma sqrt(lambda_max(G)), G the Gram of each matrix over its largest
+    |entry| sigma (so G cannot overflow, and lambda_max >= 1 unless the
+    matrix is 0); inf for a matrix with an entry that is not finite."""
+    sigma, G, bad = _node_grams(mats, False)
+    ones = np.ones((mats.shape[1] - 1, mats.shape[-1]))
+    top = np.sqrt(_top_eig(G, ones, ones)) * sigma
     top[bad] = np.inf
     return top
 
@@ -180,61 +208,16 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
 
 # node-gamma entries the gamma sweep evaluates at once
 SWEEP_CHUNK = 2 ** 13
-
-
-def _sweep_grams(Y: np.ndarray, rows: bool) -> tuple:
-    """(sigma, grams, bad) for entries-first (r, c, N) blocks Y.  sigma is
-    each node's largest |entry|; grams is the c x c Gram of Y / sigma,
-    (1, c, c, N), or with ``rows`` the outer product of each of its rows,
-    (r, c, c, N).  A node with an entry that is not finite is flagged in
-    ``bad`` and gets sigma = 0 and zero grams."""
-    sigma = np.abs(Y).max(axis=(0, 1))
-    bad = ~np.isfinite(sigma)
-    sigma[bad] = 0.0
-    Y = Y / np.where(sigma == 0, 1.0, sigma)
-    Y[..., bad] = 0.0
-    grams = Y[:, :, None] * Y[:, None, :]
-    return sigma, grams if rows else grams.sum(0, keepdims=True), bad
-
-
-def _top_eig(grams: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of D H D, D = diag(1, u), H = grams[0] + sum_i
-    u2[i - 1] grams[i], for weights u (c - 1, ...) <= 1 and u2 = u * u.  For
-    one or two columns it is in closed form (the symmetric 2 x 2 Schur step,
-    Golub & Van Loan 8.5), beyond that it is ``eigvalsh``."""
-    def h(j, k):
-        out = grams[0, j, k]
-        for i in range(1, len(grams)):
-            out = out + u2[i - 1] * grams[i, j, k]
-        return out
-
-    c = grams.shape[1]
-    if c == 1:
-        return h(0, 0)
-    if c == 2:
-        a, d, b = h(0, 0), u2[0] * h(1, 1), u[0] * h(0, 1)
-        t, x = a + d, 0.5 * (a - d)
-        # both terms are >= 0, so nothing cancels; |x| and |b| are at most
-        # t/2, and their squares lose digits to underflow only for t < 1e-145
-        top = 0.5 * t + np.sqrt(x * x + b * b)
-        tiny = t < 1e-140
-        if tiny.any():
-            top[tiny] = 0.5 * t[tiny] + np.hypot(x[tiny], b[tiny])
-        return top
-    w = [1.0, *u]
-    M = np.empty(u.shape[1:] + (c, c))
-    for j in range(c):
-        for k in range(j, c):
-            M[..., j, k] = M[..., k, j] = w[j] * h(j, k) * w[k]
-    return np.linalg.eigvalsh(M)[..., -1]
+# a node-gamma whose weighted Gram has lambda_max below this may have lost
+# digits to underflow (in the weights u and u^2, or in the squares of the
+# 2 x 2 closed form); it takes the top singular value of its scaled block
+SWEEP_FLOOR = 1e-140
 
 
 # a refined R(gamma) overflows to inf at the grid's smallest gammas when an
-# exponent is near its bound; inf is its limit and whitens to 0.  A whitened
-# block entry that overflows (inf, or NaN where the rotation meets inf with
-# 0) gives the block the top singular value inf, and so does a top singular
-# value beyond the float range
-@np.errstate(over="ignore", invalid="ignore")
+# exponent is near its bound; inf is its limit and whitens to 0.  A block
+# entry or top singular value beyond the float range gives inf
+@np.errstate(over="ignore")
 def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     """(kappa_B, kappa_C, kappa_W) from one sweep over the mode's gammas.
 
@@ -249,7 +232,9 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     singular value sigma s[0] sqrt(lambda_max(diag(u) G diag(u))) with
     u = s / s[0] <= 1 (lam ascends, so s[0] is the largest scale).  W scaled
     on both sides has sigma s[0]^2 sqrt(lambda_max(diag(u) H diag(u))),
-    H = sum_i u_i^2 z_i z_i^T over the rows z_i of W / sigma.  A block with an
+    H = sum_i u_i^2 z_i z_i^T over the rows z_i of W / sigma.  A node-gamma
+    whose lambda_max falls below ``SWEEP_FLOOR``, or whose product is not
+    finite, takes ``_max_sv`` of its scaled block instead.  A block with an
     entry that is not finite has top singular value inf.  The gammas go in
     chunks of at most ``SWEEP_CHUNK`` node-gamma entries.
     """
@@ -262,17 +247,20 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
         return 0.0, 0.0, 0.0
 
     lam, U = fields["V"].spectrum
-    grams = {}  # name -> (sigma, grams, bad)
+    blocks = {}  # name -> entries-first block, rotated by U
     if drifts:
-        # the block columns of B and C, whitened by Q^{-1/2} (x) I_m, times U
+        # the block columns of B and C, whitened by Q^{-1/2} (x) I_m
         Wq = _eigen_whitener(fields["Q"], "Q")
-    for name, X in drifts.items():
-        Y = (np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
-            N, d * m, m)
-        grams[name] = _sweep_grams(_entries_first(Y), False)
-    if np.any(Wmat):
-        Z = np.swapaxes(U, -1, -2) @ Wmat @ U
-        grams["W"] = _sweep_grams(_entries_first(Z), True)
+    # an overflowed entry meets 0 in the rotation as NaN, which marks the
+    # block's node as not finite
+    with np.errstate(invalid="ignore"):
+        for name, X in drifts.items():
+            blocks[name] = _entries_first(
+                (np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
+                    N, d * m, m))
+        if np.any(Wmat):
+            blocks["W"] = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
+    grams = {name: _node_grams(Y, name == "W") for name, Y in blocks.items()}
 
     kappa = {name: np.inf if bad.any() else 0.0
              for name, (_, _, bad) in grams.items()}
@@ -296,8 +284,19 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
             scale = sigma * s0
             if name == "W":  # scaled on both sides
                 scale = scale * s0
-            top = np.sqrt(_top_eig(G, u, u2)) * scale
-            kappa[name] = max(kappa[name], float(top.max()))
+            top = _top_eig(G, u, u2)
+            with np.errstate(invalid="ignore"):  # 0 * inf, redone below
+                sv = np.sqrt(top) * scale
+            peak = sv.max()  # NaN if any entry is
+            if not peak < np.inf or top.min() < SWEEP_FLOOR:
+                redo = ~(sv < np.inf) | ((top < SWEEP_FLOOR) & (sigma > 0))
+                g, n = np.nonzero(redo)
+                scaled = blocks[name][..., n] * s[:, g, n]
+                if name == "W":
+                    scaled = s[:, None, g, n] * scaled
+                sv[g, n] = _max_sv(scaled)
+                peak = sv.max()
+            kappa[name] = max(kappa[name], float(peak))
     return tuple(kappa.get(name, 0.0) for name in "BCW")
 
 

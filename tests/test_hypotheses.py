@@ -437,20 +437,35 @@ class TestGramSweep:
         assert got[inf_at] == np.inf
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
-    def test_scales_far_apart_keep_their_digits(self):
-        # V_S = diag(1e-300, 1) and gamma = 1, R = 1e-300 weigh the second
-        # column by u^2 = 2e-300 against a first column of 1e-150: every
-        # entry of diag(u) G diag(u) is near 1e-300, and kappa_B is 1
+    @pytest.mark.parametrize("v1,R,name,block,want", [
+        # R = 1e-300 weighs the second column by u^2 = 2e-300 against a
+        # first column of 1e-150: every entry of diag(u) G diag(u) is near
+        # 1e-300, below the sweep's floor
+        ("1", 1e-300, "B", [["1e-150", "0"], ["0", "1"]], (1.0, 0.0, 0.0)),
+        # s = (1e150, 1e-15): u^2 = 1e-330 underflows to 0, and the whole
+        # block sits in the second column, so the Gram form reads 0
+        ("1e30", 0.0, "B", [["0", "1e15"], ["0", "0"]], (1.0, 0.0, 0.0)),
+        # s = (1e150, 1e90): sigma s[0] = 1e350 overflows, while the block
+        # scaled column by column stays finite
+        ("1e-180", 0.0, "B", [["0", "1e200"], ["0", "0"]], (1e290, 0.0, 0.0)),
+        ("1e-180", 0.0, "W", [["0", "1e10"], ["0", "0"]], (0.0, 0.0, 1e250))],
+        ids=["far-apart", "underflow", "overflow-B", "overflow-W"])
+    def test_extreme_scales_keep_their_digits(self, v1, R, name, block, want):
+        # V_S = diag(1e-300, v1), Q = 1, gamma = 1
+        block = expr_matrix(block)
         system = CoefficientSystem(
             d=1, m=2, Q=expr_matrix([["1"]]),
-            V=expr_matrix([["1e-300", "0"], ["0", "1"]]),
-            B=(expr_matrix([["1e-150", "0"], ["0", "1"]]),))
+            V=expr_matrix([["1e-300", "0"], ["0", v1]]),
+            **{name: (block,) if name == "B" else block})
         fields = sample(system, GRID)
-        mode = fixed_gamma(1.0, 1e-300)
-        got = estimate_gamma_constants(fields, mode)
-        assert got[0] == pytest.approx(1.0, rel=1e-13)
-        np.testing.assert_allclose(got, max_sv_sweep(fields, mode),
-                                   rtol=1e-13, atol=0)
+        mode = fixed_gamma(1.0, R)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = estimate_gamma_constants(fields, mode)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        with np.errstate(over="ignore"):
+            np.testing.assert_allclose(got, max_sv_sweep(fields, mode),
+                                       rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("mode", SWEEP_MODES[1:], ids=["refined",
                                                           "refined_b",
