@@ -446,37 +446,35 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="semilab",
-        description="structural checks, p-norm probes, kernel and distance "
-                    "diagnostics for divergence-form systems")
-    ap.add_argument("subcommand", choices=list(RUNS))
-    ap.add_argument("--scenario", help="scenario file path or gallery:NAME")
-    ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--grid", help="grid override, N or N1,N2,...")
-    ap.add_argument("--dt", type=float, help="time step override")
-    ap.add_argument("--p", help="comma list of p values (inf allowed)")
-    ap.add_argument("--seed", type=int, help="seed override")
-    ap.add_argument("--strict", action="store_true",
+PARSER = argparse.ArgumentParser(
+    prog="semilab",
+    description="structural checks, p-norm probes, kernel and distance "
+                "diagnostics for divergence-form systems")
+PARSER.add_argument("subcommand", choices=list(RUNS))
+PARSER.add_argument("--scenario", help="scenario file path or gallery:NAME")
+PARSER.add_argument("--out", default="out", help="output directory")
+PARSER.add_argument("--grid", help="grid override, N or N1,N2,...")
+PARSER.add_argument("--dt", type=float, help="time step override")
+PARSER.add_argument("--p", help="comma list of p values (inf allowed)")
+PARSER.add_argument("--seed", type=int, help="seed override")
+PARSER.add_argument("--strict", action="store_true",
                     help="treat findings as failures")
-    ap.add_argument("--list", action="store_true",
+PARSER.add_argument("--list", action="store_true",
                     help="with gallery: list built-in scenarios")
-    ap.add_argument("--constants", metavar="kA,kB,kC,kW,gamma",
+PARSER.add_argument("--constants", metavar="kA,kB,kC,kW,gamma",
                     help="with p-interval: run on bare constants, no scenario")
-    return ap
+VALUE_OPTIONS = frozenset(name for action in PARSER._actions if action.nargs is None
+                          for name in action.option_strings)
 
 
-def _attach_values(ap: argparse.ArgumentParser, argv: list) -> list:
+def _attach_values(argv: list) -> list:
     """``argv`` with each ``--name -x`` written ``--name=-x``, for the options
     that take a value.  argparse takes a token such as -inf or -1e-3 for an
     option flag, not for a negative value; every option here is long, so a
     token with one leading dash after such an option can only be its value."""
-    takes_value = {name for action in ap._actions if action.nargs is None
-                   for name in action.option_strings}
     out = []
     for tok in argv:
-        if (out and out[-1] in takes_value and tok.startswith("-")
+        if (out and out[-1] in VALUE_OPTIONS and tok.startswith("-")
                 and not tok.startswith("--")):
             out[-1] += "=" + tok
         else:
@@ -485,9 +483,7 @@ def _attach_values(ap: argparse.ArgumentParser, argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(_attach_values(
-        ap, sys.argv[1:] if argv is None else argv))
+    args = PARSER.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.subcommand == "gallery":
             if args.list:

@@ -193,7 +193,10 @@ class CoefficientSystem:
 def _eval_on_nodes(e: Expr, coords: np.ndarray) -> np.ndarray:
     env = {k + 1: coords[:, k] for k in range(coords.shape[1])}
     try:
-        vals = evaluate(e, env)
+        vals = np.asarray(evaluate(e, env), dtype=float)
+        if not np.isfinite(vals).all():
+            raise EvalDomainError("value beyond the float range", np.broadcast_to(
+                ~np.isfinite(vals), (coords.shape[0],)))
     except EvalDomainError as err:
         if err.bad_mask is not None and np.shape(err.bad_mask) == (coords.shape[0],):
             idx = int(np.argmax(err.bad_mask))
@@ -201,7 +204,7 @@ def _eval_on_nodes(e: Expr, coords: np.ndarray) -> np.ndarray:
                 f"{err} at node {tuple(map(float, coords[idx]))}", err.bad_mask
             ) from None
         raise
-    return np.broadcast_to(np.asarray(vals, dtype=float), (coords.shape[0],))
+    return np.broadcast_to(vals, (coords.shape[0],))
 
 
 def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
@@ -214,12 +217,15 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
         raise ValueError(f"grid dimension {grid.d} != system dimension {system.d}")
     coords = grid.node_coords()
     fields = {}
-    for name in BLOCKS:
-        vals = np.zeros((coords.shape[0],)
-                        + block_shape(name, system.d, system.m))
-        for index, e in system.entries(name):
-            vals[(slice(None),) + index] = _eval_on_nodes(e, coords)
-        if name == "Q":
-            vals = 0.5 * (vals + np.swapaxes(vals, 1, 2))
-        fields[name] = SampledField(grid, vals)
+    # a value that overflows, or turns NaN, is rejected with its node by
+    # _eval_on_nodes, or by SampledField, not announced by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in BLOCKS:
+            vals = np.zeros((coords.shape[0],)
+                            + block_shape(name, system.d, system.m))
+            for index, e in system.entries(name):
+                vals[(slice(None),) + index] = _eval_on_nodes(e, coords)
+            if name == "Q":
+                vals = 0.5 * (vals + np.swapaxes(vals, 1, 2))
+            fields[name] = SampledField(grid, vals)
     return fields

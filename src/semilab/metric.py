@@ -39,7 +39,7 @@ def weight_field(Vfield: SampledField, Qfield: SampledField, beta: float) -> Met
     lamV = Vfield.spectrum.eigenvalues[:, 0]
     if np.any(lamV <= 0) and beta > 0:
         raise MetricError("lambda_V must be positive for beta > 0")
-    w = np.ones_like(lamV) if beta == 0 else lamV ** (beta / (beta + 1))
+    w = lamV ** (beta / (beta + 1))  # exactly 1.0 at beta = 0
     lamQ, U = Qfield.spectrum
     if np.any(lamQ[:, 0] <= 0):
         raise MetricError("Q must be positive definite at every node")

@@ -16,31 +16,36 @@ import numpy as np
 
 @dataclass(frozen=True)
 class IntervalSpec:
-    """Interval of admissible exponents p, with open/closed endpoints."""
+    """Interval of admissible exponents p.  Its ends decide its closedness:
+    it is closed at each finite end above 1, and open at 1 and at inf."""
 
     lo: float
     hi: float
-    lo_closed: bool
-    hi_closed: bool
 
     def __post_init__(self):
-        point = self.lo == self.hi and self.lo_closed and self.hi_closed  # [p, p]
-        if not (1 <= self.lo and (self.lo < self.hi or point)):
+        # written so that NaN fails every comparison and is rejected
+        if not (1 <= self.lo < self.hi or 1 < self.lo == self.hi < math.inf):
             raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
+
+    @property
+    def lo_closed(self) -> bool:
+        return self.lo > 1
+
+    @property
+    def hi_closed(self) -> bool:
+        return self.hi < math.inf
 
     def contains(self, p):
         """Whether p lies in the interval; elementwise for an array p."""
         p = np.asarray(p, dtype=float)
-        above = p >= self.lo if self.lo_closed else p > self.lo
-        below = p <= self.hi if self.hi_closed else p < self.hi
-        inside = above & below
+        inside = (p > 1) & (p >= self.lo) & (p <= self.hi) & (p < math.inf)
         return inside if inside.ndim else bool(inside)
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "]"
         right = "]" if self.hi_closed else "["
-        lo = "1" if (self.lo == 1 and not self.lo_closed) else repr(float(self.lo))
-        hi = "inf" if math.isinf(self.hi) else repr(float(self.hi))
+        lo = repr(float(self.lo)) if self.lo_closed else "1"
+        hi = repr(float(self.hi)) if self.hi_closed else "inf"
         return f"{left}{lo}, {hi}{right}"
 
 
@@ -52,7 +57,8 @@ def k_combination(kappaB, kappaC, kappaW, gamma) -> float:
 
 
 def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
-    """Admissible p-interval from the explicit four-case formula.
+    """Admissible p-interval [2 - delta1, 2 + delta2] of Theorem 3.3; the
+    kappa_A = 0 cases are limits of the same formula.
 
     The combination K of ``k_combination`` must be positive and finite.
     """
@@ -68,28 +74,16 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
     if K == math.inf:  # 1/gamma, or 4/gamma, beyond the float range
         raise ValueError(f"gamma = {gamma} is too small: K overflows to inf")
 
-    if kappaA == 0 and kappaB == 0 and kappaC == 0:
-        return IntervalSpec(1.0, math.inf, False, False)
-    if kappaA == 0 and kappaC == 0:
-        lo = 1 + gamma * kappaB**2 / (4 * (1 - gamma * kappaW))
-        return IntervalSpec(lo, math.inf, True, False)
-    if kappaA == 0 and kappaB == 0:
-        tail = gamma * kappaC**2
-        # an end beyond the float range (tail underflows to 0, or the
-        # quotient overflows) is no end: every float p > 1 lies inside
-        hi = 1 + 4 * (1 - gamma * kappaW) / tail if tail > 0 else math.inf
-        return IntervalSpec(1.0, hi, False, hi < math.inf)
     s = kappaA * (kappaB + kappaC)
     # products, not powers, as in k_combination: a huge kappa_A gives
     # delta = 0 and so the point interval [2, 2], not an OverflowError
     delta1 = K / ((kappaA * kappaA + 1) * K + (s + kappaB) * (s + kappaB))
     lo = 2 - delta1
-    # a tiny kappa_A (and kappa_C) can underflow the denominator of delta2
-    # to 0: its limit, the kappa_A = 0 case, has no right end.  p = 1 is
-    # never admissible, so a left end that rounds to 1 is open
+    # kappa_A = kappa_C = 0, or a denominator that underflows to 0, leaves
+    # no right end; a quotient beyond the float range is no end either
     den2 = kappaA * kappaA * K + (s + kappaC) * (s + kappaC)
     hi = 2 + K / den2 if den2 > 0 else math.inf
-    return IntervalSpec(lo, hi, lo > 1, hi < math.inf)
+    return IntervalSpec(lo, hi)
 
 
 def psd_sweep_Mgamma(kappaA, kappaB, kappaC, kappaW, gamma, p_grid):
@@ -183,11 +177,10 @@ def phi_power(a: float, b: float | None = None):
 
 
 def phi_hat_power(b: float):
-    """gamma -> (1-b) (gamma/b)^{b/(b-1)}; the b = 0 limit is the constant 1."""
+    """gamma -> (1-b) (gamma/b)^{b/(b-1)}; at b = 0 the constant 1, as
+    0.0 ** 0.0 * gamma ** -0.0 is exactly 1.0."""
     if not 0 <= b < 1:
         raise ValueError("b must lie in [0, 1[")
-    if b == 0:
-        return lambda gamma: 1.0
     c_b = (1 - b) * b ** (b / (1 - b))
     e_b = b / (b - 1)
     return lambda gamma: c_b * gamma**e_b

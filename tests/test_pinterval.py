@@ -64,6 +64,27 @@ class TestIntervalCases:
         assert iv.lo == 1.0 and iv.hi == 5.0
         assert not iv.lo_closed and iv.hi_closed
 
+    @staticmethod
+    def kappa_a_zero_reference(kB, kC, kW, gamma):
+        """The kappa_A = 0 cases, each in its own closed form:
+        (lo, hi, lo_closed, hi_closed)."""
+        if kB == 0 and kC == 0:
+            return 1.0, math.inf, False, False
+        if kC == 0:
+            return 1 + gamma * kB**2 / (4 * (1 - gamma * kW)), math.inf, True, False
+        return 1.0, 1 + 4 * (1 - gamma * kW) / (gamma * kC**2), False, True
+
+    @pytest.mark.parametrize("zero", ["B_and_C", "C", "B"])
+    def test_kappa_a_zero_cases_are_limits_of_the_formula(self, zero):
+        for _, kB, kC, kW, gamma in random_tuples(2000, seed=11, with_kA=False):
+            kB = 0.0 if "B" in zero else kB
+            kC = 0.0 if "C" in zero else kC
+            iv = interval_thm33(0.0, kB, kC, kW, gamma)
+            lo, hi, lo_closed, hi_closed = self.kappa_a_zero_reference(kB, kC, kW, gamma)
+            assert iv.lo == pytest.approx(lo, rel=1e-15, abs=0)
+            assert iv.hi == pytest.approx(hi, rel=1e-15, abs=0)
+            assert (iv.lo_closed, iv.hi_closed) == (lo_closed, hi_closed)
+
     @pytest.mark.parametrize("kC,gamma", [(1e-200, 1e-300), (1e-160, 1.0)],
                              ids=["tail_underflows", "quotient_overflows"])
     def test_c_only_end_beyond_float_range_is_no_end(self, kC, gamma):
@@ -213,6 +234,11 @@ class TestExtremeConstants:
         # kappa_A = 0 case, closed at 1 + gamma kappa_B^2 / 4 and unbounded
         iv = interval_thm33(1e-300, 0.1, 0, 0, 1.0)
         assert str(iv) == str(interval_thm33(0, 0.1, 0, 0, 1.0)) == "[1.0025, inf["
+
+    def test_tiny_b_only_drift_leaves_open_left_end(self):
+        # 1 + gamma kappa_B^2 / 4 rounds to 1, which is never admissible
+        iv = interval_thm33(0, 1e-200, 0, 0, 1.0)
+        assert str(iv) == "]1, inf[" and not iv.contains(1.0)
 
     def test_left_end_rounding_to_one_is_open(self):
         iv = interval_thm33(1e-300, 0, 0.1, 0, 1.0)
@@ -508,23 +534,30 @@ class TestGaussianRhs:
 
 class TestIntervalSpec:
     def test_contains_respects_openness(self):
-        iv = IntervalSpec(1.0, 5.0, False, True)
+        iv = IntervalSpec(1.0, 5.0)
         assert not iv.contains(1.0)
         assert iv.contains(5.0)
         assert not iv.contains(5.0001)
 
-    @pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (1.5, math.inf)])
-    @pytest.mark.parametrize("lo_closed", [False, True])
-    @pytest.mark.parametrize("hi_closed", [False, True])
-    def test_array_form_matches_scalar_form(self, lo, hi, lo_closed,
-                                            hi_closed):
-        iv = IntervalSpec(lo, hi, lo_closed, hi_closed)
+    @pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (1.5, math.inf),
+                                        (1.0, math.inf), (1.5, 5.0)])
+    def test_array_form_matches_scalar_form(self, lo, hi):
+        # closed at each finite end above 1, open at 1 and at inf
+        iv = IntervalSpec(lo, hi)
+        assert (iv.lo_closed, iv.hi_closed) == (lo > 1, hi < math.inf)
         ps = np.array([0.5, 1.0, np.nextafter(lo, 0), lo,
                        np.nextafter(lo, 9), 3.0, 5.0, np.nextafter(5.0, 9),
                        hi, math.inf])
         scalar = [iv.contains(float(p)) for p in ps]
         assert all(type(x) is bool for x in scalar)
         np.testing.assert_array_equal(iv.contains(ps), scalar)
-        assert (scalar[2], scalar[3], scalar[4]) == (False, lo_closed, True)
-        assert scalar[-2] == hi_closed
-        assert scalar[-1] == (hi == math.inf and hi_closed)
+        assert (scalar[2], scalar[3], scalar[4]) == (False, iv.lo_closed, True)
+        assert scalar[-2] == iv.hi_closed
+        assert scalar[-1] is False
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (3.0, 2.0), (1.0, 1.0),
+                                        (math.inf, math.inf), (math.nan, 2.0),
+                                        (1.5, math.nan)])
+    def test_rejects_bad_ends(self, lo, hi):
+        with pytest.raises(ValueError, match="bad interval"):
+            IntervalSpec(lo, hi)

@@ -1,5 +1,6 @@
-"""Every public function, class and method of the package is used by the
-package itself, or is named below with the reason it stays."""
+"""Every public function, class, method and module-level ALL_CAPS constant of
+the package is used by the package itself, or is named below with the reason
+it stays."""
 
 import ast
 import os
@@ -23,23 +24,27 @@ ALLOWED = {
 
 
 def unused_names(trees: dict) -> list:
-    """Public top-level functions and classes, and public methods of top-level
-    classes, of ``trees`` (module -> parsed source) whose name no code outside
-    their own definition reads or takes as an attribute."""
+    """Public top-level functions and classes, public methods of top-level
+    classes, and module-level ALL_CAPS constants of ``trees`` (module ->
+    parsed source) whose name no code outside their own definition reads or
+    takes as an attribute."""
     def refs(tree):
         return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
                        if isinstance(n, (ast.Name, ast.Attribute)))
     everywhere = sum(map(refs, trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
-        defs = [(node.name, node) for node in tree.body
+        defs = [(node.name, node.name, node) for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+        defs += [(f"{cls.name}.{node.name}", node.name, node) for cls in tree.body
                  if isinstance(cls, ast.ClassDef) for node in cls.body
                  if isinstance(node, ast.FunctionDef)]
-        unused += [f"{module}.{name}" for name, node in defs
-                   if not node.name.startswith("_")
-                   and everywhere[node.name] == refs(node)[node.name]]
+        defs += [(target.id, target.id, node) for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()]
+        unused += [f"{module}.{name}" for name, bare, node in defs
+                   if not bare.startswith("_") and everywhere[bare] == refs(node)[bare]]
     return sorted(unused)
 
 
@@ -58,3 +63,9 @@ def test_detector_sees_unused_names():
            "class C:\n    def go(self):\n        pass\n\n    def stop(self):\n        pass\n\n"
            "C().go()\n")
     assert unused_names({"m": ast.parse(src)}) == ["m.C.stop", "m.g"]
+
+
+def test_detector_sees_unused_constants():
+    src = ("LIMIT = 3\nSTEP: int = 1\nUNUSED = LIMIT + 1\n"
+           "_HIDDEN = 2\nlower = 5\n\ndef f():\n    return STEP\n")
+    assert unused_names({"m": ast.parse(src)}) == ["m.UNUSED", "m.f"]

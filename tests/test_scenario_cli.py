@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -611,6 +613,24 @@ class TestCli:
         assert err == ["error: log of a non-positive argument at node "
                        "(-0.9375,)"]
 
+    @pytest.mark.parametrize("line, entry, message", [
+        ('v.11 = "2"', 'v.11 = "exp(800)"',
+         "value beyond the float range at node (0.03125,)"),
+        ('v.11 = "2"', 'v.11 = "exp(800) - exp(800)"',
+         "value beyond the float range at node (0.03125,)"),
+        ('q.11 = "1"', 'q.11 = "1e308"', "non-finite entries in sampled field")],
+        ids=["overflow", "nan", "symmetrized_q"])
+    def test_overflowing_coefficient_is_config_error(self, tmp_path, capsys,
+                                                     line, entry, message):
+        # a value beyond the float range: one line, and no numpy warning
+        # (an error under this suite's settings); a sampled entry names its
+        # node, while Q overflows only in its symmetric part (Q + Q^T)/2
+        text = MINIMAL.replace(line, entry)
+        assert main(["all", "--scenario", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_indefinite_drift_whitener_is_failed_check(self, tmp_path, capsys):
         # Cgamma = -10 makes gamma V_S + Cgamma indefinite: check_all flags
         # it instead of raising, so this is a failed check, not exit 2
@@ -725,6 +745,28 @@ class TestCli:
         assert finding["scale"] == pytest.approx(
             F.mass * np.sum(node_norms(u[:, worst], F.m) ** 3), rel=1e-14)
         assert sec["pass"] is True
+
+    def test_strict_does_not_leak_into_the_next_call(self, tmp_path, capsys):
+        # the sign test finds a defect at p = 3, which only --strict fails;
+        # two calls in one process give the reports of two fresh processes
+        text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "-1000"')
+                .replace("p = 2\n", "p = 3\n"))
+        path = write(tmp_path, text)
+        argvs = [["nittka", "--scenario", path, "--strict"],
+                 ["nittka", "--scenario", path]]
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        reports = []
+        for i, argv in enumerate(argvs):
+            main(argv + ["--out", str(tmp_path / f"in{i}")])
+            subprocess.run([sys.executable, "-m", "semilab.cli", *argv,
+                            "--out", str(tmp_path / f"fresh{i}")],
+                           env=env, check=False, capture_output=True)
+            reports.append([(tmp_path / f"{kind}{i}" / "report.json").read_bytes()
+                            for kind in ("in", "fresh")])
+        assert [json.loads(r[0])["sections"]["nittka"]["pass"]
+                for r in reports] == [False, True]
+        assert all(inproc == fresh for inproc, fresh in reports)
 
     def test_nittka_at_huge_p_is_not_vacuous(self, tmp_path, capsys):
         # unscaled, |u|^(p - 2) and |u|^p underflow to 0 at every node at
