@@ -36,8 +36,8 @@ from .heatkernel import kernel_block, verify_gaussian
 from .hypotheses import check_all
 from .metric import (MetricError, default_order, distance_map,
                      euclid_equivalence_check, weight_field)
-from .pinterval import (gamma_p, gaussian_bound_rhs, growth_exponent_thm35,
-                        interval_thm33, kernel_constants, psd_sweep_Mgamma)
+from .pinterval import (gamma_p, gaussian_bound_rhs, interval_thm33,
+                        kernel_constants, psd_sweep_Mgamma)
 from .scenario import (Scenario, ScenarioError, parse_p_list, parse_scenario,
                        scenario_to_text)
 
@@ -145,10 +145,8 @@ def _oracle_check(constants: tuple, iv) -> tuple:
             window = hi * (1 + 1e-5 * np.arange(-ORACLE_WINDOW,
                                                 ORACLE_WINDOW + 1))
         grid = np.unique(np.concatenate([grid, window[np.isfinite(window)]]))
-    # the grid ascends without repeats, and the sweep keeps its order
-    admissible = np.zeros(grid.size, dtype=bool)
-    admissible[np.searchsorted(grid, psd_sweep_Mgamma(*constants, grid))] = True
-    return int(np.sum(admissible != iv.contains(grid))), grid.size
+    return (int(np.sum(psd_sweep_Mgamma(*constants, grid) != iv.contains(grid))),
+            grid.size)
 
 
 def _pinterval_section(run: Run) -> dict:
@@ -174,7 +172,8 @@ def _growth_bound(run: Run, p: float) -> float | None:
     """Exponential growth-rate bound R(gamma)/gamma for the p-norm, or None
     if p is not covered by the declared mode at the estimated constants:
     gamma is the fixed gamma where p lies in the Theorem 3.3 interval, else
-    gamma_p of Theorem 3.5 (gamma_p = inf gives 0)."""
+    gamma_p of Theorem 3.5 (gamma_p = inf gives 0, and a bound beyond the
+    float range is inf)."""
     mode, h = run.scn.mode, run.hypotheses
     if mode.kind == "fixed_gamma":
         if run.interval is None or not run.interval.contains(p):
@@ -185,7 +184,7 @@ def _growth_bound(run: Run, p: float) -> float | None:
             gamma = gamma_p(h.kappaA, h.kappaB, h.kappaC, h.kappaW, p)
         except ValueError:
             return None
-    return growth_exponent_thm35(mode.weight, gamma)
+    return mode.weight(gamma) / gamma
 
 
 def _evolve_section(run: Run) -> dict:

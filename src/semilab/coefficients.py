@@ -104,11 +104,11 @@ class SampledField:
     @cached_property
     def spectrum(self):
         """Per-node ``np.linalg.eigh`` of the symmetric part (M + M^T)/2 of
-        the trailing square matrices: ascending eigenvalues and orthonormal
-        eigenvectors as columns.  Computed once and shared, read-only, by
-        every reader."""
+        the trailing square matrices, formed by halves so that it cannot
+        overflow: ascending eigenvalues and orthonormal eigenvectors as
+        columns.  Computed once and shared, read-only, by every reader."""
         vals = self.values
-        spec = np.linalg.eigh(0.5 * (vals + np.swapaxes(vals, -1, -2)))
+        spec = np.linalg.eigh(0.5 * vals + 0.5 * np.swapaxes(vals, -1, -2))
         for arr in spec:
             arr.flags.writeable = False
         return spec
@@ -211,7 +211,8 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
     """Sample every coefficient block on the interior nodes of ``grid``.
 
     Returns a dict of SampledField keyed by block name.  Q is symmetrized as
-    (Q + Q^T)/2 across the h,k indices.  Absent blocks sample to zeros.
+    Q/2 + Q^T/2 across the h,k indices, which cannot overflow.  Absent blocks
+    sample to zeros.
     """
     if grid.d != system.d:
         raise ValueError(f"grid dimension {grid.d} != system dimension {system.d}")
@@ -226,6 +227,6 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
             for index, e in system.entries(name):
                 vals[(slice(None),) + index] = _eval_on_nodes(e, coords)
             if name == "Q":
-                vals = 0.5 * (vals + np.swapaxes(vals, 1, 2))
+                vals = 0.5 * vals + 0.5 * np.swapaxes(vals, 1, 2)
             fields[name] = SampledField(grid, vals)
     return fields

@@ -61,7 +61,9 @@ def _axis_operators(grid: BoxDomain, ax: int, m: int, qh: np.ndarray):
     its ends (0 where q vanishes at both), or the node value on a boundary
     face.  With one face above and one below each dof, G^T W G is their
     weight sum on the diagonal and minus the weight of the face between two
-    neighbors off it.  D is u(i + e) - u(i - e) with zero boundary.
+    neighbors off it.  D is u(i + e) - u(i - e) with zero boundary.  A
+    diagonal entry that is not finite (say a q so large that a weight, or
+    their sum, lies beyond the float range) is a ValueError naming its node.
     """
     ndof, n = grid.node_count * m, grid.interior_shape[ax]
     stride = m * int(np.prod(grid.interior_shape[ax + 1:]))
@@ -69,14 +71,23 @@ def _axis_operators(grid: BoxDomain, ax: int, m: int, qh: np.ndarray):
     up = pos < n - 1  # the node has a neighbor above
     qa = np.repeat(qh, m)
     qb = np.concatenate([qa[stride:], np.zeros(stride)])  # q above the node
-    qf = np.divide(2 * qa * qb, qa + qb, out=np.zeros(ndof),
-                   where=up & ((qa != 0) | (qb != 0)))
-    above = grid.cell_volume * np.where(up, qf, qa) / grid.h[ax] ** 2
-    below = np.where(pos == 0, grid.cell_volume * qa / grid.h[ax] ** 2,
-                     np.concatenate([np.zeros(stride), above[:ndof - stride]]))
+    # a weight that is not finite is rejected below, not announced by numpy
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        qf = np.divide(2 * qa * qb, qa + qb, out=np.zeros(ndof),
+                       where=up & ((qa != 0) | (qb != 0)))
+        above = grid.cell_volume * np.where(up, qf, qa) / grid.h[ax] ** 2
+        below = np.where(pos == 0, grid.cell_volume * qa / grid.h[ax] ** 2,
+                         np.concatenate([np.zeros(stride),
+                                         above[:ndof - stride]]))
+        diag = above + below
+    finite = np.isfinite(diag)
+    if not finite.all():
+        node = grid.node(int(np.argmin(finite)) // m)
+        raise ValueError(f"diffusion face weight along x{ax + 1} is not "
+                         f"finite at node {node}")
     upper = up[:ndof - stride].astype(float)
     inner = -above[:ndof - stride] * upper
-    return (sp.diags([above + below, inner, inner], [0, stride, -stride],
+    return (sp.diags([diag, inner, inner], [0, stride, -stride],
                      format="csr"),
             sp.diags([upper, -upper], [stride, -stride], shape=(ndof, ndof),
                      format="csr"))

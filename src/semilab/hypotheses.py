@@ -53,7 +53,8 @@ class EstimateMode:
         if self.kind == "fixed_gamma" and not self.gamma > 0:
             raise ValueError("fixed_gamma mode requires gamma > 0")
         if self.kind == "refined":
-            phi_power(self.a, self.b)  # rejects a outside ]0, 1/2[, b outside [0, 1[
+            # phi_power rejects a outside ]0, 1/2[ and b outside [0, 1[
+            phi_power(1.0, self.a, self.b)
         if self.kind == "kernel" and self.beta < 0:
             raise ValueError("kernel mode requires beta >= 0")
         if self.kind == "kernel" and self.c < 1:
@@ -64,12 +65,18 @@ class EstimateMode:
             return np.array([self.gamma])
         return GAMMA_GRID
 
-    def weight(self, gamma: float) -> float:
+    def weight(self, gamma):
+        """R(gamma), elementwise for an array gamma (a float for a float);
+        a power beyond the float range is inf, its limit."""
+        gamma = np.asarray(gamma, dtype=float)
         if self.kind == "fixed_gamma":
-            return self.Cgamma
-        if self.kind == "refined":
-            return phi_power(self.a, self.b)(gamma)
-        return self.c * gamma ** (-self.beta)
+            R = np.full(gamma.shape, self.Cgamma)
+        elif self.kind == "refined":
+            R = phi_power(gamma, self.a, self.b)
+        else:
+            with np.errstate(over="ignore"):
+                R = self.c * gamma ** -self.beta
+        return R if np.ndim(R) else float(R)
 
 
 def fixed_gamma(gamma: float, Cgamma: float) -> EstimateMode:
@@ -175,7 +182,7 @@ def estimate_c0(Vfield: SampledField) -> np.ndarray:
     part of V.
     """
     V = Vfield.values
-    VA = 0.5 * (V - np.swapaxes(V, -1, -2))
+    VA = 0.5 * V - 0.5 * np.swapaxes(V, -1, -2)  # by halves: cannot overflow
     Wh = _eigen_whitener(Vfield, "V_S")
     return _max_sv(_entries_first(np.swapaxes(Wh, -1, -2) @ VA @ Wh))
 
@@ -194,7 +201,7 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     white = np.einsum("nha,nhkij,nkb->naibj", Wh, A, Wh).reshape(
         N, d * m, d * m)
 
-    sym = 0.5 * (white + np.swapaxes(white, -1, -2))
+    sym = 0.5 * white + 0.5 * np.swapaxes(white, -1, -2)
     evals = np.linalg.eigvalsh(sym)
     scale = np.maximum(1.0, np.abs(evals).max())
     if np.any(evals[:, 0] < -1e-12 * scale):
@@ -214,9 +221,9 @@ SWEEP_CHUNK = 2 ** 13
 SWEEP_FLOOR = 1e-140
 
 
-# a refined R(gamma) overflows to inf at the grid's smallest gammas when an
-# exponent is near its bound; inf is its limit and whitens to 0.  A block
-# entry or top singular value beyond the float range gives inf
+# a block entry or top singular value beyond the float range gives inf; so
+# does R(gamma) at the grid's smallest gammas when a refined exponent is near
+# its bound, which is its limit and whitens to 0
 @np.errstate(over="ignore")
 def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     """(kappa_B, kappa_C, kappa_W) from one sweep over the mode's gammas.
@@ -266,11 +273,12 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
              for name, (_, _, bad) in grams.items()}
     lam = _entries_first(lam)[:, None]  # (m, 1, N), ascending down the rows
     gammas = mode.gamma_candidates()
+    R = mode.weight(gammas)
     step = max(1, SWEEP_CHUNK // N)
     for start in range(0, len(gammas), step):
         chunk = gammas[start:start + step]
         w = chunk[:, None] * lam  # (m, gammas, N)
-        w += np.array([mode.weight(gamma) for gamma in chunk])[:, None]
+        w += R[start:start + step, None]
         positive = (w[0] > 0).all(axis=1)
         if not positive.all():
             k = int(np.argmin(positive))
@@ -319,8 +327,6 @@ class HypothesisReport:
     c: float | None = None
     kappa: float | None = None
     phi_params: dict | None = None
-    best_gamma: float | None = None
-    best_K: float | None = None
     passes: dict = field(default_factory=dict)
     worst_points: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
@@ -390,20 +396,12 @@ def check_all(fields: dict, mode: EstimateMode) -> HypothesisReport:
         K = k_combination(kappaB, kappaC, kappaW, gamma)
     passes["K_positive"] = bool(np.isfinite(K) and K > 0)
 
-    best_gamma = best_K = None
-    gammas = GAMMA_GRID[GAMMA_GRID * kappaW < 1]
-    if passes["drift_bounds_finite"] and gammas.size:
-        Ks = k_combination(kappaB, kappaC, kappaW, gammas)
-        best = int(np.argmax(Ks))  # the first maximum
-        best_gamma, best_K = float(gammas[best]), float(Ks[best])
-
     report = HypothesisReport(
         mode=mode.kind,
         v0=v0, c0=c0, kappaA=kappaA, kappaB=kappaB, kappaC=kappaC,
         kappaW=kappaW, gamma=gamma,
         Cgamma=mode.Cgamma if mode.kind == "fixed_gamma" else None,
         K=K, nu0=nu0,
-        best_gamma=best_gamma, best_K=best_K,
         passes=passes, worst_points=worst, notes=notes,
     )
 
@@ -413,9 +411,7 @@ def check_all(fields: dict, mode: EstimateMode) -> HypothesisReport:
         report.beta = mode.beta
         report.c = mode.c
         report.kappa = max(kappaB, kappaC) if passes["drift_bounds_finite"] else None
-        passes["kernel_nu0_positive"] = nu0 > 0
         passes["kernel_A_vanishes"] = not np.any(fields["A"].values)
         passes["kernel_W_vanishes"] = not np.any(fields["W"].values)
-        passes["kernel_c_ge_1"] = mode.c >= 1
 
     return report

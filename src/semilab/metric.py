@@ -33,7 +33,9 @@ class MetricField:
 
 def weight_field(Vfield: SampledField, Qfield: SampledField, beta: float) -> MetricField:
     """w = (smallest eigenvalue of V_S)^{beta/(beta+1)} per node, with the
-    eigenvalues and the inverse of Q, all from the fields' spectra."""
+    eigenvalues and the inverse of Q, all from the fields' spectra.  A Q
+    whose inverse lies beyond the float range at a node has no metric
+    there."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     lamV = Vfield.spectrum.eigenvalues[:, 0]
@@ -43,7 +45,12 @@ def weight_field(Vfield: SampledField, Qfield: SampledField, beta: float) -> Met
     lamQ, U = Qfield.spectrum
     if np.any(lamQ[:, 0] <= 0):
         raise MetricError("Q must be positive definite at every node")
-    Qinv = (U / lamQ[:, None, :]) @ np.swapaxes(U, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        Qinv = (U / lamQ[:, None, :]) @ np.swapaxes(U, -1, -2)
+    finite = np.isfinite(Qinv).all(axis=(1, 2))
+    if not finite.all():
+        node = Qfield.domain.node(int(np.argmin(finite)))
+        raise MetricError(f"Q^-1 lies beyond the float range at node {node}")
     return MetricField(w, lamQ, Qinv)
 
 

@@ -87,8 +87,9 @@ def interval_thm33(kappaA, kappaB, kappaC, kappaW, gamma) -> IntervalSpec:
 
 
 def psd_sweep_Mgamma(kappaA, kappaB, kappaC, kappaW, gamma, p_grid):
-    """Admissible subset of ``p_grid``: the exponents p > 1 at which the 3x3
-    feasibility matrix M_gamma(p) has no eigenvalue below -1e-12.
+    """Whether each point of ``p_grid`` is admissible: a boolean array, true
+    at the exponents p > 1 at which the 3x3 feasibility matrix M_gamma(p) has
+    no eigenvalue below -1e-12.
 
     For p >= 2, with t = p - 2, b = kappa_B + kappa_C and c = 1/gamma - kappa_W,
         M_gamma(p) = [[1, -t kappa_A, -b/2], [-t kappa_A, t, -t kappa_C/2],
@@ -104,15 +105,14 @@ def psd_sweep_Mgamma(kappaA, kappaB, kappaC, kappaW, gamma, p_grid):
     b = kappaB + kappaC
     e = 1 + 1e-12
     tail = kappaA * b / (2 * e)
-    # p <= 1 has no conjugate and is dropped below; an entry beyond the
+    # p <= 1 has no conjugate and is not admissible; an entry beyond the
     # float range makes a verdict of inf or NaN, and NaN is not admissible
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = np.where(dual, p_grid / (p_grid - 1), p_grid) - 2
         s11 = t + 1e-12 - (t * kappaA) * (t * kappaA) / e
         s12 = -t * np.where(dual, kappaB / 2 + tail, kappaC / 2 + tail)
         s22 = 1 / gamma - kappaW + 1e-12 - (b / 2) * (b / 2) / e
-        ok = (p_grid > 1) & (s11 >= 0) & (s22 >= 0) & (s11 * s22 >= s12 * s12)
-    return p_grid[ok]
+        return (p_grid > 1) & (s11 >= 0) & (s22 >= 0) & (s11 * s22 >= s12 * s12)
 
 
 def admissible_p_range_thm35(kappaA) -> tuple:
@@ -146,44 +146,24 @@ def gamma_p(kappaA, kappaB, kappaC, kappaW, p) -> float:
     return 1.0 / inv
 
 
-def growth_exponent_thm35(phi, gamma_p_value) -> float:
-    """Exponential growth rate phi(gamma_p)/gamma_p of the p-norm bound."""
-    try:
-        return phi(gamma_p_value) / gamma_p_value
-    except OverflowError:  # a power of gamma_p beyond the float range
-        return math.inf
-
-
-def phi_power(a: float, b: float | None = None):
-    """The power-family rate function with exponents a in ]0,1/2[, b in [0,1[.
-
-    Returns gamma -> max of the two power terms; b defaults to 2a.
-    """
+def phi_power(gamma, a: float, b: float | None = None):
+    """The power-family rate function phi(gamma) with exponents a in ]0,1/2[
+    and b in [0,1[ (b defaults to 2a), elementwise for an array gamma: the
+    larger of (1-2a) (2a)^{2a/(1-2a)} gamma^{2a/(2a-1)} and
+    (1-b) b^{b/(1-b)} gamma^{b/(b-1)}, which at b = 0 is exactly 1.  A power
+    beyond the float range is inf, its limit."""
     if not 0 < a < 0.5:
         raise ValueError("a must lie in ]0, 1/2[")
     if b is None:
         b = 2 * a
     if not 0 <= b < 1:
         raise ValueError("b must lie in [0, 1[")
-
     c_a = (1 - 2 * a) * (2 * a) ** (2 * a / (1 - 2 * a))
-    e_a = 2 * a / (2 * a - 1)
-
-    def phi(gamma):
-        term_a = c_a * gamma**e_a
-        return max(term_a, phi_hat_power(b)(gamma))
-
-    return phi
-
-
-def phi_hat_power(b: float):
-    """gamma -> (1-b) (gamma/b)^{b/(b-1)}; at b = 0 the constant 1, as
-    0.0 ** 0.0 * gamma ** -0.0 is exactly 1.0."""
-    if not 0 <= b < 1:
-        raise ValueError("b must lie in [0, 1[")
     c_b = (1 - b) * b ** (b / (1 - b))
-    e_b = b / (b - 1)
-    return lambda gamma: c_b * gamma**e_b
+    gamma = np.asarray(gamma, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.maximum(c_a * gamma ** (2 * a / (2 * a - 1)),
+                          c_b * gamma ** (b / (b - 1)))
 
 
 def closed_form_exponent_b2a(a, kappa, kappaW, d, p, kappaA=0.0) -> float:

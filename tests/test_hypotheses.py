@@ -74,6 +74,13 @@ class TestC0:
         fields = sample(system, GRID)
         assert estimate_c0(fields["V"]).max() == pytest.approx(k, abs=1e-12)
 
+    def test_antisymmetric_part_by_halves(self):
+        # V - V^T would overflow; the halves V/2 - V^T/2 give c0 = 1e308
+        system = scalar_system(m=2, V=[["1", "1e308"], ["-1e308", "1"]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert estimate_c0(sample(system, GRID)["V"]).max() == 1e308
+
     def test_rejects_indefinite_symmetric_part(self):
         system = scalar_system(m=2, V=[["1", "0"], ["0", "-1"]])
         fields = sample(system, GRID)
@@ -561,7 +568,7 @@ class TestCheckAll:
             warnings.simplefilter("error", RuntimeWarning)
             rep = check_all(sample(system, GRID), mode=fixed_gamma(1.0, 1e-120))
         assert rep.kappaB == pytest.approx(1e100 / np.sqrt(2e-120), rel=1e-14)
-        assert rep.K == -np.inf and rep.best_K == -np.inf
+        assert rep.K == -np.inf
         assert rep.passes["drift_bounds_finite"]
         assert not rep.passes["K_positive"]
 
@@ -575,7 +582,7 @@ class TestCheckAll:
             rep = check_all(sample(system, grid), mode=fixed_gamma(1.0, 1e-300))
         assert rep.kappaB == np.inf
         assert not rep.passes["drift_bounds_finite"]
-        assert np.isnan(rep.K) and rep.best_K is None
+        assert np.isnan(rep.K)
         assert not rep.passes["K_positive"]
 
     def test_nu0_is_min_diffusion_eigenvalue(self):
@@ -677,6 +684,55 @@ def test_gamma_sweep_decomposes_no_node_block(monkeypatch):
         check_all(fields, mode=scn.mode)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_gamma_sweep_weighs_the_whole_grid_once(monkeypatch):
+    # R(gamma) is one array expression over the grid, taken before the sweep
+    # goes through its chunks of gammas
+    scn = gallery_scenario("g5")
+    fields = sample(scn.system, scn.grid)
+    calls = []
+
+    def recording(mode, gamma, _orig=EstimateMode.weight):
+        calls.append(np.array(gamma))
+        return _orig(mode, gamma)
+    monkeypatch.setattr(EstimateMode, "weight", recording)
+    check_all(fields, mode=scn.mode)
+    assert len(calls) == 1 and np.array_equal(calls[0], GAMMA_GRID)
+
+
+def per_gamma_weight(mode, gamma: float) -> float:
+    """R(gamma) at one float gamma, by float powers."""
+    if mode.kind == "fixed_gamma":
+        return mode.Cgamma
+    if mode.kind == "kernel":
+        return mode.c * gamma ** -mode.beta
+    a, b = mode.a, 2 * mode.a if mode.b is None else mode.b
+    return max((1 - 2 * a) * (2 * a) ** (2 * a / (1 - 2 * a))
+               * gamma ** (2 * a / (2 * a - 1)),
+               (1 - b) * b ** (b / (1 - b)) * gamma ** (b / (b - 1)))
+
+
+@pytest.mark.parametrize("key", gallery_names())
+def test_gallery_weights_equal_per_gamma_values(key):
+    # an array power may differ from a float power in the last bit, but not
+    # at the gallery's exponents, so its constants keep every bit
+    mode = gallery_scenario(key).mode
+    expected = [per_gamma_weight(mode, g) for g in GAMMA_GRID.tolist()]
+    assert mode.weight(GAMMA_GRID).tolist() == expected
+    assert [mode.weight(g) for g in GAMMA_GRID.tolist()] == expected
+    assert type(mode.weight(1.0)) is float
+
+
+@pytest.mark.parametrize("mode", [refined(a=0.25, b=0.988),
+                                  kernel_mode(beta=100.0, c=1.0)])
+def test_weight_beyond_float_range_is_inf(mode):
+    # (1e-4)^(-82.3) and (1e-4)^(-100) lie beyond the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mode.weight(1e-4) == np.inf
+        assert mode.weight(np.array([1e-4, 1.0])).tolist() == [
+            np.inf, mode.weight(1.0)]
 
 
 def test_one_decomposition_per_field(monkeypatch):

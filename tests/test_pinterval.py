@@ -2,23 +2,24 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from semilab.cli import _growth_bound
+from semilab.hypotheses import fixed_gamma, refined
 from semilab.pinterval import (
     IntervalSpec,
     admissible_p_range_thm35,
     closed_form_exponent_b2a,
     gamma_p,
     gaussian_bound_rhs,
-    growth_exponent_thm35,
     hhat_constant,
     interval_thm33,
     k_combination,
     kernel_constants,
     moser_sums,
-    phi_hat_power,
     phi_power,
     psd_check_Egamma,
     psd_sweep_Mgamma,
@@ -148,7 +149,7 @@ class TestDualitySymmetry:
 class TestPsdSweep:
     def test_p_equal_two_always_admissible(self):
         for consts in random_tuples(30, seed=9):
-            assert 2.0 in psd_sweep_Mgamma(*consts, np.array([2.0]))
+            assert psd_sweep_Mgamma(*consts, np.array([2.0]))[0]
 
     def test_endpoint_agreement_windowed(self):
         # fine windows around both endpoints of the general case
@@ -160,8 +161,7 @@ class TestPsdSweep:
             for end in (iv.lo, iv.hi):
                 grid = np.arange(end - 0.05, end + 0.05, 1e-3)
                 grid = grid[grid > 1.0]
-                adm = psd_sweep_Mgamma(*consts, grid)
-                inside = np.isin(grid, adm)
+                inside = psd_sweep_Mgamma(*consts, grid)
                 claim = np.array([iv.contains(p) for p in grid])
                 # at most one grid step of disagreement at the endpoint
                 assert np.sum(inside != claim) <= 1
@@ -169,7 +169,7 @@ class TestPsdSweep:
     def test_interval_interior_admissible(self):
         iv = interval_thm33(0.3, 0.5, 0.4, 0.1, 1.0)
         interior = np.linspace(iv.lo + 1e-6, iv.hi - 1e-6, 50)
-        assert psd_sweep_Mgamma(0.3, 0.5, 0.4, 0.1, 1.0, interior).size == 50
+        assert psd_sweep_Mgamma(0.3, 0.5, 0.4, 0.1, 1.0, interior).sum() == 50
 
 
 def m_gamma(kappaA, kappaB, kappaC, kappaW, gamma, p):
@@ -207,7 +207,7 @@ class TestSchurOracle:
             ends = [e for e in (iv.lo, iv.hi) if 1 < e < 30]
             grid = np.concatenate([coarse] + [
                 e + 1e-7 * np.arange(-200, 201) for e in ends])
-            got = np.isin(grid, psd_sweep_Mgamma(*consts, grid))
+            got = psd_sweep_Mgamma(*consts, grid)
             assert np.array_equal(got, eigvalsh_verdicts(*consts, grid))
 
     def test_no_eigenvalue_decomposition(self, monkeypatch):
@@ -217,15 +217,14 @@ class TestSchurOracle:
         iv = interval_thm33(0.3, 0.5, 0.4, 0.1, 1.0)
         grid = np.arange(1.001, 10, 1e-3)
         assert np.array_equal(
-            np.isin(grid, psd_sweep_Mgamma(0.3, 0.5, 0.4, 0.1, 1.0, grid)),
-            iv.contains(grid))
+            psd_sweep_Mgamma(0.3, 0.5, 0.4, 0.1, 1.0, grid), iv.contains(grid))
 
     def test_no_exponent_at_or_below_one(self):
         grid = np.array([-1.0, 0.0, 0.5, 1.0, np.nan, 1.5, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             adm = psd_sweep_Mgamma(0.0, 0.0, 0.0, 0.0, 1.0, grid)
-        assert adm.tolist() == [1.5, 2.0]
+        assert grid[adm].tolist() == [1.5, 2.0]
 
 
 class TestExtremeConstants:
@@ -328,14 +327,23 @@ class TestGammaP:
         assert p_star == pytest.approx(ps[np.argmin(ratio)], abs=1e-9)
 
 
+def growth_bound(mode, p, kappaA=0.0, kappaB=0.0, kappaC=0.0, kappaW=0.0):
+    """cli._growth_bound at p, for a run in ``mode`` at these constants."""
+    h = SimpleNamespace(kappaA=kappaA, kappaB=kappaB, kappaC=kappaC,
+                        kappaW=kappaW, gamma=1.0)
+    run = SimpleNamespace(scn=SimpleNamespace(mode=mode), hypotheses=h,
+                          interval=IntervalSpec(1.0, math.inf))
+    return _growth_bound(run, p)
+
+
 class TestGrowthExponent:
     def test_constant_phi_recovers_fixed_gamma_rate(self):
-        assert growth_exponent_thm35(lambda g: 2.0, 0.5) == 4.0
+        assert growth_bound(fixed_gamma(0.5, 2.0), 2.0) == 4.0
 
     def test_power_family_b2a_closed_form(self):
         a, kappa, kW, d, p = 0.25, 0.3, 0.1, 2, 3.0
-        g = gamma_p(0, kappa * math.sqrt(d), kappa * math.sqrt(d), kW, p)
-        direct = growth_exponent_thm35(phi_power(a), g)
+        direct = growth_bound(refined(a), p, kappaB=kappa * math.sqrt(d),
+                              kappaC=kappa * math.sqrt(d), kappaW=kW)
         assert direct == pytest.approx(
             closed_form_exponent_b2a(a, kappa, kW, d, p), rel=1e-12)
 
@@ -344,13 +352,12 @@ class TestGrowthExponent:
         assert closed_form_exponent_b2a(0.25, 1.0, 0.0, 1, 1e300) == math.inf
 
     def test_quarter_exponent_phi_is_quarter_over_gamma(self):
-        phi = phi_power(0.25, 0.5)
-        for g in (0.1, 1.0, 7.0):
-            assert phi(g) == pytest.approx(0.25 / g, rel=1e-14)
+        g = np.array([0.1, 1.0, 7.0])
+        assert phi_power(g, 0.25, 0.5) == pytest.approx(0.25 / g, rel=1e-14)
 
     def test_phi_hat_b_zero_is_one(self):
-        phi = phi_hat_power(0.0)
-        assert phi(0.3) == 1.0 and phi(10.0) == 1.0
+        # the b term at b = 0 is exactly 1, above the a term 0.25 / gamma
+        assert phi_power(np.array([0.3, 10.0]), 0.25, 0.0).tolist() == [1.0, 1.0]
 
     def test_prefactor_limit_near_half(self):
         # the prefactor behaves like (1-2a) e as a -> 1/2^-; the normalized
@@ -364,10 +371,9 @@ class TestGrowthExponent:
 
     def test_amgm_support_inequality(self):
         # x^{1/2} <= gamma x + phi(gamma) with phi(gamma) = 1/(4 gamma)
-        phi = phi_power(0.25, 0.5)
         x = np.linspace(0.0, 50.0, 500)
         for g in (0.05, 0.2, 1.0, 3.0):
-            assert np.all(np.sqrt(x) <= g * x + phi(g) + 1e-12)
+            assert np.all(np.sqrt(x) <= g * x + phi_power(g, 0.25, 0.5) + 1e-12)
 
 
 class TestTauChain:

@@ -64,6 +64,10 @@ INDEFINITE = MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nv.22 = "-1"').replace(
 
 
 FIXED_GAMMA = "mode = fixed_gamma\ngamma = 1\nCgamma = 1"
+# the diagnoses of a coefficient beyond the float range at the first node of
+# an 8-interval grid on [0, 1]
+FACE_WEIGHT = "diffusion face weight along x1 is not finite at node (0.125,)"
+Q_INVERSE = "Q^-1 lies beyond the float range at node (0.125,)"
 KERNEL = "mode = kernel\nbeta = 0\nc = 1"
 # a 1-D kernel-mode scenario with a constant drift
 KERNEL_1D = (MINIMAL.replace("lower = 0", "lower = -4")
@@ -618,18 +622,56 @@ class TestCli:
          "value beyond the float range at node (0.03125,)"),
         ('v.11 = "2"', 'v.11 = "exp(800) - exp(800)"',
          "value beyond the float range at node (0.03125,)"),
-        ('q.11 = "1"', 'q.11 = "1e308"', "non-finite entries in sampled field")],
+        ('q.11 = "1"', 'q.11 = "1e308"',
+         "diffusion face weight along x1 is not finite at node (0.03125,)")],
         ids=["overflow", "nan", "symmetrized_q"])
     def test_overflowing_coefficient_is_config_error(self, tmp_path, capsys,
                                                      line, entry, message):
         # a value beyond the float range: one line, and no numpy warning
         # (an error under this suite's settings); a sampled entry names its
-        # node, while Q overflows only in its symmetric part (Q + Q^T)/2
+        # node, while a finite q = 1e308 overflows only in the harmonic face
+        # mean 2 qa qb / (qa + qb) of the assembly, which names its node too
         text = MINIMAL.replace(line, entry)
         assert main(["all", "--scenario", write(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("line, entry, hypotheses, every", [
+        ('q.11 = "1"', 'q.11 = "1e308"', (EXIT_OK, {}),
+         (EXIT_CONFIG_ERROR, FACE_WEIGHT)),
+        ('v.11 = "2"', 'v.11 = "1.7e308"', (EXIT_OK, {}), (EXIT_OK, {})),
+        ('q.11 = "1"', 'q.11 = "1e300"', (EXIT_OK, {}),
+         (EXIT_CONFIG_ERROR, FACE_WEIGHT)),
+        ('q.11 = "1"', 'q.11 = "1e-320"', (EXIT_OK, {}),
+         (EXIT_CHECK_FAILED, {"kernel": Q_INVERSE, "distance": Q_INVERSE}))],
+        ids=["symmetric_part_of_q", "symmetric_part_of_v", "face_weight",
+             "inverse_of_q"])
+    def test_coefficient_at_the_float_range_edge(self, tmp_path, capsys, line,
+                                                 entry, hypotheses, every):
+        # a symmetric part taken by halves cannot overflow; a diffusion face
+        # weight or a Q^-1 beyond the float range names its node.  Each run
+        # gives its exit code with one error line (exit 2, no report.json)
+        # or the reason of each failed section, and no numpy warning (an
+        # error under this suite's settings)
+        text = (MINIMAL.replace("n = 32", "n = 8")
+                .replace(FIXED_GAMMA, "mode = kernel\nbeta = 1\nc = 1")
+                .replace(line, entry))
+        path = write(tmp_path, text)
+        for sub, (code, expected) in [("check-hypotheses", hypotheses),
+                                      ("all", every)]:
+            out = tmp_path / sub
+            assert main([sub, "--scenario", path, "--out", str(out)]) == code
+            err = capsys.readouterr().err.splitlines()
+            if code == EXIT_CONFIG_ERROR:
+                assert err == [f"error: {expected}"]
+                assert not (out / "report.json").exists()
+                continue
+            assert err == []
+            sections = json.loads((out / "report.json").read_text())[
+                "sections"]
+            assert {name: sec["reason"] for name, sec in sections.items()
+                    if "reason" in sec} == expected
 
     def test_indefinite_drift_whitener_is_failed_check(self, tmp_path, capsys):
         # Cgamma = -10 makes gamma V_S + Cgamma indefinite: check_all flags
@@ -658,7 +700,7 @@ class TestCli:
             "sections"]["hypotheses"]["report"]
         assert hyp["kappaB"] == pytest.approx(7.0710678118654755e159,
                                               rel=1e-14)
-        assert hyp["K"] is None and hyp["best_K"] is None
+        assert hyp["K"] is None
         assert hyp["passes"]["K_positive"] is False
 
     @pytest.mark.parametrize("sub,key,dt", [("evolve", "g1", "1e-300"),
