@@ -11,6 +11,7 @@ nodes of a box grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,8 @@ class BoxDomain:
     """Axis-aligned box with a uniform tensor grid.
 
     Interior nodes along axis k sit at lower_k + i*h_k, i = 1 .. n_k - 1.
+    A grid whose h_k^2 or cell volume is 0 or beyond the float range is a
+    ValueError.
     """
 
     lower: tuple
@@ -43,6 +46,13 @@ class BoxDomain:
                 raise ValueError(f"degenerate axis: [{lo}, {up}]")
             if nk < 2:
                 raise ValueError(f"grid resolution {nk} < 2")
+        for k, hk in enumerate(self.h):
+            if not 0 < hk * hk < math.inf:
+                raise ValueError(f"grid spacing {hk!r} along x{k + 1} squares "
+                                 f"outside the float range")
+        if not 0 < self.cell_volume < math.inf:
+            raise ValueError(f"grid cell volume of spacings {self.h} lies "
+                             f"outside the float range")
 
     @property
     def d(self) -> int:
@@ -62,7 +72,7 @@ class BoxDomain:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.h))
+        return math.prod(self.h)
 
     def axis_nodes(self, k: int) -> np.ndarray:
         """Interior node coordinates along axis k (0-based)."""

@@ -19,7 +19,8 @@ h = k; B_h and C_h carry vol/(2 h_h).  All-zero blocks are skipped.
 Centered differences keep the real-part identity that the sign test relies
 on.  The terms are summed in the order written, and the output is canonical
 CSR (sorted indices, no duplicates, no explicit zeros), so products with S
-sum in a fixed order.
+sum in a fixed order.  An entry of S beyond the float range is a ValueError
+naming its node.
 
 The discrete adjoint form is the transpose of S, so ``assemble_adjoint``
 transposes the assembled matrix instead of assembling the transposed
@@ -110,28 +111,35 @@ def assemble(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
     A = fields["A"].values  # (N, d, d, m, m)
     B = fields["B"].values  # (N, d, m, m)
     C = fields["C"].values
-    VW = fields["V"].values + fields["W"].values
     GWG, D = zip(*(_axis_operators(grid, ax, m, q[:, ax, ax])
                    for ax in range(d)))
     S = sum(GWG)
-    # effective block: A^{hk} plus q_hk I for h != k (diagonal q done above)
-    for ax_h in range(d):
-        for ax_k in range(d):
-            blk = A[:, ax_h, ax_k].copy()
-            if ax_h != ax_k:
-                blk += q[:, ax_h, ax_k, None, None] * np.eye(m)
-            if np.any(blk):
-                scale = vol / (4 * h[ax_h] * h[ax_k])
-                S = S + D[ax_h].T @ _nodal(scale * blk) @ D[ax_k]
-    for ax in range(d):
-        scale = vol / (2 * h[ax])
-        if np.any(B[:, ax]):
-            S = S + _nodal(scale * B[:, ax]) @ D[ax]
-        if np.any(C[:, ax]):
-            S = S + D[ax].T @ _nodal(scale * C[:, ax])
-    if np.any(VW):
-        S = S + _nodal(vol * VW)
+    # an entry that is not finite is rejected below, not announced by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        VW = fields["V"].values + fields["W"].values
+        # effective block: A^{hk} plus q_hk I for h != k (diagonal q done above)
+        for ax_h in range(d):
+            for ax_k in range(d):
+                blk = A[:, ax_h, ax_k].copy()
+                if ax_h != ax_k:
+                    blk += q[:, ax_h, ax_k, None, None] * np.eye(m)
+                if np.any(blk):
+                    scale = vol / (4 * h[ax_h] * h[ax_k])
+                    S = S + D[ax_h].T @ _nodal(scale * blk) @ D[ax_k]
+        for ax in range(d):
+            scale = vol / (2 * h[ax])
+            if np.any(B[:, ax]):
+                S = S + _nodal(scale * B[:, ax]) @ D[ax]
+            if np.any(C[:, ax]):
+                S = S + D[ax].T @ _nodal(scale * C[:, ax])
+        if np.any(VW):
+            S = S + _nodal(vol * VW)
     S.sum_duplicates()  # sorted indices: S @ u sums each row in column order
+    finite = np.isfinite(S.data)
+    if not finite.all():
+        row = np.searchsorted(S.indptr, np.argmin(finite), side="right") - 1
+        raise ValueError(f"assembled form is not finite at node "
+                         f"{grid.node(int(row) // m)}")
     return DiscreteForm(grid, m, S, vol)
 
 

@@ -8,7 +8,7 @@ adjoint evolution and the growth probe take the Stepper alone (it carries
 its form) and share one stepping loop, with one time check and one blow-up
 guard; a state may be one vector or an (ndof, S) block of them as columns.
 A block with enough stepping work is marched in forked column groups, one
-process per usable CPU, each of which replies once with all its reads.
+process of a fork-context process pool per usable CPU.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import ctypes
 import functools
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,10 @@ def _step_count(t_final: float, dt: float) -> int:
 
 # Stepping work, as steps x columns x nonzeros stored in the LU factor, from
 # which a block is marched in forked column groups.  A fork costs tens of
-# milliseconds, and threads cannot overlap the steps because the SuperLU solve
-# holds the GIL; a g3 probe of 120 steps and 50 columns is 2.8e9, a fine-grid
-# g3 `all` 5e7 and a 1-D kernel scenario at most 1.7e8.
+# milliseconds.  Threads do overlap the SuperLU solves, but their step buffers
+# count in the parent's peak RSS, while a forked process's do not; a g3 probe
+# of 120 steps and 50 columns is 2.8e9, a fine-grid g3 `all` 5e7 and a 1-D
+# kernel scenario at most 1.7e8.
 PARALLEL_WORK = 1e9
 
 
@@ -152,9 +154,13 @@ def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
     an (ndof, S) block evolve independently, and a solve of a column subset
     gives the same bits as those columns of the full solve, so a block whose
     work calls for ``march_workers`` > 1 is split into that many column
-    groups, each marched in a forked child that sends back only ``read`` of
-    its states; ``read`` must act column by column and keep the columns as
-    its last axis, along which the groups are joined.
+    groups, each marched in a process of a fork-context pool that inherits
+    the factorization and sends back only ``read`` of its states; ``read``
+    must act column by column and keep the columns as its last axis, along
+    which the groups are joined in group order.  An error in a group is
+    raised here with its type and message once its sibling groups have
+    finished their own marches (the pool waits for them rather than stop
+    them); a process that dies is a BrokenProcessPool, a RuntimeError.
     """
     step = stepper.step_adjoint if adjoint else stepper.step
     read = read or (lambda u: u)
@@ -163,58 +169,31 @@ def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
     workers = march_workers(stepper, columns, counts[-1])
     if workers == 1:
         return [read(u) for u in _stepped(step, x, counts, limit)]
-    return _march_forked(step, x, counts, limit, read, workers)
+    groups = [slice(cols[0], cols[-1] + 1)
+              for cols in np.array_split(np.arange(columns), workers)]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork,
+                             initializer=_start_group,
+                             initargs=(step, x, counts, limit, read)) as pool:
+        reads = list(pool.map(_march_group, groups))
+    return [np.concatenate(parts, axis=-1) for parts in zip(*reads)]
 
 
-def _column_group(conn, step, x, counts, limit, read):
-    """Child side of a forked march: send ("ok", [read(state) at each
-    count]) once done, or ("error", exception) once something raises."""
-    try:
-        _blas_one_thread()()
-        conn.send(("ok", [read(u) for u in _stepped(step, x, counts, limit)]))
-    except Exception as err:
-        conn.send(("error", err))
-    finally:
-        conn.close()
+_GROUP = None  # in a forked stepping process: the march it inherited
 
 
-def _march_forked(step, x, counts, limit, read, workers) -> list:
-    """The forked half of ``_march``: one child per column group, each
-    inheriting the factorization through fork and replying once; every child
-    is joined before this returns, and terminated first if anything raised."""
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for group in np.array_split(x, workers, axis=1):
-            recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            proc = ctx.Process(target=_column_group, daemon=True,
-                               args=(send, step, group, counts, limit, read))
-            proc.start()
-            procs.append(proc)
-            send.close()  # the child holds the only writing end
-        groups = []
-        for proc, conn in zip(procs, conns):
-            try:
-                tag, value = conn.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"a stepping process exited with code "
-                    f"{proc.exitcode} before it finished") from None
-            if tag == "error":
-                raise value
-            groups.append(value)
-        return [np.concatenate(parts, axis=-1) for parts in zip(*groups)]
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+def _start_group(*march):
+    """Set up a forked stepping process: SciPy's BLAS at one thread, and the
+    march (step, x, counts, limit, read), inherited without pickling."""
+    global _GROUP
+    _blas_one_thread()()
+    _GROUP = march
+
+
+def _march_group(columns: slice) -> list:
+    """``read`` of a forked column group's state at each step count."""
+    step, x, counts, limit, read = _GROUP
+    return [read(u) for u in _stepped(step, x[:, columns], counts, limit)]
 
 
 def evolve(stepper: Stepper, u0: np.ndarray, t: float) -> np.ndarray:

@@ -1,7 +1,9 @@
-"""Fixtures shared by the test modules, and the guard against stray processes."""
+"""Fixtures shared by the test modules, and the guards against stray
+processes and threads."""
 
 import math
 import multiprocessing
+import threading
 
 import pytest
 
@@ -19,6 +21,17 @@ def no_process_left_running():
         proc.join()
     if left:
         pytest.fail(f"processes left running after the test: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail any test after which a thread started during it is still alive,
+    such as a process pool's manager or queue feeder thread."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left running after the test: {left}")
 
 
 @pytest.fixture

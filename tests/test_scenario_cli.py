@@ -75,6 +75,12 @@ KERNEL_1D = (MINIMAL.replace("lower = 0", "lower = -4")
              .replace('v.11 = "2"', 'v.11 = "1 + x1^2"\nb.1.11 = "3"')
              .replace(FIXED_GAMMA, KERNEL).replace("t_final = 0.01",
                                                    "t_final = 0.05"))
+# a 2-D kernel-mode scenario on an 8 x 8 grid of [0, 1]^2
+KERNEL_2D = (MINIMAL.replace("lower = 0", "lower = 0, 0")
+             .replace("upper = 1", "upper = 1, 1").replace("n = 32", "n = 8, 8")
+             .replace("d = 1", "d = 2")
+             .replace('q.11 = "1"', 'q.11 = "1"\nq.22 = "1"')
+             .replace(FIXED_GAMMA, "mode = kernel\nbeta = 1\nc = 1"))
 # scenario files configparser cannot read: (text, part of the message)
 UNREADABLE = {
     "repeated-key": (MINIMAL.replace('v.11 = "2"', 'v.11 = "2"\nv.11 = "3"'),
@@ -672,6 +678,42 @@ class TestCli:
                 "sections"]
             assert {name: sec["reason"] for name, sec in sections.items()
                     if "reason" in sec} == expected
+
+    @pytest.mark.parametrize("text, other, other_code, message", [
+        (KERNEL_2D.replace('v.11 = "2"', 'v.11 = "1.7e308"\nw.11 = "1.7e308"'),
+         "check-hypotheses", EXIT_CHECK_FAILED,
+         "assembled form is not finite at node (0.125, 0.125)"),
+        (MINIMAL.replace("n = 32", "n = 8")
+         .replace('v.11 = "2"', 'v.11 = "2"\na.11.11 = "1e308"'),
+         "check-hypotheses", EXIT_OK,
+         "assembled form is not finite at node (0.125,)"),
+        (KERNEL_2D.replace("upper = 1, 1", "upper = 1e300, 1e300"),
+         "distance", EXIT_CONFIG_ERROR,
+         "{path}: [domain]: grid spacing 1.25e+299 along x1 squares "
+         "outside the float range")],
+        ids=["potential_sum", "second_order_block", "domain"])
+    def test_assembled_form_or_grid_beyond_the_float_range(
+            self, tmp_path, capsys, text, other, other_code, message):
+        # V + W = 3.4e308 and vol A / (4 h^2) = 2e308 leave the float range
+        # only in the assembly, and h^2 = 1.6e598 in the grid; `all` names
+        # the node or the axis on one error line (exit 2, no report.json),
+        # with no numpy warning, while the hypotheses, which read the sampled
+        # blocks, run on a finite coefficient as usual
+        path = write(tmp_path, text)
+        for sub, code in [("all", EXIT_CONFIG_ERROR), (other, other_code)]:
+            out = tmp_path / sub
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([sub, "--scenario", path, "--out", str(out)]) \
+                    == code
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)]
+            err = capsys.readouterr().err.splitlines()
+            if code != EXIT_CONFIG_ERROR:
+                assert err == []
+                continue
+            assert err == [f"error: {message.format(path=path)}"]
+            assert not (out / "report.json").exists()
 
     def test_indefinite_drift_whitener_is_failed_check(self, tmp_path, capsys):
         # Cgamma = -10 makes gamma V_S + Cgamma indefinite: check_all flags
