@@ -25,8 +25,8 @@ class BoxDomain:
     """Axis-aligned box with a uniform tensor grid.
 
     Interior nodes along axis k sit at lower_k + i*h_k, i = 1 .. n_k - 1.
-    A grid whose h_k^2 or cell volume is 0 or beyond the float range is a
-    ValueError.
+    A grid whose h_k^2 or cell volume is 0 or beyond the float range, or
+    whose cell volume has no finite reciprocal, is a ValueError.
     """
 
     lower: tuple
@@ -50,9 +50,11 @@ class BoxDomain:
             if not 0 < hk * hk < math.inf:
                 raise ValueError(f"grid spacing {hk!r} along x{k + 1} squares "
                                  f"outside the float range")
-        if not 0 < self.cell_volume < math.inf:
-            raise ValueError(f"grid cell volume of spacings {self.h} lies "
-                             f"outside the float range")
+        vol = self.cell_volume
+        # a discrete delta has height 1 / vol
+        if not (0 < vol < math.inf and 1 / vol < math.inf):
+            raise ValueError(f"grid cell volume of spacings {self.h} or its "
+                             f"reciprocal lies outside the float range")
 
     @property
     def d(self) -> int:
@@ -115,13 +117,96 @@ class SampledField:
     def spectrum(self):
         """Per-node ``np.linalg.eigh`` of the symmetric part (M + M^T)/2 of
         the trailing square matrices, formed by halves so that it cannot
-        overflow: ascending eigenvalues and orthonormal eigenvectors as
-        columns.  Computed once and shared, read-only, by every reader."""
+        overflow, as ``symmetric_eigh`` takes it: ascending eigenvalues and
+        orthonormal eigenvectors as columns.  Computed once and shared,
+        read-only, by every reader."""
         vals = self.values
-        spec = np.linalg.eigh(0.5 * vals + 0.5 * np.swapaxes(vals, -1, -2))
+        spec = symmetric_eigh(0.5 * vals + 0.5 * np.swapaxes(vals, -1, -2))
         for arr in spec:
             arr.flags.writeable = False
         return spec
+
+
+# numpy's result type of eigh, which it does not export by name
+EighResult = type(np.linalg.eigh(np.ones((1, 1))))
+
+# LAPACK's unit roundoff and safe minimum (dlamch 'E' and 'S')
+_EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
+# the largest |entry| of a 2 x 2 block that LAPACK solves without rescaling:
+# dsyevd rescales below RMIN = sqrt(SAFMIN / (2 EPS)) = 2^-485 and above
+# RMAX = 1 / RMIN, dsteqr below SSFMIN = sqrt(SAFMIN) / EPS^2 = 2^-405 and
+# above sqrt(1 / SAFMIN) / 3 > RMAX
+_UNSCALED = (2.0 ** -405, 2.0 ** 485)
+
+
+def _eigh_2x2(mats: np.ndarray) -> tuple:
+    """(eigenvalues, eigenvectors) of symmetric (n, 2, 2) blocks with the
+    steps LAPACK takes in ``np.linalg.eigh`` (dsyevd: the tridiagonal form is
+    the block itself, then dsteqr), so with its bits: dsteqr's two tests
+    for a negligible off-diagonal, dlaev2's eigenvalues and rotation, the
+    rotation applied to the identity as dlasr does, and the ascending
+    selection sort.  The blocks must not need rescaling (``_UNSCALED``)."""
+    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
+    # the split tests: the first, then that of QL (or QR, if |c| < |a|)
+    split = ab <= (np.sqrt(aa) * np.sqrt(ac)) * _EPS
+    split |= ab * ab <= np.where(ac < aa, (_EPS ** 2 * ac) * aa,
+                                 (_EPS ** 2 * aa) * ac) + _SAFMIN
+    # dlaev2, its three branches for rt taken as one (rt = 0 if adf = atb = 0)
+    sm, df, tb = a + c, a - c, b + b
+    adf, atb = np.abs(df), np.abs(tb)
+    larger = aa > ac
+    acmx, acmn = np.where(larger, a, c), np.where(larger, c, a)
+    hi, lo = np.maximum(adf, atb), np.minimum(adf, atb)
+    # np.where evaluates the branches it discards too
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = lo / hi
+        rt = np.where(hi > 0, hi * np.sqrt(1.0 + q * q), 0.0)
+        neg, up = sm < 0, df >= 0
+        rt1 = 0.5 * (sm + np.where(neg, -rt, rt))
+        rt2 = np.where(sm != 0, (acmx / rt1) * acmn - (b / rt1) * b, -0.5 * rt)
+        cs = df + np.where(up, rt, -rt)
+        ct = -tb / cs
+        sn_ct = 1.0 / np.sqrt(1.0 + ct * ct)
+        tn = -cs / tb
+        cs_tn = 1.0 / np.sqrt(1.0 + tn * tn)
+        far = np.abs(cs) > atb
+        cs1 = np.where(far, ct * sn_ct, np.where(atb == 0, 1.0, cs_tn))
+        sn1 = np.where(far, sn_ct, np.where(atb == 0, 0.0, tn * cs_tn))
+    turn = neg != up  # the signs of rt1 and of cs agree
+    cs1, sn1 = np.where(turn, -sn1, cs1), np.where(turn, cs1, sn1)
+    cs1[split], sn1[split] = 1.0, 0.0
+    d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
+    # the identity rotated as dlasr does it, signs of zero included, and its
+    # columns swapped where the sort swaps the eigenvalues
+    col1 = (sn1 * 0.0 + cs1, sn1 + cs1 * 0.0)
+    col2 = (cs1 * 0.0 - sn1, cs1 - sn1 * 0.0)
+    swap = d2 < d1
+    w, Z = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+    w[:, 0], w[:, 1] = np.where(swap, d2, d1), np.where(swap, d1, d2)
+    for i in range(2):
+        Z[:, i, 0] = np.where(swap, col2[i], col1[i])
+        Z[:, i, 1] = np.where(swap, col1[i], col2[i])
+    return w, Z
+
+
+def symmetric_eigh(mats: np.ndarray) -> EighResult:
+    """``np.linalg.eigh`` of symmetric (n, k, k) matrices, bit for bit.  A
+    1 x 1 block is its own eigenvalue with eigenvector 1.0, as dsyevd returns
+    it; a 2 x 2 block is in closed form (``_eigh_2x2``) unless LAPACK would
+    rescale it.  Those blocks, and larger ones, go to ``np.linalg.eigh``."""
+    k = mats.shape[-1]
+    if k == 1:
+        return EighResult(mats[:, 0].copy(), np.ones_like(mats))
+    if k > 2:
+        return np.linalg.eigh(mats)
+    amax = np.abs(mats).max(axis=(1, 2))
+    fast = (amax >= _UNSCALED[0]) & (amax <= _UNSCALED[1])
+    w, U = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+    w[fast], U[fast] = _eigh_2x2(mats[fast])
+    if not fast.all():
+        w[~fast], U[~fast] = np.linalg.eigh(mats[~fast])
+    return EighResult(w, U)
 
 
 # The layout of every coefficient block, in sampling order: its index groups,

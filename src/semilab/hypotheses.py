@@ -5,7 +5,10 @@ value making a defining sesquilinear inequality hold at every sampled node.
 All of them reduce to largest singular values of suitably whitened node
 matrices, so they are computed by exact finite-dimensional linear algebra;
 randomized probing is used only as a cross-check in the tests.  Whitening is
-a rotation into the eigenbases of Q and V_S, then only a scaling.
+a rotation into the eigenbases of Q and V_S (the fields' cached spectra, in
+closed form for 1 x 1 and 2 x 2 blocks), then only a scaling.  The constants
+maximized over a grid of gammas evaluate exactly only the node-gammas whose
+gamma-free upper bound reaches a lower bound on the maximum.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import BoxDomain, SampledField
+from .coefficients import BoxDomain, SampledField, symmetric_eigh
 from .pinterval import k_combination, phi_power
 
 GAMMA_GRID = np.logspace(-4, 4, 200)
@@ -202,7 +205,8 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
         N, d * m, d * m)
 
     sym = 0.5 * white + 0.5 * np.swapaxes(white, -1, -2)
-    evals = np.linalg.eigvalsh(sym)
+    evals = (symmetric_eigh(sym).eigenvalues if d * m <= 2
+             else np.linalg.eigvalsh(sym))
     scale = np.maximum(1.0, np.abs(evals).max())
     if np.any(evals[:, 0] < -1e-12 * scale):
         idx = int(np.argmin(evals[:, 0]))
@@ -221,18 +225,24 @@ SWEEP_CHUNK = 2 ** 13
 SWEEP_FLOOR = 1e-140
 
 
+# the relative margin for rounding with which a node-gamma's bound must reach
+# the block's lower bound for the node-gamma to be evaluated exactly
+PRUNE_MARGIN = 1e-9
+
+
 # a block entry or top singular value beyond the float range gives inf; so
 # does R(gamma) at the grid's smallest gammas when a refined exponent is near
 # its bound, which is its limit and whitens to 0
 @np.errstate(over="ignore")
 def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
-    """(kappa_B, kappa_C, kappa_W) from one sweep over the mode's gammas.
+    """(kappa_B, kappa_C, kappa_W), each maximized over nodes and the mode's
+    gammas.
 
     kappa_B and kappa_C are the largest singular values of the doubly whitened
     block columns of the B^h / C^h, kappa_W that of W whitened on both sides
-    by (gamma V_S + R(gamma) I)^{-1/2}; each is maximized over nodes and
-    gammas.  With V_S = U diag(lam) U^T from the field's spectrum, each block
-    is rotated by U once, and each gamma scales it by s = (gamma lam + R)^{-1/2}.
+    by (gamma V_S + R(gamma) I)^{-1/2}.  With V_S = U diag(lam) U^T from the
+    field's spectrum, each block is rotated by U once, and each gamma scales
+    it by s = (gamma lam + R)^{-1/2}.
 
     So each block enters only through Grams taken once per node.  A block
     column Y with largest |entry| sigma, G the Gram of Y / sigma, has top
@@ -242,8 +252,18 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     H = sum_i u_i^2 z_i z_i^T over the rows z_i of W / sigma.  A node-gamma
     whose lambda_max falls below ``SWEEP_FLOOR``, or whose product is not
     finite, takes ``_max_sv`` of its scaled block instead.  A block with an
-    entry that is not finite has top singular value inf.  The gammas go in
-    chunks of at most ``SWEEP_CHUNK`` node-gamma entries.
+    entry that is not finite has top singular value inf.
+
+    As u <= 1, a node-gamma's value is at most c s[0] (c s[0]^2 for W), with
+    c = sigma sqrt(lambda_max(G)) (of the sum of the H terms for W): the
+    block's top singular value unscaled, free of gamma.  So the sweep goes
+    through the gammas in chunks of at most ``SWEEP_CHUNK`` node-gamma
+    entries, twice.  The first pass checks that w0 = gamma lam[0] + R > 0
+    and keeps each node's gamma of smallest w0, its largest s[0]; the exact
+    values there bound each block's maximum from below by L.  The second
+    pass evaluates exactly only the node-gammas whose bound reaches L,
+    L sqrt(w0) <= c (1 + ``PRUNE_MARGIN``) (L w0 for W), and reads each
+    constant bit for bit as a sweep over every node-gamma would.
     """
     B = fields["B"].values  # (N, d, m, m)
     N, d, m, _ = B.shape
@@ -271,40 +291,83 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
 
     kappa = {name: np.inf if bad.any() else 0.0
              for name, (_, _, bad) in grams.items()}
-    lam = _entries_first(lam)[:, None]  # (m, 1, N), ascending down the rows
+    lam = _entries_first(lam)  # (m, N), ascending down the rows
     gammas = mode.gamma_candidates()
     R = mode.weight(gammas)
     step = max(1, SWEEP_CHUNK // N)
-    for start in range(0, len(gammas), step):
-        chunk = gammas[start:start + step]
-        w = chunk[:, None] * lam  # (m, gammas, N)
-        w += R[start:start + step, None]
-        positive = (w[0] > 0).all(axis=1)
-        if not positive.all():
-            k = int(np.argmin(positive))
-            _require_pd(w[:, k].T, f"gamma*V_S + R (gamma={chunk[k]})",
-                        fields["V"].domain)
+
+    def exact(name, g, n):
+        """The block's top singular values at node-gammas (g, n), index
+        arrays: gathered arrays take the whole-grid sweep's arithmetic bit
+        for bit (a 0-d power may differ from an array power)."""
+        w = gammas[g] * lam[:, n]
+        w += R[g]
         s = w ** -0.5
         s0 = s[0]
         u = s[1:] / np.where(s0 > 0, s0, 1.0)  # s0 = 0 only where all s are
-        u2 = u * u
-        for name, (sigma, G, _) in grams.items():
-            scale = sigma * s0
-            if name == "W":  # scaled on both sides
-                scale = scale * s0
-            top = _top_eig(G, u, u2)
-            with np.errstate(invalid="ignore"):  # 0 * inf, redone below
-                sv = np.sqrt(top) * scale
-            peak = sv.max()  # NaN if any entry is
-            if not peak < np.inf or top.min() < SWEEP_FLOOR:
-                redo = ~(sv < np.inf) | ((top < SWEEP_FLOOR) & (sigma > 0))
-                g, n = np.nonzero(redo)
-                scaled = blocks[name][..., n] * s[:, g, n]
-                if name == "W":
-                    scaled = s[:, None, g, n] * scaled
-                sv[g, n] = _max_sv(scaled)
-                peak = sv.max()
-            kappa[name] = max(kappa[name], float(peak))
+        sigma, G, _ = grams[name]
+        sigma = sigma[n]
+        scale = sigma * s0
+        if name == "W":  # scaled on both sides
+            scale = scale * s0
+        top = _top_eig(G[..., n], u, u * u)
+        with np.errstate(invalid="ignore"):  # 0 * inf, redone below
+            sv = np.sqrt(top) * scale
+        redo = np.flatnonzero(~(sv < np.inf)
+                              | ((top < SWEEP_FLOOR) & (sigma > 0)))
+        if len(redo):
+            scaled = blocks[name][..., n[redo]] * s[:, redo]
+            if name == "W":
+                scaled = s[:, None, redo] * scaled
+            sv[redo] = _max_sv(scaled)
+        return sv
+
+    # first pass: each node's smallest w0, and the chunk of gammas it is in
+    low, first = np.full(N, np.inf), np.zeros(N, dtype=int)
+    for start in range(0, len(gammas), step):
+        w0 = gammas[start:start + step, None] * lam[0]
+        w0 += R[start:start + step, None]
+        if not w0.min() > 0:
+            k = int(np.argmin((w0 > 0).all(axis=1)))
+            _require_pd(w0[k, :, None],
+                        f"gamma*V_S + R (gamma={gammas[start + k]})",
+                        fields["V"].domain)
+        least = w0.min(axis=0)
+        better = least < low
+        low[better], first[better] = least[better], start
+    # and its gamma within that chunk
+    nodes = np.arange(N)
+    g = np.minimum(first + np.arange(step)[:, None], len(gammas) - 1)
+    w0 = gammas[g] * lam[0]
+    w0 += R[g]
+    at = g[w0.argmin(axis=0), nodes]
+
+    for name in grams:
+        if kappa[name] == np.inf:
+            continue
+        L = kappa[name] = float(exact(name, at, nodes).max())
+        if len(gammas) == 1:  # every node-gamma is done
+            continue
+        # a node-gamma may exceed L only where L sqrt(w0) <= c; W's bound
+        # c s[0]^2 asks L w0 <= c, which implies sqrt(w0) <= sqrt(c / L)
+        sigma, G, _ = grams[name]
+        ones = np.ones((G.shape[1] - 1, N))
+        with np.errstate(divide="ignore", invalid="ignore"):  # L, sigma = 0
+            reach = (sigma / L) * np.sqrt(_top_eig(G, ones, ones)) * (
+                1 + PRUNE_MARGIN)
+        if name == "W":
+            reach = np.sqrt(reach)
+        # second pass, over the nodes whose smallest w0 is within reach
+        hit = np.flatnonzero(np.sqrt(low) <= reach)
+        hstep = max(1, SWEEP_CHUNK // max(1, len(hit)))
+        for start in range(0, len(gammas), hstep):
+            w0 = gammas[start:start + hstep, None] * lam[0, hit]
+            w0 += R[start:start + hstep, None]
+            g, j = np.nonzero((np.sqrt(w0) <= reach[hit]) & (
+                at[hit] != start + np.arange(len(w0))[:, None]))
+            if len(j):
+                kappa[name] = max(kappa[name],
+                                  float(exact(name, g + start, hit[j]).max()))
     return tuple(kappa.get(name, 0.0) for name in "BCW")
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import semilab.coefficients as coefficients
 from semilab.coefficients import (
     BoxDomain,
     CoefficientSystem,
     SampledField,
     expr_matrix,
     sample,
+    symmetric_eigh,
 )
 
 
@@ -150,3 +152,93 @@ class TestMatrixUtilities:
     def test_sampled_field_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SampledField(make_grid(2), np.array([[np.nan]]))
+
+
+def symmetric(mats):
+    return 0.5 * mats + 0.5 * np.swapaxes(mats, -1, -2)
+
+
+def two_by_two(kind, n=20000):
+    """Symmetric 2 x 2 blocks of one family."""
+    rng = np.random.default_rng(list(kind.encode()))
+    mats = rng.standard_normal((n, 2, 2))
+    if kind == "diagonal":
+        mats[:, 0, 1] = mats[:, 1, 0] = 0.0
+    elif kind == "equal-diagonal":
+        mats[:, 1, 1] = mats[:, 0, 0]
+    elif kind == "tiny-off-diagonal":
+        # at and around dsteqr's first test for a negligible off-diagonal
+        mats[:, 0, 1] = mats[:, 1, 0] = mats[:, 0, 0] * 10.0 ** rng.uniform(
+            -20, -10, n)
+    elif kind == "zero-diagonal":
+        # only dsteqr's second test, with its safe minimum, splits these
+        mats[:, 0, 0] = 0.0
+        mats[:, 0, 1] = mats[:, 1, 0] = mats[:, 1, 1] * 10.0 ** rng.uniform(
+            -170, -140, n)
+    elif kind == "quarter-step":
+        mats = rng.integers(-8, 9, (n, 2, 2)) / 4
+    elif kind == "zero":
+        mats = np.zeros((4, 2, 2))
+        mats[1] = -0.0
+        mats[2, 0, 0] = mats[3, 1, 1] = -0.0
+    elif kind == "scaled":
+        mats *= 10.0 ** rng.choice([-300, -150, -120, 140, 150, 300], (n, 1, 1))
+    elif kind == "mixed-scale":
+        mats *= 2.0 ** rng.integers(-600, 600, (n, 2, 2))
+    return symmetric(mats)
+
+
+class TestSymmetricEigh:
+    """The spectrum's decomposition against ``np.linalg.eigh``, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [
+        "random", "diagonal", "equal-diagonal", "tiny-off-diagonal",
+        "zero-diagonal", "quarter-step", "zero", "scaled", "mixed-scale"])
+    def test_two_by_two_equals_eigh_bitwise(self, kind):
+        mats = two_by_two(kind)
+        w, U = symmetric_eigh(mats)
+        want_w, want_U = np.linalg.eigh(mats)
+        assert w.tobytes() == want_w.tobytes()
+        assert U.tobytes() == want_U.tobytes()
+        # eigvalsh goes through dsterf, whose test has no safe minimum: it
+        # reads a small eigenvalue of about -b^2 / c where eigh reads 0
+        if kind != "zero-diagonal":
+            assert w.tobytes() == np.linalg.eigvalsh(mats).tobytes()
+
+    def test_one_by_one_is_its_own_eigenvalue(self):
+        mats = np.random.default_rng(3).standard_normal((1000, 1, 1))
+        mats *= 10.0 ** np.arange(-300, 300, 0.6)[:, None, None]
+        mats[:2] = [[[0.0]], [[-0.0]]]
+        w, U = symmetric_eigh(mats)
+        want_w, want_U = np.linalg.eigh(mats)
+        assert w.tobytes() == want_w.tobytes()
+        assert U.tobytes() == want_U.tobytes()
+
+    def test_block_outside_unscaled_range_goes_to_eigh(self, monkeypatch):
+        # LAPACK rescales these, so they take its own route
+        mats = two_by_two("random", n=6)
+        mats[1] *= 1e-125
+        mats[4] *= 1e150
+        want = np.linalg.eigh(mats)
+        seen = []
+
+        def recording(a, _orig=np.linalg.eigh):
+            seen.append(np.array(a))
+            return _orig(a)
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        got = symmetric_eigh(mats)
+        assert len(seen) == 1 and np.array_equal(seen[0], mats[[1, 4]])
+        for arr, ref in zip(got, want):
+            assert arr.tobytes() == ref.tobytes()
+
+    def test_larger_blocks_go_to_eigh(self):
+        mats = symmetric(np.random.default_rng(4).standard_normal((50, 3, 3)))
+        for arr, ref in zip(symmetric_eigh(mats), np.linalg.eigh(mats)):
+            assert arr.tobytes() == ref.tobytes()
+
+    def test_spectrum_is_read_only_eigh_result(self):
+        f = SampledField(make_grid(4), np.array([[[2.0, 1.0], [0.0, 3.0]]] * 3))
+        spec = f.spectrum
+        assert type(spec) is coefficients.EighResult
+        assert not spec.eigenvalues.flags.writeable
+        assert not spec.eigenvectors.flags.writeable

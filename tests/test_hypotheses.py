@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semilab.coefficients as coefficients
 import semilab.hypotheses as hypotheses
 from semilab.coefficients import (
     BoxDomain,
@@ -26,6 +27,7 @@ from semilab.hypotheses import (
     _eigen_whitener,
     _entries_first,
     _max_sv,
+    _node_grams,
     _require_pd,
     check_all,
     estimate_c0,
@@ -375,6 +377,67 @@ def max_sv_sweep(fields, mode):
     return kB, kC, kW
 
 
+def whole_grid_sweep(fields, mode):
+    """(kappa_B, kappa_C, kappa_W) by the Gram-form sweep over every
+    node-gamma, chunk by chunk, with no bound pruning any of them."""
+    B, Wmat = fields["B"].values, fields["W"].values
+    N, d, m, _ = B.shape
+    drifts = {name: X for name, X in (("B", B), ("C", fields["C"].values))
+              if np.any(X)}
+    if not (drifts or np.any(Wmat)):
+        return 0.0, 0.0, 0.0
+    lam, U = fields["V"].spectrum
+    blocks = {}
+    if drifts:
+        Wq = _eigen_whitener(fields["Q"], "Q")
+    with np.errstate(invalid="ignore"):
+        for name, X in drifts.items():
+            blocks[name] = _entries_first(
+                (np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
+                    N, d * m, m))
+        if np.any(Wmat):
+            blocks["W"] = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
+    grams = {name: _node_grams(Y, name == "W") for name, Y in blocks.items()}
+    kappa = {name: np.inf if bad.any() else 0.0
+             for name, (_, _, bad) in grams.items()}
+    lam = _entries_first(lam)[:, None]
+    gammas = mode.gamma_candidates()
+    R = mode.weight(gammas)
+    step = max(1, hypotheses.SWEEP_CHUNK // N)
+    for start in range(0, len(gammas), step):
+        chunk = gammas[start:start + step]
+        w = chunk[:, None] * lam
+        w += R[start:start + step, None]
+        positive = (w[0] > 0).all(axis=1)
+        if not positive.all():
+            k = int(np.argmin(positive))
+            _require_pd(w[:, k].T, f"gamma*V_S + R (gamma={chunk[k]})",
+                        fields["V"].domain)
+        s = w ** -0.5
+        s0 = s[0]
+        u = s[1:] / np.where(s0 > 0, s0, 1.0)
+        u2 = u * u
+        for name, (sigma, G, _) in grams.items():
+            scale = sigma * s0
+            if name == "W":
+                scale = scale * s0
+            top = hypotheses._top_eig(G, u, u2)
+            with np.errstate(invalid="ignore"):
+                sv = np.sqrt(top) * scale
+            peak = sv.max()
+            if not peak < np.inf or top.min() < hypotheses.SWEEP_FLOOR:
+                redo = ~(sv < np.inf) | (
+                    (top < hypotheses.SWEEP_FLOOR) & (sigma > 0))
+                g, n = np.nonzero(redo)
+                scaled = blocks[name][..., n] * s[:, g, n]
+                if name == "W":
+                    scaled = s[:, None, g, n] * scaled
+                sv[g, n] = _max_sv(scaled)
+                peak = sv.max()
+            kappa[name] = max(kappa[name], float(peak))
+    return tuple(kappa.get(name, 0.0) for name in "BCW")
+
+
 def random_system(d, m, seed):
     """Every first-order and potential block present, each entry affine in
     the coordinates; diagonal shifts make Q and V_S positive definite."""
@@ -411,6 +474,7 @@ class TestGramSweep:
             got = estimate_gamma_constants(fields, mode)
         with np.errstate(over="ignore"):
             want = max_sv_sweep(fields, mode)
+            assert got == whole_grid_sweep(fields, mode)
         assert all(0 < k < np.inf for k in got)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -441,6 +505,7 @@ class TestGramSweep:
             got = estimate_gamma_constants(fields, mode)
         with np.errstate(over="ignore", invalid="ignore"):
             want = max_sv_sweep(fields, mode)
+            assert got == whole_grid_sweep(fields, mode)
         assert got[inf_at] == np.inf
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -473,6 +538,7 @@ class TestGramSweep:
         with np.errstate(over="ignore"):
             np.testing.assert_allclose(got, max_sv_sweep(fields, mode),
                                        rtol=1e-13, atol=0)
+            assert got == whole_grid_sweep(fields, mode)
 
     @pytest.mark.parametrize("mode", SWEEP_MODES[1:], ids=["refined",
                                                           "refined_b",
@@ -500,16 +566,17 @@ class TestGramSweep:
             assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("key", ["g3", "g6-quadratic"])
+@pytest.mark.parametrize("key", ["g3", "g6-quadratic", "g5"])
 def test_no_eigvalsh_for_two_columns(key, monkeypatch):
-    # m <= 2 and no second-order coupling: every constant of check_all is in
-    # closed form, with no decomposition but the fields' cached spectra
+    # every block is at most 2 x 2, g5's kappa_A block (d = 1, m = 2)
+    # included: the spectra and every constant of check_all are in closed
+    # form, with no LAPACK decomposition at all
     scn = gallery_scenario(key)
     fields = sample(scn.system, scn.grid)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh called")
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for name in ("eigh", "eigvalsh"):
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called")
+        monkeypatch.setattr(np.linalg, name, refuse)
     assert check_all(fields, mode=scn.mode).all_pass
 
 
@@ -665,6 +732,58 @@ def test_constants_on_fine_grids_are_pinned(key, n, expected):
     assert {name: getattr(rep, name) for name in expected} == expected
 
 
+@pytest.mark.parametrize("key,n", [("g5", (1023,)), ("g6-quadratic", (2047,)),
+                                   ("g3", (128, 128)), ("g4", (96, 96))])
+def test_pruned_sweep_on_fine_grids_equals_whole_grid(key, n):
+    scn = gallery_scenario(key)
+    fields = sample(scn.system, dataclasses.replace(scn.grid, n=n))
+    assert estimate_gamma_constants(fields, scn.mode) == whole_grid_sweep(
+        fields, scn.mode)
+
+
+def evaluated_sizes(monkeypatch):
+    """The node-gamma counts that ``_top_eig`` is called on, as a list the
+    calls append to."""
+    sizes = []
+
+    def recording(grams, u, u2, _orig=hypotheses._top_eig):
+        sizes.append(grams.shape[-1])
+        return _orig(grams, u, u2)
+    monkeypatch.setattr(hypotheses, "_top_eig", recording)
+    return sizes
+
+
+def test_pruned_sweep_evaluates_few_node_gammas(monkeypatch):
+    # g5 at 1023 nodes: the exact values at each node's largest scale, and
+    # the bounds, take a few times N node-gammas of the 200 N on the grid
+    scn = gallery_scenario("g5")
+    fields = sample(scn.system, dataclasses.replace(scn.grid, n=(1023,)))
+    N = fields["V"].domain.node_count
+    sizes = evaluated_sizes(monkeypatch)
+    got = estimate_gamma_constants(fields, scn.mode)
+    assert len(GAMMA_GRID) == 200
+    assert 0 < sum(sizes) <= 8 * N
+    assert got == whole_grid_sweep(fields, scn.mode)
+
+
+def test_pruned_sweep_with_loose_bounds_stays_chunked(monkeypatch):
+    # V_S = diag(1, 1e4) and B only in its second column: the bound sigma
+    # s[0] is loose by up to a factor 100 at every node alike, so most
+    # node-gammas are evaluated, in batches of at most SWEEP_CHUNK
+    system = CoefficientSystem(
+        d=1, m=2, Q=expr_matrix([["1"]]),
+        V=expr_matrix([["1", "0"], ["0", "1e4"]]),
+        B=(expr_matrix([["0", "1"], ["0", "0"]]),))
+    fields = sample(system, GRID)
+    mode = kernel_mode(beta=0.5, c=1.0)
+    monkeypatch.setattr(hypotheses, "SWEEP_CHUNK", 64)
+    want = whole_grid_sweep(fields, mode)
+    sizes = evaluated_sizes(monkeypatch)
+    assert estimate_gamma_constants(fields, mode) == want
+    assert sum(sizes) > 100 * GRID.node_count
+    assert max(sizes) <= 64
+
+
 def test_gamma_sweep_decomposes_no_node_block(monkeypatch):
     # g5's drift and W blocks have m = 2 columns: the sweep takes their top
     # singular values in closed form, so the eigvalsh calls do not grow with
@@ -736,18 +855,26 @@ def test_weight_beyond_float_range_is_inf(mode):
 
 
 def test_one_decomposition_per_field(monkeypatch):
-    # the hypotheses and the metric share each field's cached spectrum
+    # the hypotheses and the metric share each field's cached spectrum: one
+    # symmetric_eigh per field (a 1 x 1 or 2 x 2 block in closed form), and
+    # no np.linalg decomposition of V_S or Q besides
     scn = gallery_scenario("g5")
     fields = sample(scn.system, scn.grid)
     V = fields["V"].values
     VS = 0.5 * (V + np.swapaxes(V, -1, -2))
     Q = fields["Q"].values
     decomposed = []
-    for name in ("eigh", "eigvalsh"):
-        def counting(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+
+    def counting(orig):
+        def wrapper(a, *args, **kwargs):
             decomposed.append(np.array(a))
-            return _orig(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+            return orig(a, *args, **kwargs)
+        return wrapper
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    for module in (coefficients, hypotheses):
+        monkeypatch.setattr(module, "symmetric_eigh",
+                            counting(coefficients.symmetric_eigh))
 
     check_all(fields, mode=scn.mode)
     weight_field(fields["V"], fields["Q"], 0.0)

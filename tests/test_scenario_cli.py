@@ -690,12 +690,18 @@ class TestCli:
         (KERNEL_2D.replace("upper = 1, 1", "upper = 1e300, 1e300"),
          "distance", EXIT_CONFIG_ERROR,
          "{path}: [domain]: grid spacing 1.25e+299 along x1 squares "
-         "outside the float range")],
-        ids=["potential_sum", "second_order_block", "domain"])
+         "outside the float range"),
+        (KERNEL_2D.replace("upper = 1, 1", "upper = 1e-160, 1e-160"),
+         "kernel", EXIT_CONFIG_ERROR,
+         "{path}: [domain]: grid cell volume of spacings (1.25e-161, "
+         "1.25e-161) or its reciprocal lies outside the float range")],
+        ids=["potential_sum", "second_order_block", "domain",
+             "domain_volume_reciprocal"])
     def test_assembled_form_or_grid_beyond_the_float_range(
             self, tmp_path, capsys, text, other, other_code, message):
         # V + W = 3.4e308 and vol A / (4 h^2) = 2e308 leave the float range
-        # only in the assembly, and h^2 = 1.6e598 in the grid; `all` names
+        # only in the assembly, and h^2 = 1.6e598 or 1 / vol = 6.4e321 (the
+        # height of a discrete delta) in the grid; `all` names
         # the node or the axis on one error line (exit 2, no report.json),
         # with no numpy warning, while the hypotheses, which read the sampled
         # blocks, run on a finite coefficient as usual
