@@ -123,6 +123,8 @@ def _load_scenario(args) -> Scenario:
     if args.p is not None:
         scn = dataclasses.replace(scn, p_list=parse_p_list(args.p))
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
         scn = dataclasses.replace(scn, seed=args.seed)
     return scn
 

@@ -194,7 +194,8 @@ def symmetric_eigh(mats: np.ndarray) -> EighResult:
     """``np.linalg.eigh`` of symmetric (n, k, k) matrices, bit for bit.  A
     1 x 1 block is its own eigenvalue with eigenvector 1.0, as dsyevd returns
     it; a 2 x 2 block is in closed form (``_eigh_2x2``) unless LAPACK would
-    rescale it.  Those blocks, and larger ones, go to ``np.linalg.eigh``."""
+    rescale it.  Those blocks, and larger ones, go to ``np.linalg.eigh``; a
+    stack with none of them goes to ``_eigh_2x2`` whole."""
     k = mats.shape[-1]
     if k == 1:
         return EighResult(mats[:, 0].copy(), np.ones_like(mats))
@@ -202,10 +203,11 @@ def symmetric_eigh(mats: np.ndarray) -> EighResult:
         return np.linalg.eigh(mats)
     amax = np.abs(mats).max(axis=(1, 2))
     fast = (amax >= _UNSCALED[0]) & (amax <= _UNSCALED[1])
+    if fast.all():
+        return EighResult(*_eigh_2x2(mats))
     w, U = np.empty(mats.shape[:-1]), np.empty(mats.shape)
     w[fast], U[fast] = _eigh_2x2(mats[fast])
-    if not fast.all():
-        w[~fast], U[~fast] = np.linalg.eigh(mats[~fast])
+    w[~fast], U[~fast] = np.linalg.eigh(mats[~fast])
     return EighResult(w, U)
 
 

@@ -6,9 +6,14 @@ All of them reduce to largest singular values of suitably whitened node
 matrices, so they are computed by exact finite-dimensional linear algebra;
 randomized probing is used only as a cross-check in the tests.  Whitening is
 a rotation into the eigenbases of Q and V_S (the fields' cached spectra, in
-closed form for 1 x 1 and 2 x 2 blocks), then only a scaling.  The constants
-maximized over a grid of gammas evaluate exactly only the node-gammas whose
-gamma-free upper bound reaches a lower bound on the maximum.
+closed form for 1 x 1 and 2 x 2 blocks), then only a scaling.  From the
+spectra on, every node matrix is entries-first, (rows, columns, nodes), and
+every per-node product a broadcast sum over contiguous node arrays; those
+fuse no multiply and add as a BLAS product may, so where V_S's eigenvectors
+are not exact a constant may differ from the matrix-product form in its last
+bits.  The constants maximized over a grid of gammas evaluate exactly only
+the node-gammas whose gamma-free upper bound reaches a lower bound on the
+maximum.
 """
 
 from __future__ import annotations
@@ -109,19 +114,26 @@ def _require_pd(w: np.ndarray, what: str, domain: BoxDomain):
             f"(min eigenvalue {w[idx, 0]:.3e})")
 
 
-def _eigen_whitener(field: SampledField, what: str) -> np.ndarray:
-    """Per-node U diag(lam^{-1/2}), U diag(lam) U^T the field's symmetric
-    part, which must be positive definite: its inverse square root less the
-    factor U^T, which moves no singular value."""
-    lam, U = field.spectrum
-    _require_pd(lam, what, field.domain)
-    return U * lam[:, None, :] ** -0.5
-
-
 def _entries_first(mats: np.ndarray) -> np.ndarray:
     """(N, ...) node arrays as contiguous (..., N): each entry is one array
-    over the nodes, the layout ``_max_sv`` reads."""
+    over the nodes, the layout of every node matrix from the spectra on."""
     return np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+
+
+def _eigen_whitener(field: SampledField, what: str) -> np.ndarray:
+    """Entries-first (k, k, N) U diag(lam^{-1/2}), U diag(lam) U^T the
+    field's symmetric part, which must be positive definite: its inverse
+    square root less the factor U^T, which moves no singular value."""
+    lam, U = field.spectrum
+    _require_pd(lam, what, field.domain)
+    return _entries_first(U) * _entries_first(lam) ** -0.5
+
+
+def _congruence(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """P^T X P for entries-first (k, k, N) P and X, as two broadcast sums:
+    (P^T X)[a, j] = sum_i P[i, a] X[i, j], then sum_j (P^T X)[a, j] P[j, b]."""
+    T = (P[:, :, None] * X[:, None]).sum(0)
+    return (T[:, :, None] * P).sum(1)
 
 
 def _node_grams(Y: np.ndarray, rows: bool) -> tuple:
@@ -184,10 +196,9 @@ def estimate_c0(Vfield: SampledField) -> np.ndarray:
     complex xi: the largest singular value of the V_S-whitened antisymmetric
     part of V.
     """
-    V = Vfield.values
-    VA = 0.5 * V - 0.5 * np.swapaxes(V, -1, -2)  # by halves: cannot overflow
-    Wh = _eigen_whitener(Vfield, "V_S")
-    return _max_sv(_entries_first(np.swapaxes(Wh, -1, -2) @ VA @ Wh))
+    V = _entries_first(Vfield.values)
+    VA = 0.5 * V - 0.5 * np.swapaxes(V, 0, 1)  # by halves: cannot overflow
+    return _max_sv(_congruence(_eigen_whitener(Vfield, "V_S"), VA))
 
 
 def estimate_kappa_A(fields: dict) -> np.ndarray:
@@ -199,12 +210,15 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
         return np.zeros(N)
 
     # block matrix over (h, k), acting on stacked theta = (theta^1..theta^d),
-    # whitened on both sides by Q^{-1/2} (x) I_m
+    # whitened on both sides by Q^{-1/2} (x) I_m: the (a, i, b, j) entry is
+    # the sum over (h, k) of Wh[h, a] A[h, k, i, j] Wh[k, b]
     Wh = _eigen_whitener(fields["Q"], "Q")
-    white = np.einsum("nha,nhkij,nkb->naibj", Wh, A, Wh).reshape(
-        N, d * m, d * m)
+    A = _entries_first(A)
+    white = ((Wh[:, None, :, None, None, None] * A[:, :, None, :, None])
+             * Wh[None, :, None, None, :, None]).sum((0, 1))
+    white = white.reshape(d * m, d * m, N)
 
-    sym = 0.5 * white + 0.5 * np.swapaxes(white, -1, -2)
+    sym = np.moveaxis(0.5 * white + 0.5 * np.swapaxes(white, 0, 1), -1, 0)
     evals = (symmetric_eigh(sym).eigenvalues if d * m <= 2
              else np.linalg.eigvalsh(sym))
     scale = np.maximum(1.0, np.abs(evals).max())
@@ -214,7 +228,7 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
         raise HypothesisViolation(
             f"Re second-order coupling negative at node {where} "
             f"(eigenvalue {evals[idx, 0]:.3e})")
-    return _max_sv(_entries_first(white))
+    return _max_sv(white)
 
 
 # node-gamma entries the gamma sweep evaluates at once
@@ -228,6 +242,31 @@ SWEEP_FLOOR = 1e-140
 # the relative margin for rounding with which a node-gamma's bound must reach
 # the block's lower bound for the node-gamma to be evaluated exactly
 PRUNE_MARGIN = 1e-9
+
+
+def _rotated_blocks(fields: dict) -> dict:
+    """The present blocks of B, C and W, entries-first and rotated into the
+    eigenbasis U of V_S: the block columns (d m, m, N) of B and C, whitened
+    by Q^{-1/2} (x) I_m, Y[(a, i), j] = sum_k (sum_h Wq[h, a] X[h, i, k])
+    U[k, j], and U^T W U (m, m, N).  An overflowed entry meets 0 in the
+    rotation as NaN, which marks the block's node as not finite."""
+    X = {name: _entries_first(fields[name].values) for name in "BCW"
+         if np.any(fields[name].values)}
+    if not X:
+        return {}
+    U = _entries_first(fields["V"].spectrum.eigenvectors)
+    blocks = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if "B" in X or "C" in X:
+            Wq = _eigen_whitener(fields["Q"], "Q")
+        for name in ("B", "C"):
+            if name in X:
+                E = (Wq[:, :, None, None] * X[name][:, None]).sum(0)
+                Y = (E[:, :, :, None] * U).sum(2)
+                blocks[name] = Y.reshape(-1, *Y.shape[2:])  # rows (a, i)
+        if "W" in X:
+            blocks["W"] = _congruence(U, X["W"])
+    return blocks
 
 
 # a block entry or top singular value beyond the float range gives inf; so
@@ -265,33 +304,16 @@ def estimate_gamma_constants(fields: dict, mode: EstimateMode) -> tuple:
     L sqrt(w0) <= c (1 + ``PRUNE_MARGIN``) (L w0 for W), and reads each
     constant bit for bit as a sweep over every node-gamma would.
     """
-    B = fields["B"].values  # (N, d, m, m)
-    N, d, m, _ = B.shape
-    Wmat = fields["W"].values
-    drifts = {name: X for name, X in (("B", B), ("C", fields["C"].values))
-              if np.any(X)}
-    if not (drifts or np.any(Wmat)):
+    blocks = _rotated_blocks(fields)
+    if not blocks:
         return 0.0, 0.0, 0.0
-
-    lam, U = fields["V"].spectrum
-    blocks = {}  # name -> entries-first block, rotated by U
-    if drifts:
-        # the block columns of B and C, whitened by Q^{-1/2} (x) I_m
-        Wq = _eigen_whitener(fields["Q"], "Q")
-    # an overflowed entry meets 0 in the rotation as NaN, which marks the
-    # block's node as not finite
-    with np.errstate(invalid="ignore"):
-        for name, X in drifts.items():
-            blocks[name] = _entries_first(
-                (np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
-                    N, d * m, m))
-        if np.any(Wmat):
-            blocks["W"] = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
     grams = {name: _node_grams(Y, name == "W") for name, Y in blocks.items()}
 
     kappa = {name: np.inf if bad.any() else 0.0
              for name, (_, _, bad) in grams.items()}
-    lam = _entries_first(lam)  # (m, N), ascending down the rows
+    N = fields["V"].domain.node_count
+    # (m, N), ascending down the rows
+    lam = _entries_first(fields["V"].spectrum.eigenvalues)
     gammas = mode.gamma_candidates()
     R = mode.weight(gammas)
     step = max(1, SWEEP_CHUNK // N)

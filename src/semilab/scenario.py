@@ -213,6 +213,9 @@ def parse_scenario(path, name: str | None = None) -> Scenario:
     _check_keys(cfg, "hypotheses", ("mode", *params), where)
 
     seed = _get(cfg, "run", "seed", where, int, required=True)
+    if seed < 0:
+        raise ScenarioError(
+            f"{where}: [run] seed must be non-negative, got {seed}")
     n_samples = _get(cfg, "run", "samples", where, int, 20)
     if n_samples < 1:
         raise ScenarioError(

@@ -1,5 +1,6 @@
 """Structural-constant extraction: closed scalar reductions and probe checks."""
 
+import ast
 import dataclasses
 import warnings
 
@@ -29,6 +30,7 @@ from semilab.hypotheses import (
     _max_sv,
     _node_grams,
     _require_pd,
+    _rotated_blocks,
     check_all,
     estimate_c0,
     estimate_gamma_constants,
@@ -351,19 +353,27 @@ class TestSharedGammaSweep:
                                      fixed_gamma(1.0, -10.0))
 
 
+def product_blocks(fields):
+    """The rotated B, C and W blocks of ``_rotated_blocks``, absent ones as
+    zeros, by stacked matrix products on node-first arrays: the whitened
+    block columns einsum("nha,nhij->naij", Wq, X) @ U, and U^T W U."""
+    N, d, m, _ = fields["B"].values.shape
+    U = fields["V"].spectrum.eigenvectors
+    Wq = np.moveaxis(_eigen_whitener(fields["Q"], "Q"), -1, 0)
+    blocks = {name: _entries_first(
+        (np.einsum("nha,nhij->naij", Wq, fields[name].values)
+         @ U[:, None]).reshape(N, d * m, m)) for name in "BC"}
+    blocks["W"] = _entries_first(
+        np.swapaxes(U, -1, -2) @ fields["W"].values @ U)
+    return blocks
+
+
 def max_sv_sweep(fields, mode):
     """(kappa_B, kappa_C, kappa_W) one gamma at a time: the top singular
     value of each block scaled by s = (gamma lam + R)^{-1/2}, by ``_max_sv``
-    on the entries-first node matrices."""
-    B, C, Wmat = fields["B"].values, fields["C"].values, fields["W"].values
-    N, d, m, _ = B.shape
-    lam, U = fields["V"].spectrum
-    Wq = _eigen_whitener(fields["Q"], "Q")
-    YB, YC = (_entries_first((np.einsum("nha,nhij->naij", Wq, X)
-                              @ U[:, None]).reshape(N, d * m, m))
-              for X in (B, C))
-    Z = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
-    lam = _entries_first(lam)
+    on the entries-first node matrices of ``product_blocks``."""
+    YB, YC, Z = product_blocks(fields).values()
+    lam = _entries_first(fields["V"].spectrum.eigenvalues)
     kB = kC = kW = 0.0
     for gamma in mode.gamma_candidates():
         w = gamma * lam + mode.weight(gamma)
@@ -379,28 +389,16 @@ def max_sv_sweep(fields, mode):
 
 def whole_grid_sweep(fields, mode):
     """(kappa_B, kappa_C, kappa_W) by the Gram-form sweep over every
-    node-gamma, chunk by chunk, with no bound pruning any of them."""
-    B, Wmat = fields["B"].values, fields["W"].values
-    N, d, m, _ = B.shape
-    drifts = {name: X for name, X in (("B", B), ("C", fields["C"].values))
-              if np.any(X)}
-    if not (drifts or np.any(Wmat)):
+    node-gamma, chunk by chunk, with no bound pruning any of them, on the
+    blocks ``estimate_gamma_constants`` builds (``_rotated_blocks``)."""
+    blocks = _rotated_blocks(fields)
+    if not blocks:
         return 0.0, 0.0, 0.0
-    lam, U = fields["V"].spectrum
-    blocks = {}
-    if drifts:
-        Wq = _eigen_whitener(fields["Q"], "Q")
-    with np.errstate(invalid="ignore"):
-        for name, X in drifts.items():
-            blocks[name] = _entries_first(
-                (np.einsum("nha,nhij->naij", Wq, X) @ U[:, None]).reshape(
-                    N, d * m, m))
-        if np.any(Wmat):
-            blocks["W"] = _entries_first(np.swapaxes(U, -1, -2) @ Wmat @ U)
+    N = fields["V"].domain.node_count
     grams = {name: _node_grams(Y, name == "W") for name, Y in blocks.items()}
     kappa = {name: np.inf if bad.any() else 0.0
              for name, (_, _, bad) in grams.items()}
-    lam = _entries_first(lam)[:, None]
+    lam = _entries_first(fields["V"].spectrum.eigenvalues)[:, None]
     gammas = mode.gamma_candidates()
     R = mode.weight(gammas)
     step = max(1, hypotheses.SWEEP_CHUNK // N)
@@ -456,6 +454,33 @@ def random_system(d, m, seed):
 
 SWEEP_MODES = [fixed_gamma(0.7, 1.5), refined(a=0.25), refined(a=0.45, b=0.2),
                kernel_mode(beta=1.0, c=2.0)]
+
+
+class TestRotatedBlocks:
+    """``_rotated_blocks`` against the stacked matrix products it replaces.
+    Those may fuse a multiply and an add where the broadcast sums do not."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_within_four_ulps_of_matrix_products(self, d, m):
+        # ulps of each node's largest |entry|, the scale _max_sv reads
+        grid = BoxDomain((0.0,) * d, (1.0,) * d, (5,) * d)
+        for seed in range(3):
+            fields = sample(random_system(d, m, seed), grid)
+            got, want = _rotated_blocks(fields), product_blocks(fields)
+            assert list(got) == ["B", "C", "W"]
+            for name, Y in got.items():
+                ulp = np.spacing(np.abs(want[name]).max(axis=(0, 1)))
+                assert (np.abs(Y - want[name]) <= 4 * ulp).all(), name
+
+    @pytest.mark.parametrize("key", gallery_names())
+    def test_gallery_bit_for_bit(self, key):
+        scn = gallery_scenario(key)
+        fields = sample(scn.system, scn.grid)
+        got, want = _rotated_blocks(fields), product_blocks(fields)
+        assert list(got) == [name for name in "BCW" if np.any(want[name])]
+        for name, Y in got.items():
+            assert Y.tobytes() == want[name].tobytes(), name
 
 
 class TestGramSweep:
@@ -578,6 +603,36 @@ def test_no_eigvalsh_for_two_columns(key, monkeypatch):
             raise AssertionError(f"{_name} called")
         monkeypatch.setattr(np.linalg, name, refuse)
     assert check_all(fields, mode=scn.mode).all_pass
+
+
+def matrix_products(tree: ast.AST) -> list:
+    """Lines of ``tree`` that use the @ operator or call einsum or matmul."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            hit = name in ("einsum", "matmul")
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_constants_use_no_matrix_products():
+    # every per-node product is a broadcast sum over entries-first arrays,
+    # which fuses no multiply and add and stays on the node axis
+    with open(hypotheses.__file__) as fh:
+        assert matrix_products(ast.parse(fh.read())) == []
+
+
+def test_detector_sees_matrix_products():
+    src = ("a @ b\na @= b\nnp.einsum('ij->i', a)\neinsum('i', a)\n"
+           "np.matmul(a, b)\na * b\nnp.sum(a)\n")
+    assert matrix_products(ast.parse(src)) == [1, 2, 3, 4, 5]
 
 
 class TestCheckAll:

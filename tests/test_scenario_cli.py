@@ -216,10 +216,14 @@ class TestParsing:
             parse_scenario(write(tmp_path, text))
 
     def test_zero_samples_rejected(self, tmp_path):
-        path = write(tmp_path, MINIMAL.replace("samples = 3", "samples = 0"))
-        with pytest.raises(ScenarioError,
-                           match=re.escape(f"{path}: [run] samples must be at least 1")):
-            parse_scenario(path)
+        # and a negative seed, which numpy's generators reject unnamed
+        for old, new, message in (
+                ("samples = 3", "samples = 0", "samples must be at least 1"),
+                ("seed = 7", "seed = -5", "seed must be non-negative, got -5")):
+            path = write(tmp_path, MINIMAL.replace(old, new))
+            with pytest.raises(ScenarioError,
+                               match=re.escape(f"{path}: [run] {message}")):
+                parse_scenario(path)
 
 
 class TestRoundtrip:
@@ -1100,11 +1104,19 @@ class TestCli:
 
     @pytest.mark.parametrize("sub", ["evolve", "nittka"])
     def test_zero_samples_is_config_error(self, sub, tmp_path, capsys):
-        path = write(tmp_path, MINIMAL.replace("samples = 3", "samples = 0"))
-        assert main([sub, "--scenario", path,
-                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {path}: [run] samples must be at least 1, got 0"]
+        # and a negative seed, in the file or on the command line
+        for old, new, extra, message in (
+                ("samples = 3", "samples = 0", [],
+                 "{path}: [run] samples must be at least 1, got 0"),
+                ("seed = 7", "seed = -5", [],
+                 "{path}: [run] seed must be non-negative, got -5"),
+                ("", "", ["--seed", "-1"],
+                 "--seed must be non-negative, got -1")):
+            path = write(tmp_path, MINIMAL.replace(old, new))
+            assert main([sub, "--scenario", path, *extra,
+                         "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err.splitlines() == [
+                "error: " + message.format(path=path)]
 
     @pytest.mark.parametrize("old, new", [
         ("samples = 3", "sample = 3"),
