@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -75,12 +76,29 @@ def _write_csv(path: str, header: list, rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _rows(block: np.ndarray):
-    """The rows of a 2-D array as lists of Python numbers, which the CSV
-    writer formats faster than numpy scalars; 256 rows at a time, so that
-    no list of the whole block is held."""
-    for k in range(0, len(block), 256):
-        yield from block[k:k + 256].tolist()
+# rows of a node CSV formatted at once, so that no list of the whole file is
+# held
+CSV_CHUNK = 256
+
+
+def _write_node_csv(path: str, grid, header: list, nodes: np.ndarray,
+                    columns: list) -> None:
+    """A CSV with one row per entry of ``nodes``: that interior node's
+    coordinates, then one field of each of ``columns``, a string repeated on
+    every row or an array with one value per row.  Each value is written as
+    ``_write_csv`` writes it, repr of a float or int, with the same bytes; an
+    axis value is formatted once, not once per node."""
+    axes = [[repr(x) for x in grid.axis_nodes(k).tolist()]
+            for k in range(grid.d)]
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\r\n")
+    for k in range(0, len(nodes), CSV_CHUNK):
+        at = np.unravel_index(nodes[k:k + CSV_CHUNK], grid.interior_shape)
+        fields = [map(text.__getitem__, i.tolist()) for text, i in zip(axes, at)]
+        fields += [itertools.repeat(c) if isinstance(c, str)
+                   else map(repr, c[k:k + CSV_CHUNK].tolist()) for c in columns]
+        buf.write("".join([",".join(row) + "\r\n" for row in zip(*fields)]))
+    _atomic_write(path, buf.getvalue())
 
 
 def _axes(grid) -> list:
@@ -290,26 +308,21 @@ def _kernel_section(run: Run) -> dict:
     # one row per kernel entry (n, i, j)
     n, i, j = np.indices(values.shape).reshape(3, -1)
     v = values.reshape(-1)
-    floats = [scn.grid.node_coords()[n], v, dist[n]]
-    blank = ["", ""]  # the bound and margin columns of an undefined bound
-    if rhs is not None:
-        floats, blank = floats + [rhs[n], rhs[n] - np.abs(v)], []
-    d = scn.grid.d
-    _write_csv(os.path.join(run.out_dir, "kernel.csv"),
-               _axes(scn.grid) + ["source", "i", "j", "value", "distance",
-                                  "bound", "margin"],
-               (x[:d] + [center] + ij + x[d:] + blank
-                for x, ij in zip(_rows(np.column_stack(floats)),
-                                 _rows(np.column_stack([i, j])))))
+    # the bound and margin columns are blank where the bound is undefined
+    bound = ["", ""] if rhs is None else [rhs[n], rhs[n] - np.abs(v)]
+    _write_node_csv(os.path.join(run.out_dir, "kernel.csv"), scn.grid,
+                    _axes(scn.grid) + ["source", "i", "j", "value",
+                                       "distance", "bound", "margin"],
+                    n, [str(center), i, j, v, dist[n]] + bound)
     return out
 
 
 def _distance_section(run: Run) -> dict:
     center, field, dist = run.geometry
     grid = run.scn.grid
-    _write_csv(os.path.join(run.out_dir, "distance.csv"),
-               _axes(grid) + ["distance"],
-               _rows(np.column_stack([grid.node_coords(), dist])))
+    _write_node_csv(os.path.join(run.out_dir, "distance.csv"), grid,
+                    _axes(grid) + ["distance"], np.arange(grid.node_count),
+                    [dist])
     q0, q1, equivalent = euclid_equivalence_check(field)
     return {
         "source": center,

@@ -139,19 +139,11 @@ _EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
 _UNSCALED = (2.0 ** -405, 2.0 ** 485)
 
 
-def _eigh_2x2(mats: np.ndarray) -> tuple:
-    """(eigenvalues, eigenvectors) of symmetric (n, 2, 2) blocks with the
-    steps LAPACK takes in ``np.linalg.eigh`` (dsyevd: the tridiagonal form is
-    the block itself, then dsteqr), so with its bits: dsteqr's two tests
-    for a negligible off-diagonal, dlaev2's eigenvalues and rotation, the
-    rotation applied to the identity as dlasr does, and the ascending
-    selection sort.  The blocks must not need rescaling (``_UNSCALED``)."""
-    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
-    aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
-    # the split tests: the first, then that of QL (or QR, if |c| < |a|)
-    split = ab <= (np.sqrt(aa) * np.sqrt(ac)) * _EPS
-    split |= ab * ab <= np.where(ac < aa, (_EPS ** 2 * ac) * aa,
-                                 (_EPS ** 2 * aa) * ac) + _SAFMIN
+def _dlaev2_rotated(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """(eigenvalues, eigenvectors) of symmetric 2 x 2 blocks [[a, b], [b, c]]
+    that dsteqr does not split: dlaev2's eigenvalues and rotation, the
+    rotation applied to the identity as dlasr does, and the sort."""
+    aa, ac = np.abs(a), np.abs(c)
     # dlaev2, its three branches for rt taken as one (rt = 0 if adf = atb = 0)
     sm, df, tb = a + c, a - c, b + b
     adf, atb = np.abs(df), np.abs(tb)
@@ -175,18 +167,44 @@ def _eigh_2x2(mats: np.ndarray) -> tuple:
         sn1 = np.where(far, sn_ct, np.where(atb == 0, 0.0, tn * cs_tn))
     turn = neg != up  # the signs of rt1 and of cs agree
     cs1, sn1 = np.where(turn, -sn1, cs1), np.where(turn, cs1, sn1)
-    cs1[split], sn1[split] = 1.0, 0.0
-    d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
     # the identity rotated as dlasr does it, signs of zero included, and its
     # columns swapped where the sort swaps the eigenvalues
     col1 = (sn1 * 0.0 + cs1, sn1 + cs1 * 0.0)
     col2 = (cs1 * 0.0 - sn1, cs1 - sn1 * 0.0)
-    swap = d2 < d1
-    w, Z = np.empty(mats.shape[:-1]), np.empty(mats.shape)
-    w[:, 0], w[:, 1] = np.where(swap, d2, d1), np.where(swap, d1, d2)
+    swap = rt2 < rt1
+    w, Z = np.empty(a.shape + (2,)), np.empty(a.shape + (2, 2))
+    w[:, 0], w[:, 1] = np.where(swap, rt2, rt1), np.where(swap, rt1, rt2)
     for i in range(2):
         Z[:, i, 0] = np.where(swap, col2[i], col1[i])
         Z[:, i, 1] = np.where(swap, col1[i], col2[i])
+    return w, Z
+
+
+def _eigh_2x2(mats: np.ndarray) -> tuple:
+    """(eigenvalues, eigenvectors) of symmetric (n, 2, 2) blocks with the
+    steps LAPACK takes in ``np.linalg.eigh`` (dsyevd: the tridiagonal form is
+    the block itself, then dsteqr), so with its bits.  dsteqr's two tests for
+    a negligible off-diagonal come first: a block they split is its diagonal,
+    sorted, with the identity's columns, in order or swapped.  Only the other
+    blocks go through ``_dlaev2_rotated``: the whole stack when none split,
+    none when all do.  The blocks must not need rescaling (``_UNSCALED``)."""
+    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
+    # the split tests: the first, then that of QL (or QR, if |c| < |a|)
+    split = ab <= (np.sqrt(aa) * np.sqrt(ac)) * _EPS
+    split |= ab * ab <= np.where(ac < aa, (_EPS ** 2 * ac) * aa,
+                                 (_EPS ** 2 * aa) * ac) + _SAFMIN
+    if not split.any():
+        return _dlaev2_rotated(a, b, c)
+    swap = c < a
+    w, Z = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+    w[:, 0], w[:, 1] = np.where(swap, c, a), np.where(swap, a, c)
+    # the identity, its columns swapped where the sort swaps the diagonal
+    Z[:, 0, 1] = Z[:, 1, 0] = swap
+    Z[:, 0, 0] = Z[:, 1, 1] = ~swap
+    if not split.all():
+        rest = np.flatnonzero(~split)
+        w[rest], Z[rest] = _dlaev2_rotated(a[rest], b[rest], c[rest])
     return w, Z
 
 
@@ -201,7 +219,10 @@ def symmetric_eigh(mats: np.ndarray) -> EighResult:
         return EighResult(mats[:, 0].copy(), np.ones_like(mats))
     if k > 2:
         return np.linalg.eigh(mats)
-    amax = np.abs(mats).max(axis=(1, 2))
+    # entry by entry: a reduction over the two short trailing axes is slow
+    amax = np.abs(mats[:, 0, 0])
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        np.maximum(amax, np.abs(mats[:, i, j]), out=amax)
     fast = (amax >= _UNSCALED[0]) & (amax <= _UNSCALED[1])
     if fast.all():
         return EighResult(*_eigh_2x2(mats))
@@ -309,7 +330,8 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
 
     Returns a dict of SampledField keyed by block name.  Q is symmetrized as
     Q/2 + Q^T/2 across the h,k indices, which cannot overflow.  Absent blocks
-    sample to zeros.
+    are read-only zero views: 0.0 broadcast to the block's shape, which
+    allocates no node array.
     """
     if grid.d != system.d:
         raise ValueError(f"grid dimension {grid.d} != system dimension {system.d}")
@@ -319,8 +341,11 @@ def sample(system: CoefficientSystem, grid: BoxDomain) -> dict:
     # _eval_on_nodes, or by SampledField, not announced by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for name in BLOCKS:
-            vals = np.zeros((coords.shape[0],)
-                            + block_shape(name, system.d, system.m))
+            shape = (coords.shape[0],) + block_shape(name, system.d, system.m)
+            if getattr(system, name) is None:
+                fields[name] = SampledField(grid, np.broadcast_to(0.0, shape))
+                continue
+            vals = np.zeros(shape)
             for index, e in system.entries(name):
                 vals[(slice(None),) + index] = _eval_on_nodes(e, coords)
             if name == "Q":

@@ -8,11 +8,15 @@ randomized probing is used only as a cross-check in the tests.  Whitening is
 a rotation into the eigenbases of Q and V_S (the fields' cached spectra, in
 closed form for 1 x 1 and 2 x 2 blocks), then only a scaling.  From the
 spectra on, every node matrix is entries-first, (rows, columns, nodes), and
-every per-node product a broadcast sum over contiguous node arrays; those
-fuse no multiply and add as a BLAS product may, so where V_S's eigenvectors
-are not exact a constant may differ from the matrix-product form in its last
-bits.  The constants maximized over a grid of gammas evaluate exactly only
-the node-gammas whose gamma-free upper bound reaches a lower bound on the
+every per-node product a sum of products of node arrays (``_dot``), taken
+in place row by row of the node matrices, so that no temporary outgrows its
+result; those fuse no multiply and add as a BLAS product may, so where V_S's
+eigenvectors are not exact a constant may differ from the matrix-product
+form in its last bits.  Work a node block does not need is skipped: a
+symmetric V has c0 = 0, and a coupling whose symmetric part Gershgorin's
+bound certifies takes no eigenvalues for its nonnegativity check.  The
+constants maximized over a grid of gammas evaluate exactly only the
+node-gammas whose gamma-free upper bound reaches a lower bound on the
 maximum.
 """
 
@@ -129,11 +133,27 @@ def _eigen_whitener(field: SampledField, what: str) -> np.ndarray:
     return _entries_first(U) * _entries_first(lam) ** -0.5
 
 
+def _dot(pairs, out: np.ndarray) -> np.ndarray:
+    """out = the sum of x * y over ``pairs``, in place: from +0.0 and left to
+    right, as numpy sums a leading axis (so a sum of negative zeros is
+    +0.0).  Summed row by row of the node matrices, the products of the
+    constants layer make no temporary larger than ``out``."""
+    out.fill(0.0)
+    tmp = np.empty(out.shape)
+    for x, y in pairs:
+        out += np.multiply(x, y, out=tmp)
+    return out
+
+
 def _congruence(P: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """P^T X P for entries-first (k, k, N) P and X, as two broadcast sums:
-    (P^T X)[a, j] = sum_i P[i, a] X[i, j], then sum_j (P^T X)[a, j] P[j, b]."""
-    T = (P[:, :, None] * X[:, None]).sum(0)
-    return (T[:, :, None] * P).sum(1)
+    """P^T X P for entries-first (k, k, N) P and X, row by row:
+    (P^T X)[a] = sum_i P[i, a] X[i], then sum_j (P^T X)[a, j] P[j]."""
+    k = len(P)
+    out, T = np.empty(X.shape), np.empty(X.shape[1:])
+    for a in range(k):
+        _dot(((P[i, a], X[i]) for i in range(k)), T)
+        _dot(((T[j], P[j]) for j in range(k)), out[a])
+    return out
 
 
 def _node_grams(Y: np.ndarray, rows: bool) -> tuple:
@@ -194,16 +214,26 @@ def _max_sv(mats: np.ndarray) -> np.ndarray:
 def estimate_c0(Vfield: SampledField) -> np.ndarray:
     """Per-node smallest c0 with |Im(V xi, xi)| <= c0 Re(V xi, xi) for all
     complex xi: the largest singular value of the V_S-whitened antisymmetric
-    part of V.
+    part of V, so 0 for a symmetric V (once V_S is positive definite).
     """
-    V = _entries_first(Vfield.values)
-    VA = 0.5 * V - 0.5 * np.swapaxes(V, 0, 1)  # by halves: cannot overflow
+    V = Vfield.values
+    N, m, _ = V.shape
+    # entries-first, by halves (which cannot overflow), 0 on the diagonal
+    VA = np.zeros((m, m, N))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                VA[i, j] = 0.5 * V[:, i, j] - 0.5 * V[:, j, i]
+    if not VA.any():  # c0 = 0, once V_S is positive definite
+        _require_pd(Vfield.spectrum.eigenvalues, "V_S", Vfield.domain)
+        return np.zeros(N)
     return _max_sv(_congruence(_eigen_whitener(Vfield, "V_S"), VA))
 
 
 def estimate_kappa_A(fields: dict) -> np.ndarray:
     """Per-node smallest kappa bounding the second-order coupling against the
-    diffusion quadratic form, plus the nonnegativity check of its real part."""
+    diffusion quadratic form, plus the nonnegativity check of its real part:
+    its eigenvalues, unless ``_certified`` shows that none is negative."""
     A = fields["A"].values  # (N, d, d, m, m)
     N, d, _, m, _ = A.shape
     if not np.any(A):
@@ -214,21 +244,46 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     # the sum over (h, k) of Wh[h, a] A[h, k, i, j] Wh[k, b]
     Wh = _eigen_whitener(fields["Q"], "Q")
     A = _entries_first(A)
-    white = ((Wh[:, None, :, None, None, None] * A[:, :, None, :, None])
-             * Wh[None, :, None, None, :, None]).sum((0, 1))
+    white = np.empty((d, m, d, m, N))
+    for a in range(d):
+        for b in range(d):
+            _dot(((Wh[h, a] * A[h, k], Wh[k, b])
+                  for h in range(d) for k in range(d)), white[a, :, b])
     white = white.reshape(d * m, d * m, N)
 
-    sym = np.moveaxis(0.5 * white + 0.5 * np.swapaxes(white, 0, 1), -1, 0)
-    evals = (symmetric_eigh(sym).eigenvalues if d * m <= 2
-             else np.linalg.eigvalsh(sym))
-    scale = np.maximum(1.0, np.abs(evals).max())
-    if np.any(evals[:, 0] < -1e-12 * scale):
-        idx = int(np.argmin(evals[:, 0]))
-        where = fields["A"].domain.node(idx)
-        raise HypothesisViolation(
-            f"Re second-order coupling negative at node {where} "
-            f"(eigenvalue {evals[idx, 0]:.3e})")
+    if not _certified(white):
+        sym = 0.5 * white + 0.5 * np.swapaxes(white, 0, 1)
+        sym = np.moveaxis(sym, -1, 0)
+        evals = (symmetric_eigh(sym).eigenvalues if d * m <= 2
+                 else np.linalg.eigvalsh(sym))
+        scale = np.maximum(1.0, np.abs(evals).max())
+        if np.any(evals[:, 0] < -1e-12 * scale):
+            idx = int(np.argmin(evals[:, 0]))
+            where = fields["A"].domain.node(idx)
+            raise HypothesisViolation(
+                f"Re second-order coupling negative at node {where} "
+                f"(eigenvalue {evals[idx, 0]:.3e})")
     return _max_sv(white)
+
+
+def _certified(M: np.ndarray) -> bool:
+    """Whether the symmetric part S = M/2 + M^T/2 of every entries-first
+    (k, k, N) node matrix M has Gershgorin's lower bound
+    min_i (S_ii - sum_{j != i} |S_ij|) >= 0, so no eigenvalue below 0.  Its
+    smallest computed eigenvalue is then at worst a few ulps of its largest
+    |eigenvalue| below 0, far above the -1e-12 that ``estimate_kappa_A``
+    rejects.  The entries of S are formed one at a time as the full S forms
+    them; a bound that is not finite is False."""
+    k = len(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            bound = 0.5 * M[i, i] + 0.5 * M[i, i]
+            for j in range(k):
+                if j != i:
+                    bound -= np.abs(0.5 * M[i, j] + 0.5 * M[j, i])
+            if not (bound >= 0).all():
+                return False
+    return True
 
 
 # node-gamma entries the gamma sweep evaluates at once
@@ -250,22 +305,28 @@ def _rotated_blocks(fields: dict) -> dict:
     by Q^{-1/2} (x) I_m, Y[(a, i), j] = sum_k (sum_h Wq[h, a] X[h, i, k])
     U[k, j], and U^T W U (m, m, N).  An overflowed entry meets 0 in the
     rotation as NaN, which marks the block's node as not finite."""
-    X = {name: _entries_first(fields[name].values) for name in "BCW"
-         if np.any(fields[name].values)}
-    if not X:
+    present = [name for name in "BCW" if np.any(fields[name].values)]
+    if not present:
         return {}
     U = _entries_first(fields["V"].spectrum.eigenvectors)
     blocks = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        if "B" in X or "C" in X:
+        if "B" in present or "C" in present:
             Wq = _eigen_whitener(fields["Q"], "Q")
-        for name in ("B", "C"):
-            if name in X:
-                E = (Wq[:, :, None, None] * X[name][:, None]).sum(0)
-                Y = (E[:, :, :, None] * U).sum(2)
-                blocks[name] = Y.reshape(-1, *Y.shape[2:])  # rows (a, i)
-        if "W" in X:
-            blocks["W"] = _congruence(U, X["W"])
+        for name in present:
+            # an entries-first view: each product reads the node values in
+            # place, with no copy of the block
+            X = np.moveaxis(fields[name].values, 0, -1)
+            if name == "W":
+                blocks["W"] = _congruence(U, X)
+                continue
+            d, m, _, N = X.shape
+            Y, E = np.empty(X.shape), np.empty((m, N))
+            for a in range(d):
+                for i in range(m):
+                    _dot(((Wq[h, a], X[h, i]) for h in range(d)), E)
+                    _dot(((E[k], U[k]) for k in range(m)), Y[a, i])
+            blocks[name] = Y.reshape(d * m, m, N)  # rows (a, i)
     return blocks
 
 

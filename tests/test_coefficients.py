@@ -75,6 +75,22 @@ class TestSampling:
         assert not np.any(fields["B"].values)
         assert not np.any(fields["W"].values)
 
+    def test_absent_blocks_are_read_only_zero_views(self):
+        system = CoefficientSystem(
+            d=2, m=2, Q=expr_matrix([["1", "0"], ["0", "1"]]),
+            V=expr_matrix([["1", "0"], ["0", "1"]]),
+            B=expr_matrix([[["1", "0"], ["0", "1"]]] * 2))
+        fields = sample(system, BoxDomain((0.0, 0.0), (1.0, 1.0), (4, 4)))
+        assert fields["B"].values.flags.writeable
+        for name, shape in [("A", (9, 2, 2, 2, 2)), ("C", (9, 2, 2, 2)),
+                            ("W", (9, 2, 2))]:
+            vals = fields[name].values
+            assert vals.shape == shape
+            assert vals.strides == (0,) * vals.ndim
+            assert not vals.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                vals[0] = 1.0
+
     def test_misshaped_block_rejected_at_construction(self):
         # a 1 x 1 B in an m = 2 system would otherwise broadcast to all ones
         with pytest.raises(ValueError, match="B must be d x m x m"):
@@ -204,6 +220,58 @@ class TestSymmetricEigh:
         # reads a small eigenvalue of about -b^2 / c where eigh reads 0
         if kind != "zero-diagonal":
             assert w.tobytes() == np.linalg.eigvalsh(mats).tobytes()
+
+    @pytest.mark.parametrize("kind", ["split", "unsplit", "mixed"])
+    def test_split_blocks_skip_the_rotation(self, kind, monkeypatch):
+        # only the blocks dsteqr does not split go through dlaev2 and the
+        # rotation: the whole stack when none split, nothing when all do
+        rng = np.random.default_rng(7)
+        mats = symmetric(rng.standard_normal((500, 2, 2)))
+        split = {"split": np.ones(500, bool), "unsplit": np.zeros(500, bool),
+                 "mixed": rng.random(500) < 0.5}[kind]
+        mats[split, 0, 1] = mats[split, 1, 0] = 0.0
+        mats[split & (rng.random(500) < 0.5), 0, 1] = -0.0
+        seen = []
+
+        def recording(a, b, c, _orig=coefficients._dlaev2_rotated):
+            seen.append(len(a))
+            return _orig(a, b, c)
+        monkeypatch.setattr(coefficients, "_dlaev2_rotated", recording)
+        w, U = symmetric_eigh(mats)
+        assert seen == ([] if split.all() else [int((~split).sum())])
+        want_w, want_U = np.linalg.eigh(mats)
+        assert w.tobytes() == want_w.tobytes()
+        assert U.tobytes() == want_U.tobytes()
+
+    def test_split_thresholds_and_signed_zeros(self):
+        # off-diagonals at, and one ulp past, each of dsteqr's two split
+        # tests, with diagonals in and out of order and zeros of each sign
+        eps, safmin = 2.0 ** -53, 2.0 ** -1022
+        blocks = []
+        for a, c in [(1.0, 4.0), (4.0, 1.0), (-3.0, 0.5), (2.0, -7.0),
+                     (1.5, 1.5), (-2.0, -2.0), (0.75, 3.0)]:
+            first = (np.sqrt(abs(a)) * np.sqrt(abs(c))) * eps
+            second = np.sqrt(eps ** 2 * min(abs(a), abs(c)) * max(abs(a),
+                                                                  abs(c)))
+            for b in (first, second):
+                for off in (np.nextafter(b, 0), b, np.nextafter(b, np.inf),
+                            np.nextafter(np.nextafter(b, np.inf), np.inf)):
+                    blocks += [[[a, off], [off, c]], [[a, -off], [-off, c]]]
+        for c in (1.0, -1.0, 1e-100, 3e50):
+            # a zero diagonal entry: only the second test, with its safe
+            # minimum, can split
+            b = np.sqrt(safmin)
+            for off in (np.nextafter(b, 0), b, np.nextafter(b, np.inf)):
+                blocks += [[[0.0, off], [off, c]], [[c, off], [off, -0.0]]]
+        for a, c in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                     (-0.0, 1.0), (1.0, -0.0), (2.0, 1.0), (1.0, 2.0)]:
+            for b in (0.0, -0.0):
+                blocks.append([[a, b], [b, c]])
+        mats = np.array(blocks)
+        w, U = symmetric_eigh(mats)
+        want_w, want_U = np.linalg.eigh(mats)
+        assert w.tobytes() == want_w.tobytes()
+        assert U.tobytes() == want_U.tobytes()
 
     def test_one_by_one_is_its_own_eigenvalue(self):
         mats = np.random.default_rng(3).standard_normal((1000, 1, 1))

@@ -85,6 +85,19 @@ class TestC0:
             warnings.simplefilter("error", RuntimeWarning)
             assert estimate_c0(sample(system, GRID)["V"]).max() == 1e308
 
+    def test_symmetric_potential_is_not_whitened(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("whitened")
+        monkeypatch.setattr(hypotheses, "_congruence", refuse)
+        fields = sample(scalar_system(m=2, V=[["2", "0.5 * x1"],
+                                             ["0.5 * x1", "3"]]), GRID)
+        c0 = estimate_c0(fields["V"])
+        assert c0.tobytes() == np.zeros(GRID.node_count).tobytes()
+        fields = sample(scalar_system(m=2, V=[["2", "0.5"], ["0", "3"]]),
+                        GRID)
+        with pytest.raises(AssertionError, match="whitened"):
+            estimate_c0(fields["V"])
+
     def test_rejects_indefinite_symmetric_part(self):
         system = scalar_system(m=2, V=[["1", "0"], ["0", "-1"]])
         fields = sample(system, GRID)
@@ -481,6 +494,147 @@ class TestRotatedBlocks:
         assert list(got) == [name for name in "BCW" if np.any(want[name])]
         for name, Y in got.items():
             assert Y.tobytes() == want[name].tobytes(), name
+
+
+def broadcast_blocks(fields):
+    """The rotated B, C and W blocks of ``_rotated_blocks`` as one broadcast
+    sum per product, over (h, a, i, k, N) and (a, i, k, j, N) arrays."""
+    U = _entries_first(fields["V"].spectrum.eigenvectors)
+    Wq = _eigen_whitener(fields["Q"], "Q")
+    blocks = {}
+    for name in "BC":
+        X = _entries_first(fields[name].values)
+        E = (Wq[:, :, None, None] * X[:, None]).sum(0)
+        Y = (E[:, :, :, None] * U).sum(2)
+        blocks[name] = Y.reshape(-1, *Y.shape[2:])
+    W = _entries_first(fields["W"].values)
+    T = (U[:, :, None] * W[:, None]).sum(0)
+    blocks["W"] = (T[:, :, None] * U).sum(1)
+    return blocks
+
+
+def broadcast_kappa_A(fields):
+    """``estimate_kappa_A`` with the whitened coupling as one broadcast sum
+    over (h, k, a, i, b, j, N), with no nonnegativity check."""
+    A = _entries_first(fields["A"].values)
+    d, m, N = A.shape[0], A.shape[2], A.shape[-1]
+    Wh = _eigen_whitener(fields["Q"], "Q")
+    white = ((Wh[:, None, :, None, None, None] * A[:, :, None, :, None])
+             * Wh[None, :, None, None, :, None]).sum((0, 1))
+    return _max_sv(white.reshape(d * m, d * m, N))
+
+
+def coupled_system(d, m, seed, margin):
+    """``random_system`` with a constant coupling A whose (d m, d m) matrix
+    S is a signed weighted graph Laplacian plus ``margin`` I: Gershgorin's
+    lower bound and the smallest eigenvalue of S are both ``margin``, and
+    with Q = I the whitened coupling is S itself."""
+    rng = np.random.default_rng([d, m, seed, 1])
+    k = d * m
+    off = -np.abs(rng.uniform(-1, 1, (k, k)))
+    off = off + off.T
+    sign = rng.choice([-1.0, 1.0], k)
+    off *= sign[:, None] * sign
+    np.fill_diagonal(off, 0.0)
+    S = np.diag(np.abs(off).sum(1) + margin) + off
+    A = [[[[repr(float(S[h * m + i, kk * m + j])) for j in range(m)]
+           for i in range(m)] for kk in range(d)] for h in range(d)]
+    return dataclasses.replace(random_system(d, m, seed), A=expr_matrix(A))
+
+
+class TestInPlaceSums:
+    """The in-place sums of products of the constants layer against the
+    broadcast sums over 5-D and larger arrays that they replace, bit for
+    bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rotated_blocks(self, d, m):
+        grid = BoxDomain((0.0,) * d, (1.0,) * d, (5,) * d)
+        for seed in range(3):
+            fields = sample(random_system(d, m, seed), grid)
+            got, want = _rotated_blocks(fields), broadcast_blocks(fields)
+            assert list(got) == ["B", "C", "W"]
+            for name, Y in got.items():
+                assert Y.tobytes() == want[name].tobytes(), name
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        # numpy's sum starts from +0.0, so -0.0 + -0.0 reads +0.0 there too
+        system = CoefficientSystem(
+            d=1, m=2, Q=expr_matrix([["1"]]),
+            V=expr_matrix([["1", "0"], ["0", "2"]]),
+            B=(expr_matrix([["-1", "-0.0"], ["-0.0", "-1"]]),),
+            W=expr_matrix([["-1", "-0.0"], ["-0.0", "-1"]]))
+        fields = sample(system, GRID)
+        got, want = _rotated_blocks(fields), broadcast_blocks(fields)
+        for name, Y in got.items():
+            assert Y.tobytes() == want[name].tobytes(), name
+        assert not np.signbit(got["B"][0, 1]).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_kappa_A(self, d, m):
+        grid = BoxDomain((0.0,) * d, (1.0,) * d, (5,) * d)
+        for seed in range(3):
+            fields = sample(coupled_system(d, m, seed, margin=0.5), grid)
+            got = estimate_kappa_A(fields)
+            assert got.tobytes() == broadcast_kappa_A(fields).tobytes()
+
+
+def eigvalsh_verdict(fields, monkeypatch):
+    """``estimate_kappa_A``'s result, or its message, with the Gershgorin
+    certificate refused, so that every node takes the eigenvalue test."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hypotheses, "_certified", lambda M: False)
+        return kappa_A_verdict(fields)
+
+
+def kappa_A_verdict(fields):
+    try:
+        return estimate_kappa_A(fields).tobytes()
+    except HypothesisViolation as err:
+        return str(err)
+
+
+class TestGershgorinSkip:
+    """The nonnegativity test of kappa_A skips its eigenvalues only where
+    Gershgorin's bound certifies them, with the same verdict either way."""
+
+    @pytest.mark.parametrize("margin", [-1e-9, -1e-12, -1e-14, 0.0, 1e-14,
+                                        1e-9, 1.0])
+    @pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
+    def test_same_verdict_near_the_boundary(self, d, m, margin, monkeypatch):
+        # Q = I and a coupling whose smallest eigenvalue is the margin, on
+        # either side of the test's -1e-12 tolerance and of Gershgorin's 0
+        grid = BoxDomain((0.0,) * d, (1.0,) * d, (4,) * d)
+        for seed in range(4):
+            system = dataclasses.replace(
+                coupled_system(d, m, seed, margin=margin),
+                Q=expr_matrix(np.eye(d).tolist()))
+            fields = sample(system, grid)
+            assert kappa_A_verdict(fields) == eigvalsh_verdict(fields,
+                                                               monkeypatch)
+
+    def test_negative_node_is_named(self, monkeypatch):
+        # the first node whose coupling turns indefinite, as before
+        system = scalar_system(A=((expr_matrix([["0.5 - x1"]]),),))
+        fields = sample(system, GRID)
+        verdict = kappa_A_verdict(fields)
+        assert verdict == eigvalsh_verdict(fields, monkeypatch)
+        assert verdict.startswith("Re second-order coupling negative at node")
+
+    def test_certified_coupling_takes_no_eigenvalues(self, monkeypatch):
+        system = dataclasses.replace(coupled_system(2, 2, 0, margin=0.5),
+                                     Q=expr_matrix(np.eye(2).tolist()))
+        fields = sample(system, BoxDomain((0.0, 0.0), (1.0, 1.0), (5, 5)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        # the kappa_A block has 4 columns: its top singular value is the
+        # one eigvalsh left, in _top_eig, which this test takes away too
+        monkeypatch.setattr(hypotheses, "_max_sv", lambda mats: mats[0, 0])
+        estimate_kappa_A(fields)
 
 
 class TestGramSweep:

@@ -1177,6 +1177,32 @@ class TestCli:
             cli._write_csv(str(path), ["a", "b"], rows())
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("grid", [
+        BoxDomain((0.0,), (1.0,), (37,)),
+        BoxDomain((-1.0, 0.1), (1.0, 0.7), (9, 13)),
+        BoxDomain((0.0, 0.0, 1e-3), (3.0, 1.0, 2.0), (4, 5, 6))],
+        ids=["1d", "2d", "3d"])
+    def test_node_csv_bytes_match_the_csv_writer(self, grid, tmp_path,
+                                                 monkeypatch):
+        # node rows formatted from per-axis text, in several chunks, against
+        # the standard writer on the same rows of Python numbers
+        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        rng = np.random.default_rng(grid.d)
+        nodes = np.repeat(np.arange(grid.node_count), 2)
+        value = rng.standard_normal(len(nodes)) * 10.0 ** rng.integers(
+            -320, 300, len(nodes))
+        value[:5] = [-0.0, 0.0, np.inf, -np.inf, np.nan]
+        ints = np.arange(len(nodes)) % 3
+        header = [f"x{k + 1}" for k in range(grid.d)] + ["s", "i", "v", "e"]
+        cli._write_node_csv(str(tmp_path / "new.csv"), grid, header, nodes,
+                            ["17", ints, value, ""])
+        coords = grid.node_coords()[nodes].tolist()
+        cli._write_csv(str(tmp_path / "old.csv"), header,
+                       (x + [17, i, v, ""] for x, i, v in zip(
+                           coords, ints.tolist(), value.tolist())))
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
     def test_kernel_bound_computed_once(self, tmp_path, capsys, monkeypatch):
         calls = []
         original = cli.gaussian_bound_rhs
@@ -1190,14 +1216,23 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(calls) == 1
 
-    def test_kernel_grid_without_checked_node_is_config_error(self, tmp_path,
+    def test_kernel_check_keeps_central_nodes_on_coarse_grids(self, tmp_path,
                                                               capsys):
-        assert main(["all", "--scenario", "gallery:g6-flat", "--grid", "3",
-                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: no grid node lies 5 cells from "
-                                 "the boundary")
+        # a grid too coarse for 5 boundary layers keeps its central node or
+        # nodes, and refining it never excludes fewer layers
+        excluded = []
+        for n in range(3, 13):
+            out = tmp_path / str(n)
+            assert main(["kernel", "--scenario", "gallery:g6-flat", "--grid",
+                         str(n), "--out", str(out)]) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            checked = report["sections"]["kernel"]["verification"][
+                "checked_nodes"]
+            assert checked in (1, 2)
+            excluded.append((n - 1 - checked) // 2)
+        assert capsys.readouterr().err == ""
+        assert excluded == sorted(excluded)
+        assert excluded[-1] == 5
 
     @pytest.mark.parametrize("sub", ["distance", "kernel"])
     @pytest.mark.parametrize("changes, reason", [
