@@ -115,11 +115,10 @@ class SampledField:
 
     @cached_property
     def spectrum(self):
-        """Per-node ``np.linalg.eigh`` of the symmetric part (M + M^T)/2 of
+        """Per-node ``symmetric_eigh`` of the symmetric part (M + M^T)/2 of
         the trailing square matrices, formed by halves so that it cannot
-        overflow, as ``symmetric_eigh`` takes it: ascending eigenvalues and
-        orthonormal eigenvectors as columns.  Computed once and shared,
-        read-only, by every reader."""
+        overflow: ascending eigenvalues and orthonormal eigenvectors as
+        columns.  Computed once and shared, read-only, by every reader."""
         vals = self.values
         spec = symmetric_eigh(0.5 * vals + 0.5 * np.swapaxes(vals, -1, -2))
         for arr in spec:
@@ -130,106 +129,49 @@ class SampledField:
 # numpy's result type of eigh, which it does not export by name
 EighResult = type(np.linalg.eigh(np.ones((1, 1))))
 
-# LAPACK's unit roundoff and safe minimum (dlamch 'E' and 'S')
-_EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
-# the largest |entry| of a 2 x 2 block that LAPACK solves without rescaling:
-# dsyevd rescales below RMIN = sqrt(SAFMIN / (2 EPS)) = 2^-485 and above
-# RMAX = 1 / RMIN, dsteqr below SSFMIN = sqrt(SAFMIN) / EPS^2 = 2^-405 and
-# above sqrt(1 / SAFMIN) / 3 > RMAX
-_UNSCALED = (2.0 ** -405, 2.0 ** 485)
 
-
-def _dlaev2_rotated(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
-    """(eigenvalues, eigenvectors) of symmetric 2 x 2 blocks [[a, b], [b, c]]
-    that dsteqr does not split: dlaev2's eigenvalues and rotation, the
-    rotation applied to the identity as dlasr does, and the sort."""
-    aa, ac = np.abs(a), np.abs(c)
-    # dlaev2, its three branches for rt taken as one (rt = 0 if adf = atb = 0)
-    sm, df, tb = a + c, a - c, b + b
-    adf, atb = np.abs(df), np.abs(tb)
-    larger = aa > ac
-    acmx, acmn = np.where(larger, a, c), np.where(larger, c, a)
-    hi, lo = np.maximum(adf, atb), np.minimum(adf, atb)
-    # np.where evaluates the branches it discards too
+def _eigh_2x2(mats: np.ndarray) -> tuple:
+    """(eigenvalues, eigenvectors) of symmetric (n, 2, 2) blocks
+    [[a, b], [b, c]] by one Jacobi rotation (Golub & Van Loan, Algorithm
+    8.5.1): t = tan(theta) solves t^2 + 2 tau t - 1 = 0, tau = (c - a) / 2b,
+    and the eigenvalues a - t b and c + t b are sorted with their columns.
+    A diagonal block (t = 0) is its sorted diagonal, signed zeros kept, with
+    the identity's columns, in order or swapped."""
+    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    # tau is +-inf or NaN where b = 0 and may overflow where b is tiny (t = 0
+    # there); an eigenvalue beyond the float range is inf, as eigh gives it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = lo / hi
-        rt = np.where(hi > 0, hi * np.sqrt(1.0 + q * q), 0.0)
-        neg, up = sm < 0, df >= 0
-        rt1 = 0.5 * (sm + np.where(neg, -rt, rt))
-        rt2 = np.where(sm != 0, (acmx / rt1) * acmn - (b / rt1) * b, -0.5 * rt)
-        cs = df + np.where(up, rt, -rt)
-        ct = -tb / cs
-        sn_ct = 1.0 / np.sqrt(1.0 + ct * ct)
-        tn = -cs / tb
-        cs_tn = 1.0 / np.sqrt(1.0 + tn * tn)
-        far = np.abs(cs) > atb
-        cs1 = np.where(far, ct * sn_ct, np.where(atb == 0, 1.0, cs_tn))
-        sn1 = np.where(far, sn_ct, np.where(atb == 0, 0.0, tn * cs_tn))
-    turn = neg != up  # the signs of rt1 and of cs agree
-    cs1, sn1 = np.where(turn, -sn1, cs1), np.where(turn, cs1, sn1)
-    # the identity rotated as dlasr does it, signs of zero included, and its
-    # columns swapped where the sort swaps the eigenvalues
-    col1 = (sn1 * 0.0 + cs1, sn1 + cs1 * 0.0)
-    col2 = (cs1 * 0.0 - sn1, cs1 - sn1 * 0.0)
-    swap = rt2 < rt1
-    w, Z = np.empty(a.shape + (2,)), np.empty(a.shape + (2, 2))
-    w[:, 0], w[:, 1] = np.where(swap, rt2, rt1), np.where(swap, rt1, rt2)
+        tau = (0.5 * c - 0.5 * a) / b
+        t = np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau)
+        t[b == 0] = 0.0
+        cs = 1.0 / np.hypot(1.0, t)
+        sn = t * cs
+        tb = t * b
+        # x - (+0.0) is x for either zero x, so a zero t b moves neither
+        # eigenvalue's sign, and 0.0 - sn is -sn with no -0.0 in the identity
+        w1, w2 = a - (tb + 0.0), c - (0.0 - tb)
+    swap = w2 < w1
+    w, Z = np.empty(mats.shape[:-1]), np.empty(mats.shape)
+    w[:, 0], w[:, 1] = np.where(swap, w2, w1), np.where(swap, w1, w2)
+    col1, col2 = (cs, 0.0 - sn), (sn, cs)
     for i in range(2):
         Z[:, i, 0] = np.where(swap, col2[i], col1[i])
         Z[:, i, 1] = np.where(swap, col1[i], col2[i])
     return w, Z
 
 
-def _eigh_2x2(mats: np.ndarray) -> tuple:
-    """(eigenvalues, eigenvectors) of symmetric (n, 2, 2) blocks with the
-    steps LAPACK takes in ``np.linalg.eigh`` (dsyevd: the tridiagonal form is
-    the block itself, then dsteqr), so with its bits.  dsteqr's two tests for
-    a negligible off-diagonal come first: a block they split is its diagonal,
-    sorted, with the identity's columns, in order or swapped.  Only the other
-    blocks go through ``_dlaev2_rotated``: the whole stack when none split,
-    none when all do.  The blocks must not need rescaling (``_UNSCALED``)."""
-    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
-    aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
-    # the split tests: the first, then that of QL (or QR, if |c| < |a|)
-    split = ab <= (np.sqrt(aa) * np.sqrt(ac)) * _EPS
-    split |= ab * ab <= np.where(ac < aa, (_EPS ** 2 * ac) * aa,
-                                 (_EPS ** 2 * aa) * ac) + _SAFMIN
-    if not split.any():
-        return _dlaev2_rotated(a, b, c)
-    swap = c < a
-    w, Z = np.empty(mats.shape[:-1]), np.empty(mats.shape)
-    w[:, 0], w[:, 1] = np.where(swap, c, a), np.where(swap, a, c)
-    # the identity, its columns swapped where the sort swaps the diagonal
-    Z[:, 0, 1] = Z[:, 1, 0] = swap
-    Z[:, 0, 0] = Z[:, 1, 1] = ~swap
-    if not split.all():
-        rest = np.flatnonzero(~split)
-        w[rest], Z[rest] = _dlaev2_rotated(a[rest], b[rest], c[rest])
-    return w, Z
-
-
 def symmetric_eigh(mats: np.ndarray) -> EighResult:
-    """``np.linalg.eigh`` of symmetric (n, k, k) matrices, bit for bit.  A
-    1 x 1 block is its own eigenvalue with eigenvector 1.0, as dsyevd returns
-    it; a 2 x 2 block is in closed form (``_eigh_2x2``) unless LAPACK would
-    rescale it.  Those blocks, and larger ones, go to ``np.linalg.eigh``; a
-    stack with none of them goes to ``_eigh_2x2`` whole."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors (as columns) of
+    symmetric (n, k, k) matrices, as ``np.linalg.eigh`` returns them.  A
+    1 x 1 block is its own eigenvalue with eigenvector 1.0, a 2 x 2 block is
+    in closed form (``_eigh_2x2``), and larger blocks go to
+    ``np.linalg.eigh``."""
     k = mats.shape[-1]
     if k == 1:
         return EighResult(mats[:, 0].copy(), np.ones_like(mats))
     if k > 2:
         return np.linalg.eigh(mats)
-    # entry by entry: a reduction over the two short trailing axes is slow
-    amax = np.abs(mats[:, 0, 0])
-    for i, j in ((0, 1), (1, 0), (1, 1)):
-        np.maximum(amax, np.abs(mats[:, i, j]), out=amax)
-    fast = (amax >= _UNSCALED[0]) & (amax <= _UNSCALED[1])
-    if fast.all():
-        return EighResult(*_eigh_2x2(mats))
-    w, U = np.empty(mats.shape[:-1]), np.empty(mats.shape)
-    w[fast], U[fast] = _eigh_2x2(mats[fast])
-    w[~fast], U[~fast] = np.linalg.eigh(mats[~fast])
-    return EighResult(w, U)
+    return EighResult(*_eigh_2x2(mats))
 
 
 # The layout of every coefficient block, in sampling order: its index groups,

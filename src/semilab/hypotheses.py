@@ -245,25 +245,54 @@ def estimate_kappa_A(fields: dict) -> np.ndarray:
     Wh = _eigen_whitener(fields["Q"], "Q")
     A = _entries_first(A)
     white = np.empty((d, m, d, m, N))
-    for a in range(d):
-        for b in range(d):
-            _dot(((Wh[h, a] * A[h, k], Wh[k, b])
-                  for h in range(d) for k in range(d)), white[a, :, b])
+    # an overflowed entry is inf, or NaN once it meets another
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(d):
+            for b in range(d):
+                _dot(((Wh[h, a] * A[h, k], Wh[k, b])
+                      for h in range(d) for k in range(d)), white[a, :, b])
     white = white.reshape(d * m, d * m, N)
 
-    if not _certified(white):
-        sym = 0.5 * white + 0.5 * np.swapaxes(white, 0, 1)
-        sym = np.moveaxis(sym, -1, 0)
-        evals = (symmetric_eigh(sym).eigenvalues if d * m <= 2
-                 else np.linalg.eigvalsh(sym))
-        scale = np.maximum(1.0, np.abs(evals).max())
-        if np.any(evals[:, 0] < -1e-12 * scale):
-            idx = int(np.argmin(evals[:, 0]))
-            where = fields["A"].domain.node(idx)
+    # a node whose whitened block is not finite has kappa_A = inf
+    # (``_max_sv``).  Whitening is a congruence, which keeps the signs of
+    # the eigenvalues (Sylvester's law of inertia), so there the
+    # nonnegativity check reads A's own (h, i) x (k, j) block, over the
+    # largest |entry| of those blocks; such a node is named first
+    finite = np.isfinite(white).all(axis=(0, 1))
+    checks = [(finite, white if finite.all() else white[..., finite], 1.0,
+               "")]
+    if not finite.all():
+        own = np.swapaxes(A, 1, 2).reshape(d * m, d * m, N)[..., ~finite]
+        size = np.abs(own).max()
+        checks.insert(0, (~finite, own / size, size,
+                          " before whitening, which overflows"))
+    for nodes, blocks, size, note in checks:
+        found = _most_negative(blocks)
+        if found is not None:
+            worst, value = found
+            where = fields["A"].domain.node(np.flatnonzero(nodes)[worst])
+            with np.errstate(over="ignore"):
+                value = value * size
             raise HypothesisViolation(
                 f"Re second-order coupling negative at node {where} "
-                f"(eigenvalue {evals[idx, 0]:.3e})")
+                f"(eigenvalue {value:.3e}{note})")
     return _max_sv(white)
+
+
+def _most_negative(M: np.ndarray):
+    """(node, eigenvalue) of the most negative eigenvalue of the symmetric
+    parts of the entries-first (k, k, N) node matrices M, if it is below
+    -1e-12 times their largest |eigenvalue| (at least 1); else None."""
+    if _certified(M):
+        return None
+    sym = np.moveaxis(0.5 * M + 0.5 * np.swapaxes(M, 0, 1), -1, 0)
+    evals = (symmetric_eigh(sym).eigenvalues if len(M) <= 2
+             else np.linalg.eigvalsh(sym))
+    scale = np.maximum(1.0, np.abs(evals).max())
+    if np.any(evals[:, 0] < -1e-12 * scale):
+        worst = int(np.argmin(evals[:, 0]))
+        return worst, evals[worst, 0]
+    return None
 
 
 def _certified(M: np.ndarray) -> bool:

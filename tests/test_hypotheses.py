@@ -145,6 +145,51 @@ class TestKappaA:
         with pytest.raises(HypothesisViolation):
             estimate_kappa_A(fields)
 
+    def test_overflowed_whitening_is_infinite(self):
+        # Q = 1e-320 whitens by 1e160 on each side, beyond the float range:
+        # those nodes get kappa_A = inf, the others |A| / q
+        A = [[1.0, 0.5, 0.0], [0.25, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        system = CoefficientSystem(
+            d=1, m=3, Q=expr_matrix([["max(1e-320, x1 - 0.5)"]]),
+            V=expr_matrix(np.eye(3).tolist()), A=((expr_matrix(A),),))
+        fields = sample(system, BoxDomain((0.0,), (1.0,), (8,)))
+        kappa = estimate_kappa_A(fields)
+        q = fields["Q"].values[:, 0, 0]
+        tiny = q == 1e-320
+        assert tiny.any() and not tiny.all()
+        assert (kappa[tiny] == np.inf).all()
+        np.testing.assert_allclose(kappa[~tiny],
+                                   np.linalg.norm(A, 2) / q[~tiny], rtol=1e-14)
+
+    @pytest.mark.parametrize("a", ["x1 - 0.4", "x1 - 0.9"],
+                             ids=["overflowed_only", "both"])
+    def test_overflowed_node_keeps_the_sign_check(self, a):
+        # q = 1e-320 up to x = 0.5, where the whitened coupling overflows;
+        # a congruence keeps its sign, so a negative A is caught there
+        # (alone, or ahead of the finite nodes at 0.625..0.875), and the
+        # most negative such node is named
+        system = scalar_system(q="max(1e-320, x1 - 0.5)",
+                               A=((expr_matrix([[a]]),),))
+        fields = sample(system, BoxDomain((0.0,), (1.0,), (8,)))
+        value = 0.125 - float(a.split(" - ")[1])
+        with pytest.raises(HypothesisViolation,
+                           match=rf"negative at node \(0\.125,\) "
+                                 rf"\(eigenvalue {value:.3e} before "
+                                 rf"whitening, which overflows\)"):
+            estimate_kappa_A(fields)
+
+    def test_overflowed_block_is_checked_as_a_matrix(self):
+        # the symmetric part [[1, 1.5], [1.5, 1]] has eigenvalues -0.5 and
+        # 2.5: indefinite although its diagonal is positive
+        system = CoefficientSystem(
+            d=1, m=2, Q=expr_matrix([["1e-320"]]),
+            V=expr_matrix(np.eye(2).tolist()),
+            A=((expr_matrix([["1", "3"], ["0", "1"]]),),))
+        fields = sample(system, BoxDomain((0.0,), (1.0,), (8,)))
+        with pytest.raises(HypothesisViolation,
+                           match=r"eigenvalue -5\.000e-01 before whitening"):
+            estimate_kappa_A(fields)
+
 
 class TestDriftConstants:
     def test_scalar_reduction(self):

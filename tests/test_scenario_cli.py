@@ -1,7 +1,9 @@
 """Scenario file parsing, serialization roundtrips, and the CLI surface."""
 
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -264,15 +266,16 @@ POSITIVE = st.floats(1e-3, 10.0, allow_nan=False)
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, exprs=EXPRS):
     """Scenarios with d, m in 1..3, random Q and V, a random subset of the
-    optional blocks (each with a nonzero entry), any mode and run settings."""
+    optional blocks (each with a nonzero entry), any mode and run settings;
+    every entry is drawn from ``exprs``."""
     d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
 
     def block(name):
         arr = np.empty(block_shape(name, d, m), dtype=object)
         for index in np.ndindex(arr.shape):
-            arr[index] = draw(st.sampled_from(EXPRS)).format(
+            arr[index] = draw(st.sampled_from(exprs)).format(
                 k=draw(st.integers(1, d)))
         return arr
 
@@ -312,6 +315,45 @@ def test_scenario_text_roundtrip(scn):
         back = parse_scenario(path)
     assert back == scn
     assert scenario_to_text(back) == text
+
+
+# entries at and beyond the edges of the float range, and functions with a
+# domain
+EXTREME_EXPRS = EXPRS + ["1e300", "1e-320", "-1e308", "1e308", "1e154 * x{k}",
+                         "1e-160", "log(x{k})", "sqrt(x{k})"]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@given(scenarios(EXTREME_EXPRS), st.sampled_from(["check-hypotheses",
+                                                  "p-interval"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_constants_subcommands_keep_their_contract(scn, sub):
+    # exit 0, 1 or 2 with no exception and no numpy warning; exit 2 is one
+    # error line and no report.json, any other exit a strict-JSON report
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "case.ini"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            fh.write(scenario_to_text(scn))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([sub, "--scenario", path, "--out", out])
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
+        report = os.path.join(out, "report.json")
+        if code == EXIT_CONFIG_ERROR:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not os.path.exists(report)
+        else:
+            with open(report) as fh:
+                json.load(fh, parse_constant=reject_constant)
 
 
 def test_gallery_scenario_hashes_are_pinned():
@@ -1069,6 +1111,67 @@ class TestCli:
         trace = json.loads((out / "report.json").read_text())[
             "sections"]["evolve"]["traces"]["2.0"]
         assert trace["bound"] == 0.0 and trace["within_bound"] is True
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_growth_bound_covers_implicit_euler_only(self, scheme, tmp_path,
+                                                     capsys):
+        # g1's semigroup is contractive in every l^p, yet a Crank-Nicolson
+        # step of dt = 0.01 grows the 8-norm at slope 2.6 against bound 1:
+        # its slopes are reported with no bound
+        scn = dataclasses.replace(gallery_scenario("g1"), scheme=scheme,
+                                  dt=0.01, t_final=0.1,
+                                  p_list=[2.0, 4.0, 8.0, float("inf")])
+        out = tmp_path / "out"
+        assert main(["evolve", "--scenario",
+                     write(tmp_path, scenario_to_text(scn)),
+                     "--out", str(out)]) == EXIT_OK
+        evolve = json.loads((out / "report.json").read_text())[
+            "sections"]["evolve"]
+        bounds = {p: (tr["bound"], tr["within_bound"])
+                  for p, tr in evolve["traces"].items()}
+        if scheme == "crank_nicolson":
+            assert set(bounds.values()) == {(None, None)}
+            assert "implicit-Euler" in evolve["unbounded"]
+        else:
+            assert bounds == {"2.0": (1.0, True), "4.0": (1.0, True),
+                              "8.0": (1.0, True), "inf": (None, None)}
+            assert "unbounded" not in evolve
+
+    def test_overflowed_coupling_whitening_is_infinite(self, tmp_path,
+                                                       capsys):
+        # q = 1e-320 whitens the coupling beyond the float range at every
+        # node: kappa_A is inf (null), with no numpy warning (an error under
+        # this suite's settings) and no error line; the coupling's symmetric
+        # part has eigenvalues -0.375, 0.375 and 1, so its check fails
+        text = (MINIMAL.replace("n = 32", "n = 8").replace("m = 1", "m = 3")
+                .replace('q.11 = "1"', 'q.11 = "1e-320"\na.11.12 = "0.5"\n'
+                         'a.11.21 = "0.25"\na.11.33 = "1"')
+                .replace('v.11 = "2"', 'v.11 = "1"\nv.22 = "1"\nv.33 = "1"'))
+        out = tmp_path / "out"
+        assert main(["check-hypotheses", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())[
+            "sections"]["hypotheses"]["report"]
+        assert report["kappaA"] is None
+        assert not report["passes"]["coupling_nonnegative"]
+
+    def test_overflowed_coupling_keeps_its_sign_check(self, tmp_path,
+                                                      capsys):
+        # A = x - 0.4 is negative only at 0.125..0.375, where q = 1e-320
+        # and the whitened coupling overflows: a failed check, not a pass
+        text = MINIMAL.replace("n = 32", "n = 8").replace(
+            'q.11 = "1"', 'q.11 = "max(1e-320, x1 - 0.5)"\n'
+            'a.11.11 = "x1 - 0.4"')
+        out = tmp_path / "out"
+        assert main(["check-hypotheses", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())[
+            "sections"]["hypotheses"]["report"]
+        assert not report["passes"]["coupling_nonnegative"]
+        assert any("negative at node (0.125,)" in note
+                   for note in report["notes"])
 
     def test_kernel_and_distance_share_one_distance_map(self, tmp_path,
                                                         capsys, monkeypatch):
