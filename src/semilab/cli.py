@@ -30,10 +30,10 @@ from . import __version__
 from .coefficients import sample
 from .discrete import assemble, lp_power, nittka_shifted, node_norms
 from .evolution import (Stepper, band_limited_random,
-                        contractivity_probe_multi, march_workers)
+                        contractivity_probe_multi, march_workers, probe_steps)
 from .expressions import EvalDomainError
 from .gallery import gallery_names, gallery_scenario
-from .heatkernel import kernel_block, verify_gaussian
+from .heatkernel import deltas, kernel_block, kernel_steps, verify_gaussian
 from .hypotheses import check_all
 from .metric import (MetricError, default_order, distance_map,
                      euclid_equivalence_check, weight_field)
@@ -215,8 +215,14 @@ def _evolve_section(run: Run) -> dict:
     unbounded = scn.scheme != "implicit_euler"
     bounds = {p: None if unbounded else _growth_bound(run, p)
               for p in scn.p_list}
+    # a kernel-mode run that also reports the kernel marches its deltas here
+    riders = (None if run.kernel_source is None
+              else deltas(run.F, run.kernel_source))
     results = contractivity_probe_multi(stepper, scn.p_list, scn.t_final,
-                                        scn.n_samples, seed=scn.seed)
+                                        scn.n_samples, seed=scn.seed,
+                                        riders=riders)
+    if riders is not None:
+        results, run.marched_deltas = results
     traces = {}
     ok = True
     for p, tr in results.items():
@@ -236,8 +242,9 @@ def _evolve_section(run: Run) -> dict:
                      "" if bound is None else bound]
                     for t, norms, slopes in zip(tr.times, tr.norms, tr.slopes)))
         ok = ok and within is not False
+    columns = scn.n_samples + (0 if riders is None else riders.shape[1])
     run.timings["probe_workers"] = march_workers(
-        stepper, scn.n_samples, round(scn.t_final / scn.dt))
+        stepper, columns, probe_steps(scn.t_final, scn.dt))
     out = {"traces": traces, "pass": ok}
     if unbounded:
         out["unbounded"] = ("the growth bound covers the implicit-Euler "
@@ -279,13 +286,18 @@ def _nittka_section(run: Run) -> dict:
             "findings": findings, "pass": ok}
 
 
+def _central_node(grid) -> int:
+    """The central interior node, the source of the kernel and distances."""
+    dims = grid.interior_shape
+    return int(np.ravel_multi_index(tuple(nk // 2 for nk in dims), dims))
+
+
 def _central_distances(scn: Scenario, fields):
     """The central interior node, the weight field (beta of the kernel
     mode, else 0) and the distances from that node."""
     beta = scn.mode.beta if scn.mode.kind == "kernel" else 0.0
     field = weight_field(fields["V"], fields["Q"], beta)
-    dims = scn.grid.interior_shape
-    center = int(np.ravel_multi_index(tuple(nk // 2 for nk in dims), dims))
+    center = _central_node(scn.grid)
     return center, field, distance_map(field, scn.grid, center)
 
 
@@ -295,7 +307,8 @@ def _kernel_section(run: Run) -> dict:
         return {"skipped": "scenario mode is not kernel", "pass": True}
     center, field, dist = run.geometry
     t = scn.t_final
-    values = kernel_block(run.stepper("implicit_euler"), center, t)
+    values = kernel_block(run.stepper("implicit_euler"), center, t,
+                          marched=run.marched_deltas)
     h = run.hypotheses
     try:
         if h.kappa is None:
@@ -369,10 +382,17 @@ class Run:
     built once on first use.  Sampling, assembly, factorization and the
     central distances are timed as their own phases; the hypotheses report
     and the p-interval are charged to the section that first reads them.
-    Layer functions are looked up in this module at call time."""
+    Layer functions are looked up in this module at call time.
 
-    def __init__(self, scn: Scenario, out_dir: str, strict: bool):
+    ``kernel_source`` is the kernel's source node where the growth probe
+    marches the kernel's deltas (else None); the probe leaves them at
+    t_final in ``marched_deltas``."""
+
+    def __init__(self, scn: Scenario, out_dir: str, strict: bool,
+                 kernel_source: int | None = None):
         self.scn, self.out_dir, self.strict = scn, out_dir, strict
+        self.kernel_source = kernel_source
+        self.marched_deltas = None
         self.timings: dict = {}
         self._inner: list = []  # per open phase, the time of phases inside it
         self._steppers: dict = {}
@@ -437,15 +457,28 @@ def _gallery_listing() -> str:
 
 
 def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
+    names = RUNS[sub]
+    kernel = "kernel" in names and scn.mode.kind == "kernel"
+    # the time step and t_final of a run that steps are checked before any
+    # work, as its first stepping section checks them
+    if "evolve" in names:
+        probe_steps(scn.t_final, scn.dt)
+    elif kernel:
+        kernel_steps(scn.t_final, scn.dt)
+    # one march serves the probe and the kernel where the probe steps with
+    # the kernel's scheme
+    merged = (kernel and "evolve" in names
+              and scn.scheme == "implicit_euler")
     os.makedirs(out_dir, exist_ok=True)
-    run = Run(scn, out_dir, strict)
+    run = Run(scn, out_dir, strict,
+              _central_node(scn.grid) if merged else None)
     # sample, then assemble (if a section always uses the form) before any
     # section: the long-lived form built first keeps the peak memory lower
     run.fields
-    if any(SECTIONS[name][1] for name in RUNS[sub]):
+    if any(SECTIONS[name][1] for name in names):
         run.F
     sections = {}
-    for name in RUNS[sub]:
+    for name in names:
         try:
             sections[name] = run.timed(name, SECTIONS[name][0], run)
         except MetricError as err:

@@ -135,12 +135,20 @@ def assemble(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
         if np.any(VW):
             S = S + _nodal(vol * VW)
     S.sum_duplicates()  # sorted indices: S @ u sums each row in column order
-    finite = np.isfinite(S.data)
-    if not finite.all():
-        row = np.searchsorted(S.indptr, np.argmin(finite), side="right") - 1
-        raise ValueError(f"assembled form is not finite at node "
-                         f"{grid.node(int(row) // m)}")
+    reject_nonfinite(S, grid, m, "assembled form")
     return DiscreteForm(grid, m, S, vol)
+
+
+def reject_nonfinite(matrix: sp.csr_matrix, grid: BoxDomain, m: int,
+                     what: str) -> None:
+    """Raise ValueError naming the node of the first row of the CSR
+    ``matrix`` on the dofs that holds an entry that is not finite."""
+    finite = np.isfinite(matrix.data)
+    if not finite.all():
+        row = np.searchsorted(matrix.indptr, np.argmin(finite),
+                              side="right") - 1
+        raise ValueError(f"{what} is not finite at node "
+                         f"{grid.node(int(row) // m)}")
 
 
 def assemble_adjoint(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
@@ -178,7 +186,7 @@ def omega0(F: DiscreteForm) -> float:
 def node_norms(u: np.ndarray, m: int) -> np.ndarray:
     """Nodewise magnitude |u(x)|, the Euclidean norm across the m components;
     (N,) for a vector, (N, S) for an (ndof, S) block."""
-    nodes = u.reshape(-1, m, *u.shape[1:])
+    nodes = u.reshape(len(u) // m, m, *u.shape[1:])  # a block of no columns too
     # no full-size temporary: sum the squared components in place of norm()
     return np.sqrt(np.einsum("nm...,nm...->n...", nodes.conj(), nodes).real)
 

@@ -9,6 +9,12 @@ its form) and share one stepping loop, with one time check and one blow-up
 guard; a state may be one vector or an (ndof, S) block of them as columns.
 A block with enough stepping work is marched in forked column groups, one
 process of a fork-context process pool per usable CPU.
+
+A march may carry riders: trailing columns that are stepped with the block
+but not read at its checkpoints, whose state after the last step is returned
+instead.  The growth probe of a kernel-mode run that also reports the heat
+kernel carries the kernel's delta columns this way (when it steps with
+implicit Euler, the kernel's scheme), so that one march serves both.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coefficients import BoxDomain
-from .discrete import DiscreteForm, lp_power, node_norms
+from .discrete import DiscreteForm, lp_power, node_norms, reject_nonfinite
 
 SCHEMES = ("implicit_euler", "crank_nicolson")
 
@@ -37,26 +43,33 @@ class Stepper:
     """
 
     def __init__(self, F: DiscreteForm, dt: float, scheme: str = "implicit_euler"):
-        if not 0 < dt < np.inf:
-            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        check_dt(dt)
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.F = F
         self.dt = dt
         theta = 1.0 if scheme == "implicit_euler" else 0.5
-        eye = sp.identity(F.ndof, format="csc")
-        lhs = (F.mass * eye + theta * dt * F.S).tocsc()
+        eye = sp.identity(F.ndof, format="csr")
+
+        def step_matrix(scale):  # M + scale S
+            # an entry beyond the float range is a ValueError naming its
+            # node, not a numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                matrix = F.mass * eye + scale * F.S
+            reject_nonfinite(matrix, F.grid, F.m,
+                             f"{scheme} step matrix at dt = {dt!r}")
+            return matrix
+
         # the pattern is structurally symmetric; this ordering roughly halves
         # the fill of the default one on tensor grids
         try:
-            self._lu = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
+            self._lu = spla.splu(step_matrix(theta * dt).tocsc(),
+                                 permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
             raise ValueError(f"{scheme} step matrix is singular at "
                              f"dt = {dt!r} ({err})") from None
-        if scheme == "crank_nicolson":
-            self._rhs = (F.mass * eye - 0.5 * dt * F.S).tocsr()
-        else:
-            self._rhs = None
+        self._rhs = (step_matrix(-0.5 * dt) if scheme == "crank_nicolson"
+                     else None)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         b = self.F.mass * u if self._rhs is None else self._rhs @ u
@@ -68,7 +81,13 @@ class Stepper:
         return self._rhs.T @ self._lu.solve(g, trans="T")
 
 
-def _step_count(t_final: float, dt: float) -> int:
+def check_dt(dt: float) -> None:
+    """Raise ValueError unless the time step is finite and positive."""
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+
+
+def step_count(t_final: float, dt: float) -> int:
     """Steps to t_final, which must be a nonnegative integer multiple of dt."""
     if not 0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got "
@@ -84,12 +103,21 @@ def _step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
+def probe_steps(t_final: float, dt: float) -> int:
+    """Steps of a growth probe to t_final: at least one, of a valid dt."""
+    check_dt(dt)
+    n_steps = step_count(t_final, dt)
+    if n_steps < 1:
+        raise ValueError("t_final shorter than one step")
+    return n_steps
+
+
 # Stepping work, as steps x columns x nonzeros stored in the LU factor, from
 # which a block is marched in forked column groups.  A fork costs tens of
 # milliseconds.  Threads do overlap the SuperLU solves, but their step buffers
 # count in the parent's peak RSS, while a forked process's do not; a g3 probe
-# of 120 steps and 50 columns is 2.8e9, a fine-grid g3 `all` 5e7 and a 1-D
-# kernel scenario at most 1.7e8.
+# of 120 steps and 50 columns is 2.8e9, a fine-grid g3 `all` 5e7 and the
+# 11-column march of a 1-D kernel scenario's `all` at most 1.9e8.
 PARALLEL_WORK = 1e9
 
 
@@ -128,11 +156,12 @@ def march_workers(stepper: Stepper, columns: int, steps: int) -> int:
     return workers
 
 
-def _stepped(step, x: np.ndarray, counts, limit: float):
+def _stepped(step, x: np.ndarray, counts, limit):
     """Advance x by ``step``, yielding the state after each step count of the
-    increasing sequence ``counts``.  A yielded state whose largest entry is not
-    finite or exceeds ``limit`` raises FloatingPointError; the guard runs only
-    there, so overflow warnings between yields are silenced.
+    increasing sequence ``counts``.  A yielded state with a column whose
+    largest entry is not finite or exceeds ``limit`` (one for all columns,
+    or one per column) raises FloatingPointError; the guard runs only there,
+    so overflow warnings between yields are silenced.
     """
     done = 0
     for count in counts:
@@ -140,43 +169,72 @@ def _stepped(step, x: np.ndarray, counts, limit: float):
             for _ in range(count - done):
                 x = step(x)
         done = count
-        if not np.abs(x).max(initial=0.0) <= limit:
+        if not np.all(np.abs(x).max(axis=0, initial=0.0) <= limit):
             raise FloatingPointError("blow-up detected during evolution")
         yield x
 
 
-def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
-           adjoint: bool = False) -> list:
-    """``read`` (default: the state itself) of x after each step count of the
-    increasing sequence ``counts``, stepped forward or through the adjoint.
+def _limits(x: np.ndarray, keep: int):
+    """The blow-up limit of x, 1e12 times its largest entry; with ``keep``
+    kept columns, one per column: the read columns share theirs, and the
+    kept columns theirs."""
+    def limit(part):
+        return 1e12 * max(np.abs(part).max(initial=0.0), 1e-300)
+    if not keep:
+        return limit(x)
+    split = x.shape[1] - keep
+    return np.repeat([limit(x[:, :split]), limit(x[:, split:])], [split, keep])
 
-    The blow-up limit is 1e12 times the largest entry of x.  The columns of
+
+def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
+           adjoint: bool = False, keep: int = 0) -> tuple:
+    """(``read`` of x after each step count of the increasing sequence
+    ``counts``, the state of the last ``keep`` columns of x after the last
+    count), x stepped forward or through the adjoint.  ``read`` (default: the
+    state itself) sees the other columns only; with ``keep`` = 0 (as for a
+    single vector x) it sees the whole state and the kept state is None.
+
+    The blow-up limits are ``_limits``: the kept columns are held to their
+    own, so that they do not change the read columns'.  The columns of
     an (ndof, S) block evolve independently, and a solve of a column subset
     gives the same bits as those columns of the full solve, so a block whose
     work calls for ``march_workers`` > 1 is split into that many column
     groups, each marched in a process of a fork-context pool that inherits
-    the factorization and sends back only ``read`` of its states; ``read``
-    must act column by column and keep the columns as its last axis, along
-    which the groups are joined in group order.  An error in a group is
-    raised here with its type and message once its sibling groups have
-    finished their own marches (the pool waits for them rather than stop
-    them); a process that dies is a BrokenProcessPool, a RuntimeError.
+    the factorization and sends back only ``read`` of its read columns and
+    the final state of its kept ones; ``read`` must act column by column
+    (on no columns too) and keep the columns as its last axis, along which
+    the groups are joined in group order.  An error in a group is raised
+    here with its type and message once its sibling groups have finished
+    their own marches (the pool waits for them rather than stop them); a
+    process that dies is a BrokenProcessPool, a RuntimeError.
     """
     step = stepper.step_adjoint if adjoint else stepper.step
     read = read or (lambda u: u)
-    limit = 1e12 * max(np.abs(x).max(initial=0.0), 1e-300)
+    limit = _limits(x, keep)
     columns = x.shape[1] if x.ndim == 2 else 1
     workers = march_workers(stepper, columns, counts[-1])
     if workers == 1:
-        return [read(u) for u in _stepped(step, x, counts, limit)]
+        return _march_columns(step, x, counts, limit, read, keep)
     groups = [slice(cols[0], cols[-1] + 1)
               for cols in np.array_split(np.arange(columns), workers)]
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork,
                              initializer=_start_group,
-                             initargs=(step, x, counts, limit, read)) as pool:
-        reads = list(pool.map(_march_group, groups))
-    return [np.concatenate(parts, axis=-1) for parts in zip(*reads)]
+                             initargs=(step, x, counts, limit, read,
+                                       columns - keep)) as pool:
+        reads, kept = zip(*pool.map(_march_group, groups))
+    return ([np.concatenate(parts, axis=-1) for parts in zip(*reads)],
+            np.concatenate([k for k in kept if k is not None], axis=1)
+            if keep else None)
+
+
+def _march_columns(step, x, counts, limit, read, keep: int) -> tuple:
+    """_march of x in the calling process."""
+    reads = []
+    for u in _stepped(step, x, counts, limit):
+        reads.append(read(u[:, :u.shape[1] - keep] if keep else u))
+    # a copy: a view would hold the whole final state
+    return reads, (u[:, u.shape[1] - keep:].copy() if keep else None)
 
 
 _GROUP = None  # in a forked stepping process: the march it inherited
@@ -184,28 +242,33 @@ _GROUP = None  # in a forked stepping process: the march it inherited
 
 def _start_group(*march):
     """Set up a forked stepping process: SciPy's BLAS at one thread, and the
-    march (step, x, counts, limit, read), inherited without pickling."""
+    march (step, x, counts, limit, read, the number of read columns),
+    inherited without pickling."""
     global _GROUP
     _blas_one_thread()()
     _GROUP = march
 
 
-def _march_group(columns: slice) -> list:
-    """``read`` of a forked column group's state at each step count."""
-    step, x, counts, limit, read = _GROUP
-    return [read(u) for u in _stepped(step, x[:, columns], counts, limit)]
+def _march_group(columns: slice) -> tuple:
+    """_march of a forked column group: ``read`` of its read columns at each
+    step count, and the final state of its kept columns."""
+    step, x, counts, limit, read, split = _GROUP
+    keep = max(columns.stop - max(columns.start, split), 0)
+    if np.ndim(limit):
+        limit = limit[columns]
+    return _march_columns(step, x[:, columns], counts, limit, read, keep)
 
 
 def evolve(stepper: Stepper, u0: np.ndarray, t: float) -> np.ndarray:
     """State (or block of states) at t, an integer multiple of the step."""
-    [u] = _march(stepper, np.array(u0), [_step_count(t, stepper.dt)])
+    [u], _ = _march(stepper, np.array(u0), [step_count(t, stepper.dt)])
     return u
 
 
 def evolve_adjoint(stepper: Stepper, g0: np.ndarray, t: float) -> np.ndarray:
     """Adjoint state at t, through the transposed solves."""
-    [g] = _march(stepper, np.array(g0), [_step_count(t, stepper.dt)],
-                 adjoint=True)
+    [g], _ = _march(stepper, np.array(g0), [step_count(t, stepper.dt)],
+                    adjoint=True)
     return g
 
 
@@ -282,13 +345,15 @@ class GrowthTrace:
 
 
 def contractivity_probe_multi(stepper: Stepper, p_list, t_final: float,
-                              n_samples: int, seed: int = 0) -> dict:
+                              n_samples: int, seed: int = 0, riders=None):
     """Probe the p-norm growth rates for several p from one trajectory block.
 
     The evolution does not depend on p, so all trajectories advance together
     as one block right-hand side; at each of 10 checkpoints the node
     magnitudes are taken once and every requested norm is read from them.
-    Returns {p: GrowthTrace}.
+    Returns {p: GrowthTrace}.  An (ndof, R) block of ``riders`` is marched
+    as R more columns of the block, its norms unread; then the return is
+    ({p: GrowthTrace}, the riders' state at t_final).
     """
     F = stepper.F
     p_list = list(p_list)
@@ -298,9 +363,7 @@ def contractivity_probe_multi(stepper: Stepper, p_list, t_final: float,
         mags = node_norms(u, F.m)
         return np.array([_norm_from_nodes(mags, p, vol) for p in p_list])
 
-    total_steps = _step_count(t_final, stepper.dt)
-    if total_steps < 1:
-        raise ValueError("t_final shorter than one step")
+    total_steps = probe_steps(t_final, stepper.dt)
     marks = np.unique(np.linspace(total_steps / 10, total_steps, 10).astype(int))
     marks = marks[marks >= 1]
     times = marks * stepper.dt
@@ -310,12 +373,17 @@ def contractivity_probe_multi(stepper: Stepper, p_list, t_final: float,
     rng = np.random.default_rng(seed)
     block = band_limited_random(F.grid, F.m, rng, n_samples)
     norms0 = norms_of(block)
-    norms = np.stack(_march(stepper, block, marks, read=norms_of), axis=1)
+    keep = 0 if riders is None else riders.shape[1]
+    if keep:
+        block = np.hstack([block, riders])
+    reads, kept = _march(stepper, block, marks, read=norms_of, keep=keep)
+    norms = np.stack(reads, axis=1)
     with np.errstate(divide="ignore"):
         slopes = np.log(norms / norms0[:, None, :]) / times[:, None]
-    return {p: GrowthTrace(times=times, norms0=norms0[k], norms=norms[k],
-                           slopes=slopes[k])
-            for k, p in enumerate(p_list)}
+    traces = {p: GrowthTrace(times=times, norms0=norms0[k], norms=norms[k],
+                             slopes=slopes[k])
+              for k, p in enumerate(p_list)}
+    return traces if riders is None else (traces, kept)
 
 
 def adjoint_duality_check(stepper: Stepper, t: float, f: np.ndarray,

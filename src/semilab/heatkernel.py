@@ -3,7 +3,9 @@
 A kernel column is the evolution of a discrete delta (mass 1/cell-volume at
 one node and component), so the column converges to the kernel itself under
 refinement; the m columns of one source node evolve together as one block
-through the Stepper, which carries the form.
+through the Stepper, which carries the form.  In a run that also probes the
+p-norm growth of a kernel-mode scenario with implicit Euler, that block
+rides in the probe's march (see ``evolution``) and is only reshaped here.
 Verification compares node magnitudes against the closed-form upper bound,
 restricted to nodes away from the boundary where the Dirichlet truncation
 only depresses the kernel.
@@ -15,22 +17,34 @@ import numpy as np
 
 from .coefficients import BoxDomain
 from .discrete import DiscreteForm
-from .evolution import Stepper, evolve
+from .evolution import Stepper, check_dt, evolve, step_count
 
 
-def _deltas(F: DiscreteForm, y: int) -> np.ndarray:
+def deltas(F: DiscreteForm, y: int) -> np.ndarray:
     """The m discrete deltas at node y as an (ndof, m) block: column j has
     mass 1 in component j."""
     return np.eye(F.ndof, F.m, k=-y * F.m) / F.mass  # ones at (y*m + j, j)
 
 
-def kernel_block(stepper: Stepper, y: int, t: float) -> np.ndarray:
-    """k(t, x, y) at every node x as an (N, m, m) array, values[x, i, j] ~
-    k_ij(t, x, y), from the m deltas at y evolved as one block."""
+def kernel_steps(t: float, dt: float) -> int:
+    """Steps of a kernel march to t, which must be positive, of a valid dt."""
+    check_dt(dt)
     if t <= 0:
         raise ValueError("t must be positive")
+    return step_count(t, dt)
+
+
+def kernel_block(stepper: Stepper, y: int, t: float,
+                 marched: np.ndarray | None = None) -> np.ndarray:
+    """k(t, x, y) at every node x as an (N, m, m) array, values[x, i, j] ~
+    k_ij(t, x, y), from the m deltas at y evolved as one block to t.
+    ``marched`` is that block if it has been evolved already (as riders of
+    the growth probe's march)."""
+    kernel_steps(t, stepper.dt)
     F = stepper.F
-    return evolve(stepper, _deltas(F, y), t).reshape(-1, F.m, F.m)
+    if marched is None:
+        marched = evolve(stepper, deltas(F, y), t)
+    return marched.reshape(-1, F.m, F.m)
 
 
 def interior_mask(grid: BoxDomain, layers: int = 5) -> np.ndarray:

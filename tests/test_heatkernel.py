@@ -6,7 +6,7 @@ import pytest
 from semilab.coefficients import BoxDomain, CoefficientSystem, expr_matrix, sample
 from semilab.discrete import assemble
 from semilab.evolution import Stepper, evolve, evolve_adjoint
-from semilab.heatkernel import _deltas, interior_mask, kernel_block, verify_gaussian
+from semilab.heatkernel import deltas, interior_mask, kernel_block, verify_gaussian
 from semilab.gallery import gallery_scenario
 from semilab.metric import distance_map, weight_field
 from semilab.pinterval import gaussian_bound_rhs, kernel_constants
@@ -22,7 +22,7 @@ def scalar_line(v="4", n=512, half=8.0):
 class TestKernelColumns:
     def test_delta_has_unit_discrete_mass(self):
         _, grid, F = scalar_line(n=64)
-        u0 = _deltas(F, 10)
+        u0 = deltas(F, 10)
         assert F.mass * u0.sum(axis=0) == pytest.approx([1.0], rel=1e-14)
 
     def test_requires_positive_time(self):
@@ -111,7 +111,7 @@ def symmetry_check(F, t, y1, y2, stepper):
     solves, so the gap reflects only solver roundoff.
     """
     K = kernel_block(stepper, y2, t)[y1]
-    Kadj = evolve_adjoint(stepper, _deltas(F, y1), t).reshape(-1, F.m, F.m)[y2]
+    Kadj = evolve_adjoint(stepper, deltas(F, y1), t).reshape(-1, F.m, F.m)[y2]
     # adjoint kernel k*(t, y2, y1) equals k(t, y1, y2)^T
     return float(np.max(np.abs(K - Kadj.T)))
 

@@ -934,6 +934,61 @@ class TestCli:
         assert err == ["error: implicit_euler step matrix is singular at "
                        "dt = 0.001 (Factor is exactly singular)"]
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("sub", ["evolve", "all"])
+    def test_step_matrix_beyond_float_range_is_config_error(
+            self, sub, scheme, tmp_path, capsys):
+        # S is finite, but dt S is not: 8.3 * vol * 1e308 at every node
+        text = (MINIMAL.replace("lower = 0", "lower = -1")
+                .replace("n = 32", "n = 4")
+                .replace('v.11 = "2"', 'v.11 = "1e308"')
+                .replace("t_final = 0.01", "t_final = 16.6")
+                .replace("dt = 1e-3", f"dt = 8.3\nscheme = {scheme}")
+                .replace("samples = 3", "samples = 2"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([sub, "--scenario", write(tmp_path, text),
+                         "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scheme} step matrix at dt = 8.3 is not finite at "
+            f"node (-0.5,)"]
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("sub, key, t_final, message", [
+        ("all", "g1", 1.5, "t_final is not a multiple of dt"),
+        ("evolve", "g1", 1.5, "t_final is not a multiple of dt"),
+        ("all", "g6-flat", 0.0, "t_final shorter than one step"),
+        ("kernel", "g6-flat", 1.5, "t_final is not a multiple of dt"),
+        ("kernel", "g6-flat", 0.0, "t must be positive"),
+    ])
+    def test_step_count_is_checked_before_sampling(
+            self, sub, key, t_final, message, tmp_path, capsys, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(cli, "sample",
+                            lambda *args: sampled.append(args))
+        scn = gallery_scenario(key)
+        scn = dataclasses.replace(scn, t_final=t_final * scn.dt)
+        out = tmp_path / "out"
+        assert main([sub, "--scenario",
+                     write(tmp_path, scenario_to_text(scn)),
+                     "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sampled == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["check-hypotheses", "p-interval",
+                                     "nittka", "kernel", "distance"])
+    def test_runs_that_do_not_step_ignore_the_step_count(self, sub, tmp_path,
+                                                         capsys):
+        # kernel on a scenario not in kernel mode skips its section
+        scn = gallery_scenario("g1")
+        scn = dataclasses.replace(scn, t_final=1.5 * scn.dt)
+        assert main([sub, "--scenario",
+                     write(tmp_path, scenario_to_text(scn)),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_kernel_blow_up_is_failed_check(self, tmp_path, capsys):
         text = (MINIMAL.replace('v.11 = "2"', 'v.11 = "-300"')
                 .replace("mode = fixed_gamma\ngamma = 1\nCgamma = 1",
@@ -1526,6 +1581,69 @@ class TestRunRecord:
         assert process_starts == []
 
 
+# a 1-D kernel-mode scenario with m = 2: two delta columns at the source
+KERNEL_1D_M2 = (KERNEL_1D.replace("m = 1", "m = 2")
+                .replace('v.11 = "1 + x1^2"',
+                         'v.11 = "1 + x1^2"\nv.22 = "2 + x1^2"\n'
+                         'v.12 = "0.5"\nv.21 = "0.5"')
+                .replace('b.1.11 = "3"', 'b.1.12 = "1"\nb.1.21 = "-1"'))
+
+
+class TestMergedMarch:
+    """A kernel-mode `all` steps the kernel's deltas in the probe's march."""
+
+    @pytest.mark.parametrize("key", ["g6-flat", "g6-quadratic"])
+    def test_all_steps_once_per_step(self, key, tmp_path, capsys,
+                                     monkeypatch):
+        columns = []
+        step = evolution.Stepper.step
+
+        def counting(stepper, u):
+            columns.append(u.shape[1])
+            return step(stepper, u)
+
+        monkeypatch.setattr(evolution.Stepper, "step", counting)
+        scn = gallery_scenario(key)
+        scn = dataclasses.replace(scn, t_final=20 * scn.dt)
+        # on g6-flat the kernel check fails this close to t = 0
+        assert main(["all", "--scenario",
+                     write(tmp_path, scenario_to_text(scn)),
+                     "--out", str(tmp_path / "out")]) in (EXIT_OK,
+                                                          EXIT_CHECK_FAILED)
+        assert columns == [scn.n_samples + 1] * 20
+
+    @pytest.mark.parametrize("case, scheme", [
+        ("g6-flat", "implicit_euler"),
+        ("g6-quadratic", "implicit_euler"),
+        ("m2", "implicit_euler"),
+        ("g6-flat", "crank_nicolson"),
+    ])
+    def test_all_reports_what_evolve_and_kernel_report(
+            self, case, scheme, tmp_path, capsys):
+        # under Crank-Nicolson the probe and the kernel march apart
+        if case == "m2":
+            scn = parse_scenario(write(tmp_path, KERNEL_1D_M2, "m2.ini"))
+        else:
+            scn = gallery_scenario(case)
+            scn = dataclasses.replace(scn, t_final=40 * scn.dt)
+        scn = dataclasses.replace(scn, scheme=scheme)
+        path = write(tmp_path, scenario_to_text(scn))
+        runs = {}
+        for sub in ("all", "evolve", "kernel"):
+            out = tmp_path / sub
+            assert main([sub, "--scenario", path, "--out", str(out)]) \
+                in (EXIT_OK, EXIT_CHECK_FAILED)
+            runs[sub] = outputs(out)
+        sections = {sub: json.loads(files.pop("report.json"))["sections"]
+                    for sub, files in runs.items()}
+        for sub in ("evolve", "kernel"):
+            assert (json.dumps(sections["all"][sub], sort_keys=True)
+                    == json.dumps(sections[sub][sub], sort_keys=True))
+            assert runs[sub] and all(runs["all"][name] == data
+                                     for name, data in runs[sub].items())
+        assert "kernel.csv" in runs["kernel"]
+
+
 @pytest.mark.skipif(evolution._blas_one_thread() is None,
                     reason="SciPy's BLAS cannot be held to one thread here, "
                            "so every march stays in-process")
@@ -1553,6 +1671,19 @@ class TestForkedCli:
         assert "growth_p2.csv" in runs[2][0]
         assert (runs[None][1], runs[2][1]) == (1, 2)
         assert runs[2][2] == runs[None][2]
+        assert len(process_starts) == 2
+
+    def test_probe_workers_count_the_kernel_columns(
+            self, tmp_path, capsys, march_on, process_starts):
+        # one sample and the kernel's one delta march as two columns
+        march_on(2)
+        out = tmp_path / "out"
+        assert main(["all", "--scenario",
+                     write(tmp_path, KERNEL_1D.replace("samples = 3",
+                                                       "samples = 1")),
+                     "--out", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        timings = json.loads((out / "timings.json").read_text())
+        assert timings["probe_workers"] == 2
         assert len(process_starts) == 2
 
     def test_blow_up_in_a_child_is_failed_check(self, tmp_path, capsys,
