@@ -30,10 +30,10 @@ from . import __version__
 from .coefficients import sample
 from .discrete import assemble, lp_power, nittka_shifted, node_norms
 from .evolution import (Stepper, band_limited_random,
-                        contractivity_probe_multi, march_workers, probe_steps)
+                        contractivity_probe_multi, march_steps, march_workers)
 from .expressions import EvalDomainError
 from .gallery import gallery_names, gallery_scenario
-from .heatkernel import deltas, kernel_block, kernel_steps, verify_gaussian
+from .heatkernel import deltas, kernel_block, verify_gaussian
 from .hypotheses import check_all
 from .metric import (MetricError, default_order, distance_map,
                      euclid_equivalence_check, weight_field)
@@ -188,12 +188,12 @@ def _pinterval_section(run: Run) -> dict:
     return out
 
 
-def _growth_bound(run: Run, p: float) -> float | None:
-    """Exponential growth-rate bound R(gamma)/gamma for the p-norm, or None
-    if p is not covered by the declared mode at the estimated constants:
-    gamma is the fixed gamma where p lies in the Theorem 3.3 interval, else
-    gamma_p of Theorem 3.5 (gamma_p = inf gives 0, and a bound beyond the
-    float range is inf).  It bounds the implicit-Euler step only."""
+def _growth_rate(run: Run, p: float) -> float | None:
+    """Exponential growth rate R(gamma)/gamma of the p-norm, or None if p is
+    not covered by the declared mode at the estimated constants: gamma is
+    the fixed gamma where p lies in the Theorem 3.3 interval, else gamma_p
+    of Theorem 3.5 (gamma_p = inf gives 0, and a rate beyond the float
+    range is inf)."""
     mode, h = run.scn.mode, run.hypotheses
     if mode.kind == "fixed_gamma":
         if run.interval is None or not run.interval.contains(p):
@@ -205,6 +205,18 @@ def _growth_bound(run: Run, p: float) -> float | None:
         except ValueError:
             return None
     return mode.weight(gamma) / gamma
+
+
+def _growth_bound(run: Run, p: float) -> float | None:
+    """Bound on the p-norm's slopes under implicit-Euler steps of dt, or None
+    where ``_growth_rate`` is.  A form l^p-quasi-dissipative with shift
+    w = _growth_rate makes one step a map of norm at most 1/(1 - dt w)
+    (Lumer and Phillips 1961), so a slope is at most -log1p(-dt w)/dt, never
+    below w, and unbounded (inf) where dt w >= 1."""
+    w, dt = _growth_rate(run, p), run.scn.dt
+    if w is None:
+        return None
+    return max(w, -math.log1p(-dt * w) / dt) if dt * w < 1 else math.inf
 
 
 def _evolve_section(run: Run) -> dict:
@@ -244,7 +256,7 @@ def _evolve_section(run: Run) -> dict:
         ok = ok and within is not False
     columns = scn.n_samples + (0 if riders is None else riders.shape[1])
     run.timings["probe_workers"] = march_workers(
-        stepper, columns, probe_steps(scn.t_final, scn.dt))
+        stepper, columns, march_steps(scn.t_final, scn.dt))
     out = {"traces": traces, "pass": ok}
     if unbounded:
         out["unbounded"] = ("the growth bound covers the implicit-Euler "
@@ -417,7 +429,8 @@ class Run:
 
     @functools.cached_property
     def F(self):
-        return self.timed("assemble", assemble, self.scn.system, self.scn.grid)
+        return self.timed("assemble", assemble, self.scn.system, self.scn.grid,
+                          self.fields)
 
     def stepper(self, scheme: str) -> Stepper:
         """The run's one Stepper (one factorization) for ``scheme``."""
@@ -460,11 +473,9 @@ def _run_scenario(scn: Scenario, sub: str, out_dir: str, strict: bool) -> dict:
     names = RUNS[sub]
     kernel = "kernel" in names and scn.mode.kind == "kernel"
     # the time step and t_final of a run that steps are checked before any
-    # work, as its first stepping section checks them
-    if "evolve" in names:
-        probe_steps(scn.t_final, scn.dt)
-    elif kernel:
-        kernel_steps(scn.t_final, scn.dt)
+    # work, as its stepping sections check them
+    if "evolve" in names or kernel:
+        march_steps(scn.t_final, scn.dt)
     # one march serves the probe and the kernel where the probe steps with
     # the kernel's scheme
     merged = (kernel and "evolve" in names

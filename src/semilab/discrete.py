@@ -103,8 +103,12 @@ def _nodal(blocks: np.ndarray) -> sp.csr_matrix:
                           np.arange(0, N * m * m + 1, m)), shape=(N * m,) * 2)
 
 
-def assemble(system: CoefficientSystem, grid: BoxDomain) -> DiscreteForm:
-    fields = sample(system, grid)
+def assemble(system: CoefficientSystem, grid: BoxDomain,
+             fields: dict | None = None) -> DiscreteForm:
+    """The form of ``system`` on ``grid``, from ``fields``, its coefficients
+    sampled there (sampled here if not given)."""
+    if fields is None:
+        fields = sample(system, grid)
     d, m = grid.d, system.m
     vol, h = grid.cell_volume, grid.h
     q = fields["Q"].values  # (N, d, d) symmetric

@@ -5,8 +5,10 @@ Crank-Nicolson with a cached sparse LU factorization.  The adjoint semigroup
 is stepped through the transposed solves of the same factorization, which
 makes the discrete duality pairing exact to solver tolerance.  Forward and
 adjoint evolution and the growth probe take the Stepper alone (it carries
-its form) and share one stepping loop, with one time check and one blow-up
-guard; a state may be one vector or an (ndof, S) block of them as columns.
+its form) and share one stepping loop, with one blow-up guard that holds
+each column to its own scale; a state may be one vector or an (ndof, S) block
+of them as columns.  The probe and the heat kernel take their step count from
+one check, ``march_steps``.
 A block with enough stepping work is marched in forked column groups, one
 process of a fork-context process pool per usable CPU.
 
@@ -103,8 +105,9 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def probe_steps(t_final: float, dt: float) -> int:
-    """Steps of a growth probe to t_final: at least one, of a valid dt."""
+def march_steps(t_final: float, dt: float) -> int:
+    """Steps of a probe or kernel march to t_final: at least one, of a valid
+    dt."""
     check_dt(dt)
     n_steps = step_count(t_final, dt)
     if n_steps < 1:
@@ -156,13 +159,14 @@ def march_workers(stepper: Stepper, columns: int, steps: int) -> int:
     return workers
 
 
-def _stepped(step, x: np.ndarray, counts, limit):
+def _stepped(step, x: np.ndarray, counts):
     """Advance x by ``step``, yielding the state after each step count of the
     increasing sequence ``counts``.  A yielded state with a column whose
-    largest entry is not finite or exceeds ``limit`` (one for all columns,
-    or one per column) raises FloatingPointError; the guard runs only there,
-    so overflow warnings between yields are silenced.
+    largest entry is not finite or exceeds 1e12 times that column's largest
+    entry in x raises FloatingPointError; the guard runs only there, so
+    overflow warnings between yields are silenced.
     """
+    limit = 1e12 * np.maximum(np.abs(x).max(axis=0, initial=0.0), 1e-300)
     done = 0
     for count in counts:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,18 +178,6 @@ def _stepped(step, x: np.ndarray, counts, limit):
         yield x
 
 
-def _limits(x: np.ndarray, keep: int):
-    """The blow-up limit of x, 1e12 times its largest entry; with ``keep``
-    kept columns, one per column: the read columns share theirs, and the
-    kept columns theirs."""
-    def limit(part):
-        return 1e12 * max(np.abs(part).max(initial=0.0), 1e-300)
-    if not keep:
-        return limit(x)
-    split = x.shape[1] - keep
-    return np.repeat([limit(x[:, :split]), limit(x[:, split:])], [split, keep])
-
-
 def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
            adjoint: bool = False, keep: int = 0) -> tuple:
     """(``read`` of x after each step count of the increasing sequence
@@ -194,9 +186,9 @@ def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
     state itself) sees the other columns only; with ``keep`` = 0 (as for a
     single vector x) it sees the whole state and the kept state is None.
 
-    The blow-up limits are ``_limits``: the kept columns are held to their
-    own, so that they do not change the read columns'.  The columns of
-    an (ndof, S) block evolve independently, and a solve of a column subset
+    Each column is held to its own blow-up limit (see ``_stepped``), so the
+    kept columns do not change the read columns'.  The columns of an
+    (ndof, S) block evolve independently, and a solve of a column subset
     gives the same bits as those columns of the full solve, so a block whose
     work calls for ``march_workers`` > 1 is split into that many column
     groups, each marched in a process of a fork-context pool that inherits
@@ -210,17 +202,16 @@ def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
     """
     step = stepper.step_adjoint if adjoint else stepper.step
     read = read or (lambda u: u)
-    limit = _limits(x, keep)
     columns = x.shape[1] if x.ndim == 2 else 1
     workers = march_workers(stepper, columns, counts[-1])
     if workers == 1:
-        return _march_columns(step, x, counts, limit, read, keep)
+        return _march_columns(step, x, counts, read, keep)
     groups = [slice(cols[0], cols[-1] + 1)
               for cols in np.array_split(np.arange(columns), workers)]
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork,
                              initializer=_start_group,
-                             initargs=(step, x, counts, limit, read,
+                             initargs=(step, x, counts, read,
                                        columns - keep)) as pool:
         reads, kept = zip(*pool.map(_march_group, groups))
     return ([np.concatenate(parts, axis=-1) for parts in zip(*reads)],
@@ -228,10 +219,10 @@ def _march(stepper: Stepper, x: np.ndarray, counts, read=None,
             if keep else None)
 
 
-def _march_columns(step, x, counts, limit, read, keep: int) -> tuple:
+def _march_columns(step, x, counts, read, keep: int) -> tuple:
     """_march of x in the calling process."""
     reads = []
-    for u in _stepped(step, x, counts, limit):
+    for u in _stepped(step, x, counts):
         reads.append(read(u[:, :u.shape[1] - keep] if keep else u))
     # a copy: a view would hold the whole final state
     return reads, (u[:, u.shape[1] - keep:].copy() if keep else None)
@@ -242,7 +233,7 @@ _GROUP = None  # in a forked stepping process: the march it inherited
 
 def _start_group(*march):
     """Set up a forked stepping process: SciPy's BLAS at one thread, and the
-    march (step, x, counts, limit, read, the number of read columns),
+    march (step, x, counts, read, the number of read columns),
     inherited without pickling."""
     global _GROUP
     _blas_one_thread()()
@@ -252,11 +243,9 @@ def _start_group(*march):
 def _march_group(columns: slice) -> tuple:
     """_march of a forked column group: ``read`` of its read columns at each
     step count, and the final state of its kept columns."""
-    step, x, counts, limit, read, split = _GROUP
+    step, x, counts, read, split = _GROUP
     keep = max(columns.stop - max(columns.start, split), 0)
-    if np.ndim(limit):
-        limit = limit[columns]
-    return _march_columns(step, x[:, columns], counts, limit, read, keep)
+    return _march_columns(step, x[:, columns], counts, read, keep)
 
 
 def evolve(stepper: Stepper, u0: np.ndarray, t: float) -> np.ndarray:
@@ -363,7 +352,7 @@ def contractivity_probe_multi(stepper: Stepper, p_list, t_final: float,
         mags = node_norms(u, F.m)
         return np.array([_norm_from_nodes(mags, p, vol) for p in p_list])
 
-    total_steps = probe_steps(t_final, stepper.dt)
+    total_steps = march_steps(t_final, stepper.dt)
     marks = np.unique(np.linspace(total_steps / 10, total_steps, 10).astype(int))
     marks = marks[marks >= 1]
     times = marks * stepper.dt

@@ -3,7 +3,8 @@
 A kernel column is the evolution of a discrete delta (mass 1/cell-volume at
 one node and component), so the column converges to the kernel itself under
 refinement; the m columns of one source node evolve together as one block
-through the Stepper, which carries the form.  In a run that also probes the
+through the Stepper, which carries the form; its t passes the probe's
+step-count check, ``evolution.march_steps``.  In a run that also probes the
 p-norm growth of a kernel-mode scenario with implicit Euler, that block
 rides in the probe's march (see ``evolution``) and is only reshaped here.
 Verification compares node magnitudes against the closed-form upper bound,
@@ -17,7 +18,7 @@ import numpy as np
 
 from .coefficients import BoxDomain
 from .discrete import DiscreteForm
-from .evolution import Stepper, check_dt, evolve, step_count
+from .evolution import Stepper, evolve, march_steps
 
 
 def deltas(F: DiscreteForm, y: int) -> np.ndarray:
@@ -26,21 +27,13 @@ def deltas(F: DiscreteForm, y: int) -> np.ndarray:
     return np.eye(F.ndof, F.m, k=-y * F.m) / F.mass  # ones at (y*m + j, j)
 
 
-def kernel_steps(t: float, dt: float) -> int:
-    """Steps of a kernel march to t, which must be positive, of a valid dt."""
-    check_dt(dt)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return step_count(t, dt)
-
-
 def kernel_block(stepper: Stepper, y: int, t: float,
                  marched: np.ndarray | None = None) -> np.ndarray:
     """k(t, x, y) at every node x as an (N, m, m) array, values[x, i, j] ~
     k_ij(t, x, y), from the m deltas at y evolved as one block to t.
     ``marched`` is that block if it has been evolved already (as riders of
     the growth probe's march)."""
-    kernel_steps(t, stepper.dt)
+    march_steps(t, stepper.dt)
     F = stepper.F
     if marched is None:
         marched = evolve(stepper, deltas(F, y), t)

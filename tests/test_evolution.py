@@ -94,6 +94,19 @@ class TestStepper:
 
         assert gap(2e-4) / gap(1e-4) >= 1.8
 
+    @pytest.mark.parametrize("cpus", [None, 2])
+    def test_each_column_has_its_own_blow_up_limit(self, cpus, march_on):
+        # the lowest mode grows 9.3-fold per step and the highest decays
+        # 0.4-fold: after 15 steps the small column has grown 1.7e14-fold,
+        # past its own limit, yet it stays far below the limit of the large
+        # one, so one limit for the whole block would let it pass
+        F = scalar_form(v="-99", n=8)
+        _, modes = np.linalg.eigh(F.S.toarray())
+        x = np.column_stack([modes[:, -1], 1e-6 * modes[:, 0]])
+        march_on(cpus)
+        with pytest.raises(FloatingPointError):
+            evolve(Stepper(F, 1e-2), x, 0.15)
+
 
 class TestPNorm:
     def test_constant_field_gives_volume_power(self):
@@ -262,15 +275,21 @@ class TestContractivityProbe:
 
     def test_riders_keep_their_own_blow_up_limit(self):
         # riders 1e13 times larger than the samples neither trip the
-        # samples' limit on a decaying form nor loosen it
+        # samples' limits on a decaying form nor loosen them on a growing
+        # one, where the riders (its fastest-decaying mode) stay within
+        # their own limits past the first checkpoint
         F = scalar_form(v="2", n=16)
-        x = np.hstack([np.full((F.ndof, 2), 0.5), np.full((F.ndof, 1), 1e13)])
-        np.testing.assert_array_equal(evolution._limits(x, 1),
-                                      [5e11, 5e11, 1e25])
-        assert evolution._limits(x, 0) == 1e25
-        traces, kept = contractivity_probe_multi(
-            Stepper(F, 1e-3), [2.0], 0.01, 2, riders=x[:, 2:])
-        assert kept.shape == (F.ndof, 1)
+        riders = np.full((F.ndof, 1), 1e13)
+        st = Stepper(F, 1e-3)
+        _, kept = contractivity_probe_multi(st, [2.0], 0.01, 2, riders=riders)
+        np.testing.assert_array_equal(kept, evolve(st, riders, 0.01))
+
+        F = scalar_form(v="-300", n=32)
+        riders = 1e13 * np.linalg.eigh(F.S.toarray())[1][:, -1:]
+        st = Stepper(F, 1e-3)
+        evolve(st, riders, 0.1)
+        with pytest.raises(FloatingPointError):
+            contractivity_probe_multi(st, [2.0], 1.0, 5, riders=riders)
 
 
 @pytest.mark.skipif(evolution._blas_one_thread() is None,

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semilab.cli import _growth_bound
+from semilab.cli import _growth_rate
 from semilab.hypotheses import fixed_gamma, refined
 from semilab.pinterval import (
     IntervalSpec,
@@ -328,12 +328,12 @@ class TestGammaP:
 
 
 def growth_bound(mode, p, kappaA=0.0, kappaB=0.0, kappaC=0.0, kappaW=0.0):
-    """cli._growth_bound at p, for a run in ``mode`` at these constants."""
+    """cli._growth_rate at p, for a run in ``mode`` at these constants."""
     h = SimpleNamespace(kappaA=kappaA, kappaB=kappaB, kappaC=kappaC,
                         kappaW=kappaW, gamma=1.0)
     run = SimpleNamespace(scn=SimpleNamespace(mode=mode), hypotheses=h,
                           interval=IntervalSpec(1.0, math.inf))
-    return _growth_bound(run, p)
+    return _growth_rate(run, p)
 
 
 class TestGrowthExponent:

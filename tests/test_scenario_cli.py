@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semilab.cli as cli
+import semilab.discrete as discrete
 import semilab.evolution as evolution
 from semilab.cli import (
     EXIT_CHECK_FAILED,
@@ -961,7 +962,7 @@ class TestCli:
         ("evolve", "g1", 1.5, "t_final is not a multiple of dt"),
         ("all", "g6-flat", 0.0, "t_final shorter than one step"),
         ("kernel", "g6-flat", 1.5, "t_final is not a multiple of dt"),
-        ("kernel", "g6-flat", 0.0, "t must be positive"),
+        ("kernel", "g6-flat", 0.0, "t_final shorter than one step"),
     ])
     def test_step_count_is_checked_before_sampling(
             self, sub, key, t_final, message, tmp_path, capsys, monkeypatch):
@@ -977,6 +978,17 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert sampled == []
         assert not out.exists()
+
+    def test_all_samples_once(self, tmp_path, capsys, monkeypatch):
+        # assembly takes the fields the run sampled
+        sampled = []
+        for module in (cli, discrete):
+            monkeypatch.setattr(module, "sample",
+                                lambda *args, sample=module.sample:
+                                sampled.append(args) or sample(*args))
+        assert main(["all", "--scenario", "gallery:g6-flat",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(sampled) == 1
 
     @pytest.mark.parametrize("sub", ["check-hypotheses", "p-interval",
                                      "nittka", "kernel", "distance"])
@@ -1167,12 +1179,32 @@ class TestCli:
             "sections"]["evolve"]["traces"]["2.0"]
         assert trace["bound"] == 0.0 and trace["within_bound"] is True
 
+    @pytest.mark.parametrize("dt,bound", [("0.5", -np.log(0.5) / 0.5),
+                                          ("1", None)])
+    def test_growth_bound_is_the_implicit_euler_steps(self, dt, bound,
+                                                      tmp_path, capsys):
+        # rate w = Cgamma/gamma = 1: one implicit-Euler step has norm at most
+        # 1/(1 - dt w), so at dt w = 0.5 a slope is at most -log(0.5)/dt, and
+        # at dt w = 1 no slope is bounded (null, with within_bound true)
+        text = (MINIMAL.replace("t_final = 0.01", "t_final = 2")
+                .replace("dt = 1e-3", f"dt = {dt}"))
+        out = tmp_path / "out"
+        assert main(["evolve", "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == EXIT_OK
+        trace = json.loads((out / "report.json").read_text())[
+            "sections"]["evolve"]["traces"]["2.0"]
+        assert trace["bound"] == bound and trace["within_bound"] is True
+        rows = (out / "growth_p2.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[-1] for row in rows} == {
+            "inf" if bound is None else repr(float(bound))}
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_growth_bound_covers_implicit_euler_only(self, scheme, tmp_path,
                                                      capsys):
         # g1's semigroup is contractive in every l^p, yet a Crank-Nicolson
-        # step of dt = 0.01 grows the 8-norm at slope 2.6 against bound 1:
-        # its slopes are reported with no bound
+        # step of dt = 0.01 grows the 8-norm at slope 2.6 against rate 1:
+        # its slopes are reported with no bound; an implicit-Euler step's
+        # bound is -log(1 - dt)/dt
         scn = dataclasses.replace(gallery_scenario("g1"), scheme=scheme,
                                   dt=0.01, t_final=0.1,
                                   p_list=[2.0, 4.0, 8.0, float("inf")])
@@ -1188,8 +1220,9 @@ class TestCli:
             assert set(bounds.values()) == {(None, None)}
             assert "implicit-Euler" in evolve["unbounded"]
         else:
-            assert bounds == {"2.0": (1.0, True), "4.0": (1.0, True),
-                              "8.0": (1.0, True), "inf": (None, None)}
+            bound = -np.log1p(-0.01) / 0.01
+            assert bounds == {"2.0": (bound, True), "4.0": (bound, True),
+                              "8.0": (bound, True), "inf": (None, None)}
             assert "unbounded" not in evolve
 
     def test_overflowed_coupling_whitening_is_infinite(self, tmp_path,
